@@ -108,5 +108,11 @@ phase "telemetry snapshot (archived as results/telemetry.json)"
 # Recorder snapshot under results/.
 cargo run -q -p aptq-bench --bin telemetry --release > /dev/null
 
+phase "committed snapshots unchanged (results/chaos.json, results/telemetry.json)"
+# Both phases above rewrite their snapshot in place. A change that
+# renames a counter or shifts a chaos result must show up here as a
+# diff against the committed file, not slip in as a silent overwrite.
+git diff --exit-code results/chaos.json results/telemetry.json
+
 echo "    [timing] ${phase_name}: $((SECONDS - phase_t0))s"
 echo "All checks passed."

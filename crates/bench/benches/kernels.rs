@@ -99,10 +99,14 @@ fn bench_forward(c: &mut Criterion) {
     group.bench_function("sequence_grads_64tok", |b| {
         b.iter(|| black_box(model.sequence_grads(&tokens)));
     });
-    // KV-cache decoding: amortized per-token cost after a 32-token prompt.
-    group.bench_function("decode_32_plus_8", |b| {
+    // KV-cache generation: 32 prompt tokens plus 7 generated ones fed
+    // (the 8th is emitted, never fed), amortized per-token cost.
+    group.bench_function("generate_32_plus_8", |b| {
         b.iter(|| {
-            black_box(aptq_lm::decode::generate_greedy_cached(&model, &tokens[..32], 8).unwrap())
+            let mut session = aptq_lm::decode::BatchDecodeSession::new(&model);
+            let prompt = [&tokens[..32]];
+            let greedy = aptq_lm::generate::Sampler::Greedy;
+            black_box(aptq_lm::generate::generate(&mut session, &prompt, 8, greedy).unwrap())
         });
     });
     group.finish();
@@ -110,7 +114,7 @@ fn bench_forward(c: &mut Criterion) {
 
 fn bench_quantized_decode(c: &mut Criterion) {
     // Steady-state decode from packed storage vs the float path above:
-    // same generic DecodeSession, projections executed by the
+    // same generic decode core, projections executed by the
     // group-streaming QuantizedLinear instead of fp32 matmul.
     let model = Model::new(&ModelConfig::tiny_llama_s(100), 7);
     let tokens: Vec<u32> = (0..64).map(|i| (i % 100) as u32).collect();
@@ -126,7 +130,7 @@ fn bench_quantized_decode(c: &mut Criterion) {
     group.bench_function("forward_64tok", |b| {
         b.iter(|| black_box(q.forward(&tokens).unwrap()));
     });
-    group.bench_function("decode_32_plus_8", |b| {
+    group.bench_function("generate_32_plus_8", |b| {
         b.iter(|| black_box(q.generate_greedy(&tokens[..32], 8).unwrap()));
     });
     group.finish();

@@ -22,7 +22,7 @@ use aptq_core::QuantSession;
 use aptq_eval::perplexity_recorded;
 use aptq_eval::pipeline::{quantize_clone_session, Method};
 use aptq_lm::decode::DecodeSession;
-use aptq_lm::{Model, ModelConfig};
+use aptq_lm::{LinearOp, Model, ModelConfig};
 use aptq_obs::Recorder;
 use aptq_qmodel::QuantizedLinear;
 use aptq_tensor::init;
@@ -86,7 +86,7 @@ fn main() {
     let res = quantize_layer_rtn(&w, QuantGrid::int(3, true), &qcfg);
     let qlin = QuantizedLinear::new(res.packed);
     let x = init::normal(4, d_in, 1.0, &mut rng);
-    let y = qlin.forward_recorded(&x, &mut rec);
+    let y = qlin.forward_op(&x, Some(&mut rec));
     let want = x.matmul(&res.dequantized);
     for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
         assert!((a - b).abs() < 1e-4, "packed forward diverged: {a} vs {b}");

@@ -290,11 +290,14 @@ pub fn sensitivity(flags: &Flags) -> Result<(), CliError> {
 
 /// `aptq generate --model FILE --prompt TEXT [--tokens N] [--batch]`
 ///
-/// With `--batch`, `--prompt` is split on `|` into one prompt per
-/// sequence and all sequences decode together through a
+/// Greedy generation through [`aptq_lm::generate::generate`]. With
+/// `--batch`, `--prompt` is split on `|` into one prompt per sequence
+/// and all sequences decode together in one
 /// [`aptq_lm::decode::BatchDecodeSession`] (one projection call per
 /// layer per step for the whole batch); each completion prints on its
-/// own line, identical to running the prompts one at a time.
+/// own line, identical to running the prompts one at a time. Non-finite
+/// logits in any sequence fail the command (exit code 1) before
+/// anything is printed.
 ///
 /// # Determinism
 ///
@@ -311,16 +314,20 @@ pub fn generate(flags: &Flags) -> Result<(), CliError> {
         prompt.extend(tok.encode(text));
         prompt
     };
-    if get_bool(flags, "batch") {
-        let prompts: Vec<Vec<u32>> = prompt_text.split('|').map(encode).collect();
-        let outs = aptq_lm::decode::generate_greedy_batched(&model, &prompts, n).map_err(lm_err)?;
-        for out in &outs {
-            println!("{}", tok.decode(out));
-        }
+    let prompts: Vec<Vec<u32>> = if get_bool(flags, "batch") {
+        prompt_text.split('|').map(encode).collect()
     } else {
-        let out = aptq_lm::decode::generate_greedy_cached(&model, &encode(prompt_text), n)
-            .map_err(lm_err)?;
-        println!("{}", tok.decode(&out));
+        vec![encode(prompt_text)]
+    };
+    let outs = aptq_lm::generate::generate(
+        &mut aptq_lm::decode::BatchDecodeSession::new(&model),
+        &prompts,
+        n,
+        aptq_lm::generate::Sampler::Greedy,
+    )
+    .map_err(lm_err)?;
+    for out in &outs {
+        println!("{}", tok.decode(out));
     }
     Ok(())
 }
@@ -409,6 +416,34 @@ mod tests {
         flags.insert("prompt".into(), "the crow|a fox runs".into());
         flags.insert("batch".into(), "true".into());
         generate(&flags).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn generate_fails_with_exit_1_on_non_finite_logits() {
+        let dir = std::env::temp_dir().join(format!("aptq-cli-test4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let model_path = dir.join("model.json");
+        let grammar = Grammar::standard();
+        let tok = Tokenizer::from_grammar(&grammar);
+        let mut model = Model::new(&aptq_lm::ModelConfig::test_tiny(tok.vocab_size()), 4);
+        // Finite weights that overflow: the final norm scales some
+        // hidden entry past 1 in magnitude, and f32::MAX times it is
+        // ±inf, so every logit is non-finite (JSON cannot carry a NaN).
+        model.final_norm_gain_mut().fill(4.0);
+        model.lm_head_mut().as_mut_slice().fill(f32::MAX);
+        std::fs::write(&model_path, model.to_json().unwrap()).unwrap();
+
+        let mut flags = Flags::new();
+        flags.insert("model".into(), model_path.to_string_lossy().into_owned());
+        flags.insert("prompt".into(), "the crow|a fox runs".into());
+        flags.insert("tokens".into(), "4".into());
+        for batch in ["false", "true"] {
+            flags.insert("batch".into(), batch.into());
+            let err = generate(&flags).unwrap_err();
+            assert!(err.to_string().contains("non-finite"), "{err}");
+            assert_eq!(err.exit_code(), 1, "--batch {batch}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,7 +15,8 @@
 //! to pay off, which is exactly the paper's argument for PTQ.
 
 use aptq_lm::adam::{Adam, AdamConfig};
-use aptq_lm::generate::{generate_sampled, SampleConfig};
+use aptq_lm::decode::BatchDecodeSession;
+use aptq_lm::generate::{generate, SampleConfig, Sampler};
 use aptq_lm::train::batch_grads;
 use aptq_lm::Model;
 use aptq_tensor::init;
@@ -83,21 +84,27 @@ pub fn quantize(
     );
 
     for _ in 0..qat.steps {
-        // 1. Self-generate a batch from the fp teacher (data-free).
+        // 1. Self-generate a batch from the fp teacher (data-free). One
+        //    prompt per call: sampling them in one call would interleave
+        //    their RNG draws and so change the generated data.
         let batch: Vec<Vec<u32>> = (0..qat.batch_size)
             .map(|i| {
-                let prompt = vec![(i as u32) % teacher.config().vocab_size as u32];
-                generate_sampled(
-                    &teacher,
-                    &prompt,
-                    qat.seq_len,
-                    SampleConfig {
+                let prompt = [(i as u32) % teacher.config().vocab_size as u32];
+                let sampler = Sampler::Sample {
+                    cfg: SampleConfig {
                         temperature: qat.temperature,
                         top_k: 0,
                     },
-                    &mut rng,
+                    rng: &mut rng,
+                };
+                generate(
+                    &mut BatchDecodeSession::new(&teacher),
+                    &[prompt],
+                    qat.seq_len,
+                    sampler,
                 )
                 .expect("teacher generation cannot fail on valid prompts")
+                .swap_remove(0)
             })
             .collect();
 
@@ -161,17 +168,21 @@ mod tests {
         let cfg = GridConfig::default();
         let probe: Vec<Vec<u32>> = (0..4)
             .map(|i| {
-                generate_sampled(
-                    &base,
-                    &[i as u32],
-                    12,
-                    SampleConfig {
+                let sampler = Sampler::Sample {
+                    cfg: SampleConfig {
                         temperature: 1.0,
                         top_k: 0,
                     },
-                    &mut init::rng(123),
+                    rng: &mut init::rng(123),
+                };
+                generate(
+                    &mut BatchDecodeSession::new(&base),
+                    &[[i as u32]],
+                    12,
+                    sampler,
                 )
                 .unwrap()
+                .swap_remove(0)
             })
             .collect();
         let loss = |m: &Model| probe.iter().map(|s| m.sequence_loss(s)).sum::<f32>();

@@ -119,17 +119,6 @@ impl<L: LinearOp> TransformerBlock<L> {
             },
         )
     }
-
-    /// Fast forward pass without cache (inference / evaluation).
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward_no_cache(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
-        // Reuses the caching path; caches are small relative to the
-        // matmuls at the scales this crate targets.
-        self.forward(x, rope).0
-    }
 }
 
 impl TransformerBlock {

@@ -1,9 +1,10 @@
 //! Deterministic and sampled text generation.
 //!
-//! Both entry points decode through [`DecodeSession`] (O(T) per token);
-//! [`generate_greedy`] remains the uncached reference implementation
-//! the cached paths are tested against. All generation functions share
-//! one contract:
+//! [`generate`] is the one generation entry point: it drives a
+//! [`BatchDecodeSession`] (O(T) cached steps) over one or more prompts
+//! and picks each new token with a [`Sampler`]. [`generate_greedy`]
+//! remains the uncached O(T²) reference implementation it is tested
+//! against. Both share one contract:
 //!
 //! - an empty prompt is [`LmError::EmptyInput`];
 //! - a prompt longer than `max_seq_len` is [`LmError::SequenceFull`]
@@ -18,7 +19,7 @@ use aptq_tensor::activation::softmax;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::decode::DecodeSession;
+use crate::decode::BatchDecodeSession;
 use crate::linear::LinearOp;
 use crate::model::ModelOf;
 use crate::LmError;
@@ -41,9 +42,47 @@ impl Default for SampleConfig {
     }
 }
 
+/// How [`generate`] picks each new token from a logits row.
+#[derive(Debug)]
+pub enum Sampler<'r> {
+    /// [`aptq_tensor::select::argmax`]: NaN logits never win and ties
+    /// break toward the lowest token id.
+    Greedy,
+    /// Temperature / top-k sampling with exactly one draw from `rng`
+    /// per emitted token; `temperature <= 0` is greedy with no draws.
+    ///
+    /// The top-k filter keeps **exactly** `min(k, vocab)` candidates
+    /// via [`aptq_tensor::select::top_k_indices`] — boundary ties
+    /// resolve by token id instead of widening the candidate set, and
+    /// NaN logits are never sampled. When floating-point rounding
+    /// leaves the CDF short of the drawn `r`, the fallback is the
+    /// **highest-probability kept** index, never a top-k-masked
+    /// (zero-probability) token.
+    Sample {
+        /// Temperature and top-k.
+        cfg: SampleConfig,
+        /// The caller's generator, advanced once per emitted token.
+        rng: &'r mut StdRng,
+    },
+}
+
+impl Sampler<'_> {
+    /// The next token for one logits row.
+    fn pick(&mut self, logits: &[f32]) -> u32 {
+        let next = match self {
+            Sampler::Sample { cfg, .. } if cfg.temperature <= 0.0 => {
+                aptq_tensor::select::argmax(logits)
+            }
+            Sampler::Sample { cfg, rng } => sample_step(logits, *cfg, rng),
+            Sampler::Greedy => aptq_tensor::select::argmax(logits),
+        };
+        next as u32
+    }
+}
+
 /// Greedily extends `prompt` by `n_new` tokens, re-running the full
 /// forward pass every step — the O(T²) reference implementation that
-/// [`crate::decode::generate_greedy_cached`] is verified against.
+/// [`generate`] is verified against.
 ///
 /// Token selection goes through [`aptq_tensor::select::argmax`]: NaN
 /// logits never win and ties break toward the lowest token id.
@@ -88,82 +127,107 @@ pub fn generate_greedy<L: LinearOp>(
     Ok(tokens)
 }
 
-/// Extends `prompt` by `n_new` tokens with temperature / top-k
-/// sampling through a fresh [`DecodeSession`] — O(T) cached steps, not
-/// O(T²) re-forwards.
+/// Extends every prompt by `n_new` tokens through `session`, one
+/// sequence per prompt, picking tokens with `sampler`. Returns one
+/// output per prompt (the prompt followed by its new tokens).
 ///
-/// The top-k filter keeps **exactly** `min(k, vocab)` candidates via
-/// [`aptq_tensor::select::top_k_indices`] — boundary ties resolve by
-/// token id instead of widening the candidate set, and NaN logits are
-/// never sampled. When floating-point rounding leaves the CDF short of
-/// the drawn `r`, the fallback is the **highest-probability kept**
-/// index, never a top-k-masked (zero-probability) token.
+/// Continuous batching: every sequence prefills and generates at its
+/// own pace, leaving the session as soon as it has `n_new` new tokens
+/// (or fills the context), and each step's projections run once for
+/// all sequences still active. Output `i` is bit-identical to
+/// generating prompt `i` alone, and the session's
+/// [`metrics`](BatchDecodeSession::metrics) stay readable afterwards.
 ///
-/// # Determinism
+/// A [`Sampler::Sample`] draws in row order — prompt 0's token before
+/// prompt 1's within a step — so a single prompt consumes the RNG
+/// exactly as sequential sampling would.
 ///
-/// Bit-identical for a fixed seed at any `APTQ_THREADS` value; exactly
-/// one RNG draw per emitted token when `temperature > 0`, none at
-/// `temperature <= 0` (greedy).
-///
-/// # Errors
-///
-/// Same as [`generate_greedy`] (see the module contract).
-pub fn generate_sampled<L: LinearOp>(
-    model: &ModelOf<L>,
-    prompt: &[u32],
-    n_new: usize,
-    cfg: SampleConfig,
-    rng: &mut StdRng,
-) -> Result<Vec<u32>, LmError> {
-    let mut session = DecodeSession::new(model);
-    generate_sampled_session(&mut session, prompt, n_new, cfg, rng)
-}
-
-/// [`generate_sampled`] over a caller-provided session, so tests and
-/// telemetry can inspect [`DecodeSession::metrics`] afterwards (the
-/// per-token counters must be flat — cached steps, no prefix
-/// re-execution). The session must be fresh (no tokens fed).
+/// A sequence quarantined mid-generation (non-finite logits — see
+/// [`BatchDecodeSession::step`]'s quarantine contract) fails the whole
+/// call: every other sequence of the call leaves the session too, and
+/// the session counts the eviction under `decode/quarantine/evictions`.
 ///
 /// # Determinism
 ///
-/// Bit-identical for a fixed seed at any `APTQ_THREADS` value; see
-/// [`generate_sampled`].
+/// Bit-identical (for a fixed RNG seed) at any `APTQ_THREADS` value;
+/// see [`BatchDecodeSession::step`].
 ///
 /// # Errors
 ///
-/// Same as [`generate_sampled`].
-pub fn generate_sampled_session<L: LinearOp>(
-    session: &mut DecodeSession<'_, L>,
-    prompt: &[u32],
+/// Returns [`LmError::EmptyInput`] if `prompts` is empty or any prompt
+/// is empty, [`LmError::SequenceFull`] if a prompt exceeds
+/// `max_seq_len` (see the module contract), and
+/// [`LmError::TokenOutOfRange`] for a prompt token outside the
+/// vocabulary. Every prompt is validated before any sequence joins the
+/// session. Returns [`LmError::NonFiniteLogits`] at the position of
+/// the first token whose logits were NaN/Inf.
+pub fn generate<L: LinearOp, P: AsRef<[u32]>>(
+    session: &mut BatchDecodeSession<'_, L>,
+    prompts: &[P],
     n_new: usize,
-    cfg: SampleConfig,
-    rng: &mut StdRng,
-) -> Result<Vec<u32>, LmError> {
-    if prompt.is_empty() {
+    mut sampler: Sampler<'_>,
+) -> Result<Vec<Vec<u32>>, LmError> {
+    if prompts.is_empty() || prompts.iter().any(|p| p.as_ref().is_empty()) {
         return Err(LmError::EmptyInput);
     }
-    let max = session.model().config().max_seq_len;
-    if prompt.len() > max {
+    let cfg = session.model().config();
+    let max = cfg.max_seq_len;
+    if prompts.iter().any(|p| p.as_ref().len() > max) {
         return Err(LmError::SequenceFull {
             pos: max,
             max_seq_len: max,
         });
     }
-    let mut logits = session.feed_all(prompt)?;
-    let mut out = prompt.to_vec();
-    for _ in 0..n_new {
-        let next = if cfg.temperature <= 0.0 {
-            aptq_tensor::select::argmax(&logits)
-        } else {
-            sample_step(&logits, cfg, rng)
-        };
-        out.push(next as u32);
-        if session.len() >= max {
+    for &token in prompts.iter().flat_map(|p| p.as_ref()) {
+        if token as usize >= cfg.vocab_size {
+            return Err(LmError::TokenOutOfRange {
+                token,
+                vocab: cfg.vocab_size,
+            });
+        }
+    }
+    let slots: Vec<usize> = prompts.iter().map(|_| session.join()).collect();
+    let mut outs: Vec<Vec<u32>> = prompts.iter().map(|p| p.as_ref().to_vec()).collect();
+    let mut fed = vec![0usize; prompts.len()];
+    let mut batch: Vec<(usize, u32)> = Vec::with_capacity(prompts.len());
+    let mut rows: Vec<usize> = Vec::with_capacity(prompts.len());
+    loop {
+        batch.clear();
+        rows.clear();
+        for (i, out) in outs.iter().enumerate() {
+            if session.is_active(slots[i]) {
+                batch.push((slots[i], out[fed[i]]));
+                rows.push(i);
+            }
+        }
+        if batch.is_empty() {
             break;
         }
-        logits = session.feed(next as u32)?;
+        let logits = session.step(&batch)?;
+        let evicted = session.evicted_last_step();
+        if let Some(&i) = rows.iter().find(|&&i| evicted.contains(&slots[i])) {
+            // The quarantined sequence is already evicted; its peers
+            // leave so the call holds no slot once it returns.
+            for &slot in &slots {
+                if session.is_active(slot) {
+                    session.leave(slot)?;
+                }
+            }
+            return Err(LmError::NonFiniteLogits { pos: fed[i] });
+        }
+        for (r, &i) in rows.iter().enumerate() {
+            fed[i] += 1;
+            let prompt_len = prompts[i].as_ref().len();
+            let target = prompt_len + n_new;
+            if fed[i] >= prompt_len && outs[i].len() < target {
+                outs[i].push(sampler.pick(logits.row(r)));
+            }
+            if outs[i].len() >= target || fed[i] >= max {
+                session.leave(slots[i])?;
+            }
+        }
     }
-    Ok(out)
+    Ok(outs)
 }
 
 /// Temperature-scales and top-k-masks one logit row, then samples from
@@ -215,6 +279,22 @@ mod tests {
         Model::new(&ModelConfig::test_tiny(16), 21)
     }
 
+    /// One prompt through [`generate`] with a fresh session.
+    fn gen(m: &Model, prompt: &[u32], n_new: usize, sampler: Sampler) -> Result<Vec<u32>, LmError> {
+        let mut outs = generate(&mut BatchDecodeSession::new(m), &[prompt], n_new, sampler)?;
+        Ok(outs.remove(0))
+    }
+
+    fn sampled(
+        m: &Model,
+        prompt: &[u32],
+        n_new: usize,
+        cfg: SampleConfig,
+        rng: &mut StdRng,
+    ) -> Result<Vec<u32>, LmError> {
+        gen(m, prompt, n_new, Sampler::Sample { cfg, rng })
+    }
+
     #[test]
     fn greedy_is_deterministic_and_extends() {
         let m = model();
@@ -242,8 +322,8 @@ mod tests {
             temperature: 1.2,
             top_k: 4,
         };
-        let a = generate_sampled(&m, &[1], 10, cfg, &mut init::rng(5)).unwrap();
-        let b = generate_sampled(&m, &[1], 10, cfg, &mut init::rng(5)).unwrap();
+        let a = sampled(&m, &[1], 10, cfg, &mut init::rng(5)).unwrap();
+        let b = sampled(&m, &[1], 10, cfg, &mut init::rng(5)).unwrap();
         assert_eq!(a, b, "same seed must give same sample");
         assert!(a.iter().all(|&t| (t as usize) < 16));
     }
@@ -255,7 +335,7 @@ mod tests {
             temperature: 0.0,
             top_k: 0,
         };
-        let sampled = generate_sampled(&m, &[2, 3], 4, cfg, &mut init::rng(1)).unwrap();
+        let sampled = sampled(&m, &[2, 3], 4, cfg, &mut init::rng(1)).unwrap();
         let greedy = generate_greedy(&m, &[2, 3], 4).unwrap();
         assert_eq!(sampled, greedy);
     }
@@ -272,7 +352,7 @@ mod tests {
         };
         let prompt = [1u32, 4, 2];
         let n_new = 12;
-        let cached = generate_sampled(&m, &prompt, n_new, cfg, &mut init::rng(11)).unwrap();
+        let cached = sampled(&m, &prompt, n_new, cfg, &mut init::rng(11)).unwrap();
 
         let mut rng = init::rng(11);
         let mut tokens = prompt.to_vec();
@@ -286,7 +366,7 @@ mod tests {
 
     #[test]
     fn sampled_per_token_cost_is_flat() {
-        // The cached sampled path must feed each token exactly once:
+        // The cached sampled path must feed each token at most once:
         // total decode work equals prompt + generated-but-one tokens,
         // with KV write traffic linear in that count — not quadratic.
         let m = model();
@@ -294,19 +374,69 @@ mod tests {
             temperature: 1.1,
             top_k: 4,
         };
-        let mut session = DecodeSession::new(&m);
-        let out =
-            generate_sampled_session(&mut session, &[1, 2, 3], 10, cfg, &mut init::rng(3)).unwrap();
-        assert_eq!(out.len(), 13);
-        // 3 prompt tokens + the 10 sampled tokens, each fed exactly
-        // once (same loop shape as generate_greedy_cached); a
-        // re-forwarding implementation would score sequences of length
-        // 3, 4, ..., 12 — 75 token-forwards instead of 13.
-        assert_eq!(session.metrics().get("decode/tokens"), 13);
+        let mut session = BatchDecodeSession::new(&m);
+        let rng = &mut init::rng(3);
+        let out = generate(&mut session, &[[1, 2, 3]], 10, Sampler::Sample { cfg, rng }).unwrap();
+        assert_eq!(out[0].len(), 13);
+        // 3 prompt tokens + the first 9 sampled tokens, each fed
+        // exactly once (the 10th is emitted but never fed: nothing
+        // would read its logits); a re-forwarding implementation would
+        // score sequences of length 3, 4, ..., 12 — 75 token-forwards
+        // instead of 12.
+        assert_eq!(session.metrics().get("decode/batch/tokens"), 12);
+        // The sequence has left, so its cache no longer counts as used:
+        // compare against one token's KV bytes (2 layers × k and v rows
+        // × d_model 16 × 4 B) times the tokens fed.
         assert_eq!(
-            session.metrics().get("decode/kv_bytes_moved"),
-            session.cache_bytes() as u64
+            session.metrics().get("decode/batch/kv_bytes_moved"),
+            12 * 2 * 2 * 16 * 4
         );
+    }
+
+    #[test]
+    fn invalid_prompts_leave_the_session_untouched() {
+        let m = model();
+        let mut session = BatchDecodeSession::new(&m);
+        assert!(matches!(
+            generate(&mut session, &[vec![1, 2], vec![3, 99]], 4, Sampler::Greedy),
+            Err(LmError::TokenOutOfRange {
+                token: 99,
+                vocab: 16
+            })
+        ));
+        assert_eq!(session.active(), 0);
+        assert!(session.metrics().is_empty(), "nothing joined or stepped");
+    }
+
+    #[test]
+    fn non_finite_logits_fail_the_call_and_free_every_slot() {
+        // A NaN embedding row poisons only the sequences that feed that
+        // token: the call reports the first poisoned position instead of
+        // returning a shortened output, and no sequence stays joined.
+        let mut m = model();
+        m.embed_mut().row_mut(5).fill(f32::NAN);
+        let mut session = BatchDecodeSession::new(&m);
+        assert!(matches!(
+            generate(
+                &mut session,
+                &[vec![1, 2, 3], vec![4, 5, 6]],
+                4,
+                Sampler::Greedy
+            ),
+            Err(LmError::NonFiniteLogits { pos: 1 })
+        ));
+        assert_eq!(session.active(), 0);
+        assert_eq!(session.metrics().get("decode/quarantine/evictions"), 1);
+        // Single prompt, both samplers: the same error, never Ok.
+        assert!(matches!(
+            gen(&m, &[5], 4, Sampler::Greedy),
+            Err(LmError::NonFiniteLogits { pos: 0 })
+        ));
+        let cfg = SampleConfig::default();
+        assert!(matches!(
+            sampled(&m, &[2, 5], 4, cfg, &mut init::rng(0)),
+            Err(LmError::NonFiniteLogits { pos: 1 })
+        ));
     }
 
     #[test]
@@ -335,7 +465,7 @@ mod tests {
             top_k: 1,
         };
         for seed in 0..8 {
-            let sampled = generate_sampled(&m, &[2, 3], 6, cfg, &mut init::rng(seed)).unwrap();
+            let sampled = sampled(&m, &[2, 3], 6, cfg, &mut init::rng(seed)).unwrap();
             let greedy = generate_greedy(&m, &[2, 3], 6).unwrap();
             assert_eq!(sampled, greedy, "seed {seed}");
         }
@@ -356,11 +486,11 @@ mod tests {
             })
         ));
         assert!(matches!(
-            crate::decode::generate_greedy_cached(&m, &prompt, 2),
+            gen(&m, &prompt, 2, Sampler::Greedy),
             Err(LmError::SequenceFull { .. })
         ));
         assert!(matches!(
-            generate_sampled(&m, &prompt, 2, SampleConfig::default(), &mut init::rng(0)),
+            sampled(&m, &prompt, 2, SampleConfig::default(), &mut init::rng(0)),
             Err(LmError::SequenceFull { .. })
         ));
     }
@@ -374,13 +504,13 @@ mod tests {
         let max = 32;
         let prompt: Vec<u32> = (0..max).map(|i| (i % 16) as u32).collect();
         let uncached = generate_greedy(&m, &prompt, 5).unwrap();
-        let cached = crate::decode::generate_greedy_cached(&m, &prompt, 5).unwrap();
+        let cached = gen(&m, &prompt, 5, Sampler::Greedy).unwrap();
         assert_eq!(uncached.len(), max + 1);
         assert_eq!(uncached, cached);
         // One token below the boundary: two new tokens fit.
         let prompt: Vec<u32> = (0..max - 1).map(|i| (i % 16) as u32).collect();
         let uncached = generate_greedy(&m, &prompt, 5).unwrap();
-        let cached = crate::decode::generate_greedy_cached(&m, &prompt, 5).unwrap();
+        let cached = gen(&m, &prompt, 5, Sampler::Greedy).unwrap();
         assert_eq!(uncached.len(), max + 1);
         assert_eq!(uncached, cached);
     }

@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 
 use aptq_artifact::{ArtifactError, ArtifactKind, Fnv64};
-use aptq_obs::Recorder;
 use aptq_tensor::activation::{log_sum_exp, softmax};
 use aptq_tensor::{init, Matrix};
 use serde::{Deserialize, Serialize};
@@ -352,29 +351,9 @@ impl<L: LinearOp> ModelOf<L> {
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn forward(&self, tokens: &[u32]) -> Matrix {
-        self.forward_opt(tokens, None)
-    }
-
-    /// [`forward`](ModelOf::forward) recording per-projection work into
-    /// `rec` via every operator's [`LinearOp::forward_into`] hook
-    /// (packed operators count `qmodel/qlinear/…` work; fp32 records
-    /// nothing).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`forward`](ModelOf::forward).
-    /// # Determinism
-    ///
-    /// Logits *and counters* are bit-identical at any `APTQ_THREADS`
-    /// value; counters depend only on shapes.
-    pub fn forward_recorded(&self, tokens: &[u32], rec: &mut Recorder) -> Matrix {
-        self.forward_opt(tokens, Some(rec))
-    }
-
-    fn forward_opt(&self, tokens: &[u32], mut rec: Option<&mut Recorder>) -> Matrix {
         let mut x = self.embed_tokens(tokens);
         for block in &self.blocks {
-            x = block.forward_opt(&x, &self.rope, rec.as_deref_mut()).0;
+            x = block.forward(&x, &self.rope).0;
         }
         let (normed, _) = self.final_norm.forward(&x);
         normed.matmul(&self.lm_head)

@@ -9,9 +9,8 @@
 //! accumulation order makes each row independent of how many others
 //! share the call.
 
-use aptq_lm::decode::{
-    generate_greedy_batched, generate_greedy_cached, BatchDecodeSession, DecodeSession,
-};
+use aptq_lm::decode::{BatchDecodeSession, DecodeSession};
+use aptq_lm::generate::{generate, Sampler};
 use aptq_lm::{LmError, Model, ModelConfig};
 
 fn model() -> Model {
@@ -20,6 +19,28 @@ fn model() -> Model {
         ..ModelConfig::test_tiny(16)
     };
     Model::new(&cfg, 42)
+}
+
+/// Greedy generation of every prompt together through one fresh batch
+/// session.
+fn greedy_batch(m: &Model, prompts: &[Vec<u32>], n_new: usize) -> Result<Vec<Vec<u32>>, LmError> {
+    generate(
+        &mut BatchDecodeSession::new(m),
+        prompts,
+        n_new,
+        Sampler::Greedy,
+    )
+}
+
+/// Greedy generation of one prompt alone through a fresh session.
+fn greedy_solo(m: &Model, prompt: &[u32], n_new: usize) -> Result<Vec<u32>, LmError> {
+    let mut outs = generate(
+        &mut BatchDecodeSession::new(m),
+        &[prompt],
+        n_new,
+        Sampler::Greedy,
+    )?;
+    Ok(outs.remove(0))
 }
 
 /// Deterministic per-sequence token stream `s`.
@@ -237,9 +258,9 @@ fn batched_greedy_generation_matches_solo_cached_generation() {
     ];
     // Unequal prompt lengths exercise the ragged prefill; unequal
     // completion times exercise mid-flight leave.
-    let batched = generate_greedy_batched(&m, &prompts, 12).unwrap();
+    let batched = greedy_batch(&m, &prompts, 12).unwrap();
     for (i, prompt) in prompts.iter().enumerate() {
-        let solo = generate_greedy_cached(&m, prompt, 12).unwrap();
+        let solo = greedy_solo(&m, prompt, 12).unwrap();
         assert_eq!(batched[i], solo, "prompt {i}");
     }
 }
@@ -247,17 +268,14 @@ fn batched_greedy_generation_matches_solo_cached_generation() {
 #[test]
 fn batched_greedy_generation_validates_inputs() {
     let m = model();
+    assert!(matches!(greedy_batch(&m, &[], 4), Err(LmError::EmptyInput)));
     assert!(matches!(
-        generate_greedy_batched(&m, &[], 4),
-        Err(LmError::EmptyInput)
-    ));
-    assert!(matches!(
-        generate_greedy_batched(&m, &[vec![1], vec![]], 4),
+        greedy_batch(&m, &[vec![1], vec![]], 4),
         Err(LmError::EmptyInput)
     ));
     let long: Vec<u32> = (0..65).map(|i| (i % 16) as u32).collect();
     assert!(matches!(
-        generate_greedy_batched(&m, &[vec![1], long], 4),
+        greedy_batch(&m, &[vec![1], long], 4),
         Err(LmError::SequenceFull { .. })
     ));
 }
@@ -268,12 +286,12 @@ fn batched_greedy_generation_caps_at_context_boundary() {
     let exactly: Vec<u32> = (0..64).map(|i| (i % 16) as u32).collect();
     let nearly: Vec<u32> = (0..62).map(|i| (i % 16) as u32).collect();
     let prompts = vec![exactly.clone(), nearly.clone(), vec![3, 1]];
-    let batched = generate_greedy_batched(&m, &prompts, 8).unwrap();
+    let batched = greedy_batch(&m, &prompts, 8).unwrap();
     assert_eq!(batched[0].len(), 65, "full context still predicts once");
     assert_eq!(batched[1].len(), 65, "capped at max_seq_len + 1");
     assert_eq!(batched[2].len(), 10);
     for (i, prompt) in prompts.iter().enumerate() {
-        assert_eq!(batched[i], generate_greedy_cached(&m, prompt, 8).unwrap());
+        assert_eq!(batched[i], greedy_solo(&m, prompt, 8).unwrap());
     }
 }
 

@@ -11,8 +11,9 @@
 //! fp32 weight matrix. This crate implements that execution path:
 //!
 //! - [`QuantizedLinear`]: a linear layer whose weight lives in a
-//!   [`aptq_core::pack::PackedTensor`]; `forward` streams one input-dim
-//!   group at a time through a small scratch buffer.
+//!   [`aptq_core::pack::PackedTensor`]; its [`aptq_lm::LinearOp`]
+//!   forward streams one input-dim group at a time through a small
+//!   scratch buffer.
 //! - [`QuantizedModel`]: the full transformer with every projection
 //!   packed (embeddings, norms and LM head stay fp32, as in the paper's
 //!   GPTQ-family setting), constructible straight from a model + a
@@ -45,6 +46,9 @@ pub enum QModelError {
         /// Vocabulary size.
         vocab: usize,
     },
+    /// Empty prompt (or no prompts): there is no last-logits row to
+    /// extend.
+    EmptyInput,
     /// Sequence longer than the RoPE table.
     SequenceTooLong {
         /// Requested length.
@@ -69,6 +73,9 @@ impl std::fmt::Display for QModelError {
             QModelError::MissingLayer(l) => write!(f, "no plan/hessian entry for layer {l}"),
             QModelError::TokenOutOfRange { token, vocab } => {
                 write!(f, "token {token} out of range for vocab {vocab}")
+            }
+            QModelError::EmptyInput => {
+                write!(f, "input sequence must contain at least one token")
             }
             QModelError::SequenceTooLong { len, max } => {
                 write!(f, "sequence of {len} tokens exceeds max length {max}")
@@ -124,6 +131,7 @@ mod tests {
         let e = QModelError::Quant(aptq_core::QuantError::EmptyCalibration);
         assert!(std::error::Error::source(&e).is_some());
         assert!(QModelError::NonFinite { pos: 3 }.to_string().contains('3'));
+        assert!(QModelError::EmptyInput.to_string().contains("token"));
         let i = QModelError::Integrity(aptq_artifact::ArtifactError::ChecksumMismatch {
             section: "layers.0.self_attn.q_proj".into(),
             expected: 1,

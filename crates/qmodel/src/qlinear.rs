@@ -10,7 +10,8 @@ use serde::{Deserialize, Serialize};
 
 /// A bias-free linear layer whose weights live in a [`PackedTensor`].
 ///
-/// `forward` never materializes the full fp32 weight matrix: it streams
+/// The forward ([`LinearOp::forward_into`]) never materializes the full
+/// fp32 weight matrix: it streams
 /// one input-dimension group at a time — unpack the group's codes,
 /// dequantize into a `group_size × d_out` scratch, accumulate the
 /// partial product — so peak extra memory is one group's worth of f32,
@@ -21,6 +22,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use aptq_core::engine::quantize_layer_rtn;
 /// use aptq_core::grid::{GridConfig, QuantGrid};
+/// use aptq_lm::LinearOp;
 /// use aptq_qmodel::QuantizedLinear;
 /// use aptq_tensor::Matrix;
 ///
@@ -28,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let res = quantize_layer_rtn(&w, QuantGrid::int(4, true), &GridConfig::default());
 /// let qlin = QuantizedLinear::new(res.packed);
 /// let x = Matrix::from_fn(3, 8, |i, j| (i + j) as f32 * 0.05);
-/// let y = qlin.forward(&x);
+/// let y = qlin.forward_op(&x, None);
 /// // Identical to multiplying by the dequantized weights.
 /// let want = x.matmul(&res.dequantized);
 /// assert_eq!(y, want);
@@ -100,69 +102,54 @@ impl QuantizedLinear {
         true
     }
 
-    /// Computes `y = x · Ŵ` with on-the-fly group dequantization.
-    ///
-    /// # Determinism
-    ///
-    /// Single-threaded scalar loops: bit-identical at any
-    /// `APTQ_THREADS` value.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: one `t × d_out` output and one group-sized
-    /// scratch per call; the streaming group loop is allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_in`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_opt(x, None)
+    /// Whether the grid is one of the integer families (sanity queries
+    /// for reports).
+    pub fn is_integer_grid(&self) -> bool {
+        matches!(self.packed.grid.kind(), GridKind::Int { .. })
+    }
+}
+
+impl LinearOp for QuantizedLinear {
+    fn d_in(&self) -> usize {
+        QuantizedLinear::d_in(self)
     }
 
-    /// [`QuantizedLinear::forward`] recording work counters into `rec`
-    /// under `qmodel/qlinear/…`: forward calls, groups and codes
+    fn d_out(&self) -> usize {
+        QuantizedLinear::d_out(self)
+    }
+
+    /// Group-streamed packed forward into the caller buffer: zero
+    /// `out`, then for each input-dimension group unpack its codes,
+    /// dequantize them into a `group_size × d_out` scratch and
+    /// accumulate the partial product.
+    ///
+    /// Records under `qmodel/qlinear/…`: forward calls, groups and codes
     /// unpacked, multiply-accumulates, and `fallback_entries` — the
     /// count of groups that had to re-unpack the whole code stream.
     /// Since the bit-offset unpacker ([`unpack_codes_at_into`]) removed
     /// that path, the counter is materialized at 0 so telemetry
     /// consumers can assert its absence rather than infer it.
     ///
+    /// Row-independent by construction: each output row accumulates its
+    /// own group partials in the same (g ascending, ri ascending) order
+    /// regardless of batch size, so 1-row incremental decode is
+    /// bit-identical to the full-sequence forward.
+    ///
     /// # Determinism
     ///
-    /// Single-threaded scalar loops: output *and counters* are
+    /// Single-threaded scalar loops: output and counters are
     /// bit-identical at any `APTQ_THREADS` value.
     ///
     /// # HotPath
     ///
-    /// Allocation budget: same as [`QuantizedLinear::forward`] plus the
-    /// recorder's counter-key interning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_in`.
-    pub fn forward_recorded(&self, x: &Matrix, rec: &mut Recorder) -> Matrix {
-        self.forward_opt(x, Some(rec))
-    }
-
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_in`.
-    pub(crate) fn forward_opt(&self, x: &Matrix, rec: Option<&mut Recorder>) -> Matrix {
-        // Allocating convenience wrapper (sized one-shot scratch); hot
-        // paths use `LinearOp::forward_into` with a reused buffer.
-        let mut y = Matrix::zeros(x.rows(), self.packed.d_out);
-        self.forward_group_streamed(x, &mut y, rec);
-        y
-    }
-
-    /// Streams the packed groups, accumulating `x · Ŵ` into `out`
-    /// (which must arrive zeroed — callers are [`forward_opt`] and
-    /// [`LinearOp::forward_into`], both of which zero it).
+    /// Allocation budget: one group-sized dequantization scratch and
+    /// one group-sized code buffer per call; the streaming group loop
+    /// is allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != d_in` or `out` is not `(x.rows(), d_out)`.
-    fn forward_group_streamed(&self, x: &Matrix, out: &mut Matrix, mut rec: Option<&mut Recorder>) {
+    fn forward_into(&self, x: &Matrix, out: &mut Matrix, mut rec: Option<&mut Recorder>) {
         let d_in = self.packed.d_in;
         let d_out = self.packed.d_out;
         assert_eq!(x.cols(), d_in, "QuantizedLinear: input width mismatch");
@@ -174,7 +161,7 @@ impl QuantizedLinear {
         let t = x.rows();
         let group = self.packed.group_size;
         let grid = self.packed.grid;
-        let y = out;
+        out.as_mut_slice().fill(0.0);
         // Group-sized one-shot scratch — the documented budget.
         let mut scratch = vec![0.0f32; group * d_out];
         let mut code_buf = vec![0u8; group * d_out];
@@ -206,7 +193,7 @@ impl QuantizedLinear {
             // Accumulate x[:, r0..r1] × scratch.
             for row in 0..t {
                 let x_row = &x.row(row)[r0..r1];
-                let y_row = y.row_mut(row);
+                let y_row = out.row_mut(row);
                 for (ri, &xv) in x_row.iter().enumerate() {
                     // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
                     if xv == 0.0 {
@@ -224,38 +211,6 @@ impl QuantizedLinear {
             r.add("qmodel/qlinear/macs", (t * d_in * d_out) as u64);
             r.add("qmodel/qlinear/fallback_entries", 0);
         }
-    }
-
-    /// Whether the grid is one of the integer families (sanity queries
-    /// for reports).
-    pub fn is_integer_grid(&self) -> bool {
-        matches!(self.packed.grid.kind(), GridKind::Int { .. })
-    }
-}
-
-impl LinearOp for QuantizedLinear {
-    fn d_in(&self) -> usize {
-        QuantizedLinear::d_in(self)
-    }
-
-    fn d_out(&self) -> usize {
-        QuantizedLinear::d_out(self)
-    }
-
-    /// Group-streamed packed forward into the caller buffer.
-    ///
-    /// Row-independent by construction: each output row accumulates its
-    /// own group partials in the same (g ascending, ri ascending) order
-    /// regardless of batch size, so 1-row incremental decode is
-    /// bit-identical to the full-sequence forward.
-    ///
-    /// # Determinism
-    ///
-    /// Single-threaded scalar loops: output and counters are
-    /// bit-identical at any `APTQ_THREADS` value.
-    fn forward_into(&self, x: &Matrix, out: &mut Matrix, rec: Option<&mut Recorder>) {
-        out.as_mut_slice().fill(0.0);
-        self.forward_group_streamed(x, out, rec);
     }
 }
 
@@ -279,7 +234,7 @@ mod tests {
             let res = quantize_layer_rtn(&w, QuantGrid::int(bits, true), &cfg);
             let qlin = QuantizedLinear::new(res.packed);
             let x = init::normal(5, 24, 1.0, &mut rng);
-            let y = qlin.forward(&x);
+            let y = qlin.forward_op(&x, None);
             let want = x.matmul(&res.dequantized);
             for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "bits={bits}: {a} vs {b}");
@@ -302,7 +257,7 @@ mod tests {
             quantize_layer_obq("t", &w, &acc.finish(), QuantGrid::int(4, true), &cfg).unwrap();
         let qlin = QuantizedLinear::new(res.packed);
         let x = init::normal(3, 16, 1.0, &mut rng);
-        let y = qlin.forward(&x);
+        let y = qlin.forward_op(&x, None);
         let want = x.matmul(&res.dequantized);
         for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-4);
@@ -322,7 +277,7 @@ mod tests {
         let res = quantize_layer_rtn(&w, QuantGrid::int(2, true), &cfg);
         let qlin = QuantizedLinear::new(res.packed);
         let x = init::normal(2, 12, 1.0, &mut rng);
-        let y = qlin.forward(&x);
+        let y = qlin.forward_op(&x, None);
         let want = x.matmul(&res.dequantized);
         for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-4);
@@ -349,7 +304,7 @@ mod tests {
             let qlin = QuantizedLinear::new(res.packed);
             let x = init::normal(3, d_in, 1.0, &mut rng);
             let mut rec = Recorder::new();
-            let y = qlin.forward_recorded(&x, &mut rec);
+            let y = qlin.forward_op(&x, Some(&mut rec));
             let want = x.matmul(&res.dequantized);
             for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "bits={bits}: {a} vs {b}");

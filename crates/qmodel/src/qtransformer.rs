@@ -17,10 +17,10 @@ use aptq_core::hessian::LayerHessian;
 use aptq_core::plan::QuantPlan;
 use aptq_lm::attention::MultiHeadAttention;
 use aptq_lm::block::TransformerBlock;
-use aptq_lm::decode::{generate_greedy_cached, BatchDecodeSession, DecodeSession};
+use aptq_lm::decode::{BatchDecodeSession, DecodeSession};
 use aptq_lm::ffn::SwiGlu;
+use aptq_lm::generate::{generate, Sampler};
 use aptq_lm::{LayerKind, LayerRef, LmError, Model, ModelConfig, ModelOf};
-use aptq_obs::Recorder;
 use aptq_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -316,6 +316,7 @@ impl QuantizedModel {
                 max: max_seq_len,
             },
             LmError::NonFiniteLogits { pos } => QModelError::NonFinite { pos },
+            LmError::EmptyInput => QModelError::EmptyInput,
             // audit:allow(panic): inputs pre-validated by check_tokens; other variants cannot occur
             other => unreachable!("validated quantized path returned {other}"),
         }
@@ -339,35 +340,13 @@ impl QuantizedModel {
         Ok(self.inner.forward(tokens))
     }
 
-    /// [`QuantizedModel::forward`] recording packed-projection work into
-    /// `rec` (see [`QuantizedLinear::forward_recorded`] for the
-    /// `qmodel/qlinear/…` counter set).
-    ///
-    /// # Determinism
-    ///
-    /// Logits *and counters* are bit-identical at any `APTQ_THREADS`
-    /// value; see [`QuantizedModel::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedModel::forward`]; validation runs before any
-    /// work, so on error `rec` is untouched.
-    pub fn forward_recorded(
-        &self,
-        tokens: &[u32],
-        rec: &mut Recorder,
-    ) -> Result<Matrix, QModelError> {
-        self.check_tokens(tokens)?;
-        Ok(self.inner.forward_recorded(tokens, rec))
-    }
-
-    /// Greedy generation from packed storage via the KV-cache decode
-    /// session — per-token cost independent of position, unlike the old
-    /// re-run-the-window path.
+    /// Greedy generation from packed storage through
+    /// [`aptq_lm::generate::generate`] — KV-cached steps, so per-token
+    /// cost is independent of position.
     ///
     /// Token selection goes through [`aptq_tensor::select::argmax`]:
     /// NaN logits never win and ties break toward the lowest token id.
-    /// Generation stops early once the session reaches `max_seq_len`.
+    /// Generation stops early once the sequence reaches `max_seq_len`.
     ///
     /// # Determinism
     ///
@@ -376,17 +355,14 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on an invalid prompt.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty prompt (as before: there is no last-logits
-    /// row to extend).
+    /// Returns [`QModelError::EmptyInput`] for an empty prompt,
+    /// [`QModelError::TokenOutOfRange`] /
+    /// [`QModelError::SequenceTooLong`] on an invalid one, and
+    /// [`QModelError::NonFinite`] if the packed decode produces NaN/Inf
+    /// logits.
     pub fn generate_greedy(&self, prompt: &[u32], n_new: usize) -> Result<Vec<u32>, QModelError> {
-        assert!(!prompt.is_empty(), "generate_greedy: empty prompt");
-        self.check_tokens(prompt)?;
-        generate_greedy_cached(&self.inner, prompt, n_new).map_err(|e| self.lift(e))
+        let mut outs = self.generate_greedy_batched(&[prompt], n_new)?;
+        Ok(outs.swap_remove(0))
     }
 
     /// Greedy generation over many prompts at once through a batched
@@ -403,28 +379,26 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on an invalid prompt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompts` is empty or any prompt is empty (as in
-    /// [`QuantizedModel::generate_greedy`]: there is no last-logits
-    /// row to extend).
-    pub fn generate_greedy_batched(
+    /// Returns [`QModelError::EmptyInput`] if `prompts` is empty or any
+    /// prompt is empty, [`QModelError::TokenOutOfRange`] /
+    /// [`QModelError::SequenceTooLong`] on an invalid prompt, and
+    /// [`QModelError::NonFinite`] if any sequence's logits go NaN/Inf
+    /// (see [`aptq_lm::generate::generate`]).
+    pub fn generate_greedy_batched<P: AsRef<[u32]>>(
         &self,
-        prompts: &[Vec<u32>],
+        prompts: &[P],
         n_new: usize,
     ) -> Result<Vec<Vec<u32>>, QModelError> {
-        assert!(
-            !prompts.is_empty() && prompts.iter().all(|p| !p.is_empty()),
-            "generate_greedy_batched: empty prompt"
-        );
         for p in prompts {
-            self.check_tokens(p)?;
+            self.check_tokens(p.as_ref())?;
         }
-        aptq_lm::decode::generate_greedy_batched(&self.inner, prompts, n_new)
-            .map_err(|e| self.lift(e))
+        generate(
+            &mut self.batch_decode_session(),
+            prompts,
+            n_new,
+            Sampler::Greedy,
+        )
+        .map_err(|e| self.lift(e))
     }
 }
 
@@ -509,10 +483,6 @@ mod tests {
             q.forward(&long),
             Err(QModelError::SequenceTooLong { .. })
         ));
-        // Recorded path validates before doing any work.
-        let mut rec = Recorder::new();
-        assert!(q.forward_recorded(&[99], &mut rec).is_err());
-        assert_eq!(rec.get("qmodel/qlinear/forward_calls"), 0);
     }
 
     #[test]
@@ -525,6 +495,47 @@ mod tests {
         let b = q.generate_greedy(&[1, 2], 6).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 8);
+    }
+
+    #[test]
+    fn generation_rejects_empty_prompts() {
+        let (model, _, hs) = setup();
+        let cfg = GridConfig::default();
+        let q = QuantizedModel::quantize_from(&model, &QuantPlan::uniform(&model, 4), &hs, &cfg)
+            .unwrap();
+        assert!(matches!(
+            q.generate_greedy(&[], 3),
+            Err(QModelError::EmptyInput)
+        ));
+        let none: &[Vec<u32>] = &[];
+        assert!(matches!(
+            q.generate_greedy_batched(none, 3),
+            Err(QModelError::EmptyInput)
+        ));
+        assert!(matches!(
+            q.generate_greedy_batched(&[vec![1], vec![]], 3),
+            Err(QModelError::EmptyInput)
+        ));
+    }
+
+    #[test]
+    fn generation_reports_non_finite_logits() {
+        // A NaN embedding row reaches the logits of any sequence that
+        // feeds that token: generation must fail with its position, not
+        // return a shortened output.
+        let (mut model, _, hs) = setup();
+        model.embed_mut().row_mut(5).fill(f32::NAN);
+        let cfg = GridConfig::default();
+        let q = QuantizedModel::quantize_from(&model, &QuantPlan::uniform(&model, 4), &hs, &cfg)
+            .unwrap();
+        assert!(matches!(
+            q.generate_greedy(&[1, 5], 3),
+            Err(QModelError::NonFinite { pos: 1 })
+        ));
+        assert!(matches!(
+            q.generate_greedy_batched(&[vec![1, 2], vec![5]], 3),
+            Err(QModelError::NonFinite { pos: 0 })
+        ));
     }
 
     #[test]

@@ -220,11 +220,11 @@ fn batched_generation_validates_inputs() {
 
 #[test]
 fn sampled_generation_per_token_cost_is_flat_on_packed_storage() {
-    // Satellite regression: `generate_sampled` used to re-run the full
+    // Satellite regression: sampled generation used to re-run the full
     // forward per emitted token — O(T²) unpacking on packed storage.
-    // Routed through a DecodeSession, the per-fed-token unpacking work
-    // must be flat (each feed is one 1-row projection per layer).
-    use aptq_lm::generate::{generate_sampled_session, SampleConfig};
+    // Routed through cached decode steps, the per-fed-token unpacking
+    // work must be flat (each step is one 1-row projection per layer).
+    use aptq_lm::generate::{generate, SampleConfig, Sampler};
     use aptq_tensor::init;
 
     let (model, hs) = setup();
@@ -233,13 +233,16 @@ fn sampled_generation_per_token_cost_is_flat_on_packed_storage() {
         temperature: 0.9,
         top_k: 5,
     };
-    let mut session = q.decode_session();
-    let out = generate_sampled_session(&mut session, &[1, 2, 3], 20, cfg, &mut init::rng(9))
+    let mut session = q.batch_decode_session();
+    let rng = &mut init::rng(9);
+    let out = generate(&mut session, &[[1, 2, 3]], 20, Sampler::Sample { cfg, rng })
         .map_err(|e| e.to_string())
         .unwrap();
-    assert_eq!(out.len(), 23);
-    let fed = session.metrics().get("decode/tokens");
-    assert_eq!(fed, 23, "each token is fed exactly once — no re-forwards");
+    assert_eq!(out[0].len(), 23);
+    let fed = session.metrics().get("decode/batch/tokens");
+    // 3 prompt tokens + 19 of the 20 sampled ones: the last is
+    // emitted but never fed, since nothing would read its logits.
+    assert_eq!(fed, 22, "each token is fed at most once — no re-forwards");
     let codes = session.metrics().get("qmodel/qlinear/codes_unpacked");
     // Flat per-token cost: total unpacking divides evenly by tokens
     // fed, and equals what a single fed token costs.
