@@ -20,27 +20,23 @@ cargo fmt --all --check
 phase "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-phase "aptq-audit (A+D+E+H+N+U ratchet against results/audit-baseline.json)"
-# Fails on findings not in the committed baseline (exit 1) and on stale
-# baseline entries whose findings are already fixed (exit 3) — the
-# baseline may only shrink (it is empty as of the D006 doc burn-down;
-# workspace_audit.rs pins it empty). Findings print with their
-# `= suggestion:` fix text; the full report and the inferred effects
-# manifest are archived as artifacts. E004 inside the run diffs the
-# committed results/effects.json against the tree, so a drifted
-# manifest is itself a finding.
+phase "aptq-audit (A+D+E+H+N+U rules, any finding fails)"
+# Exits 1 on any finding. Findings print with their `= suggestion:` fix
+# text; the full report and the inferred effects manifest are archived
+# as artifacts. E004 inside the run diffs the committed
+# results/effects.json against the tree, so a drifted manifest is itself
+# a finding.
 mkdir -p results
 cargo run -q -p aptq-audit -- \
-    --ratchet results/audit-baseline.json \
     --json-out results/audit.json \
     --effects-out results/effects.json
 
-phase "aptq-audit self-check (sabotage fixture must light up)"
+phase "aptq-audit self-check (every rule must fire on the sabotage fixture)"
 # A refactor that disconnects a rule from the pipeline makes the audit
 # report "clean" on everything — indistinguishable from a healthy tree.
-# Run the audit over a fixture with seeded violations and require a
-# non-trivial finding count: zero findings here means the auditor, not
-# the tree, is broken.
+# The fixture seeds at least one violation per rule, so every code the
+# catalog lists must appear in its report: a missing code means the
+# auditor, not the tree, is broken.
 fixture_exit=0
 cargo run -q -p aptq-audit -- \
     --root crates/audit/fixtures/sabotage \
@@ -49,12 +45,21 @@ if [ "$fixture_exit" -ne 1 ]; then
     echo "self-check: expected exit 1 (findings) on the sabotage fixture, got $fixture_exit" >&2
     exit 1
 fi
-selfcheck_count=$(grep -o '"rule":' results/audit-selfcheck.json | wc -l)
-if [ "$selfcheck_count" -lt 7 ]; then
-    echo "self-check: expected >=7 findings on the sabotage fixture, got $selfcheck_count" >&2
+rule_codes=$(cargo run -q -p aptq-audit -- --list-rules --json |
+    grep -o '"code":"[A-Z0-9]*"' | cut -d'"' -f4 || true)
+if [ -z "$rule_codes" ]; then
+    echo "self-check: --list-rules --json printed no rule codes" >&2
     exit 1
 fi
-echo "    self-check: $selfcheck_count findings on seeded violations"
+silent=""
+for code in $rule_codes; do
+    grep -q "\"rule\":\"$code\"" results/audit-selfcheck.json || silent="$silent $code"
+done
+if [ -n "$silent" ]; then
+    echo "self-check: rules silent on the sabotage fixture:$silent" >&2
+    exit 1
+fi
+echo "    self-check: all $(echo "$rule_codes" | wc -l) catalog rules fire on seeded violations"
 
 phase "effects manifest byte-stability (APTQ_THREADS invariance)"
 # The manifest is a CI diff artifact: two fresh runs — across thread

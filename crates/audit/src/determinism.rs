@@ -1,329 +1,172 @@
-//! The determinism & concurrency rule set (D001–D006).
+//! The determinism & concurrency rule set (D001–D006; scopes and allow
+//! kinds in [`crate::rules::CATALOG`]).
 //!
-//! PR 2 made quantization parallel; the reproduction's headline
-//! guarantee — bit-identical Table 1/2/3 numbers at any thread count —
-//! now rests on conventions. These rules enforce them:
-//!
-//! | Code | Scope | What it enforces |
-//! |------|-------|------------------|
-//! | D001 | `crates/*/src`, non-test | no `thread::spawn` / `thread::scope` / `thread::Builder` outside `aptq_tensor::parallel` — one concurrency choke point |
-//! | D002 | `crates/*/src`, non-test | no `std::env::var` outside the designated config module (`crates/tensor/src/parallel.rs`) |
-//! | D003 | `crates/*/src`, non-test | no `HashMap` / `HashSet` where iteration order can reach outputs — use `BTreeMap` / `BTreeSet` |
-//! | D004 | library crates (`bench` and `src/bin` exempt), non-test | no `Instant::now` / `SystemTime` / entropy-seeded RNG |
-//! | D005 | all of `crates/` | no `static mut`, interior-mutable `static`s, or `thread_local!` globals |
-//! | D006 | `crates/*/src`, non-test | a `pub fn` whose body transitively reaches `aptq_tensor::parallel` (via the symbol index) must carry a `# Determinism` doc section |
-//!
-//! Escape hatches mirror A001/A002: `// audit:allow(<kind>): <reason>`
-//! on the offending line or the comment-only line above, with kinds
-//! `thread`, `env`, `order`, `nondet`, `global`, and — for D006 — a
-//! `# Determinism` doc section on the function (that *is* the fix).
-//!
-//! D001–D005 are per-line rules over the lexical scan; D006 runs on the
-//! [`crate::index::SymbolIndex`] call graph: name-resolved call edges
-//! plus path-qualified references, propagated to a fixpoint, so a
-//! helper chain `pub api → private helper → parallel::run_indexed`
-//! still flags the public entry point.
+//! The reproduction's headline guarantee — bit-identical Table 1/2/3
+//! numbers and decode at any thread count — rests on conventions these
+//! rules enforce. D001–D005 are filters over the site table
+//! ([`crate::sites`]); D006 reads the effect engine's backward
+//! reachability ([`crate::effects::EffectAnalysis::reaches_parallel`]),
+//! so a helper chain `pub api → private helper → parallel::run_indexed`
+//! still flags the public entry point. A `# Determinism` doc section on
+//! the function is D006's fix.
 
-use crate::index::{FileIndex, SymbolIndex};
-use crate::scan::word_occurrences;
-use crate::{Finding, Severity};
-
-/// The one file allowed to spawn threads and read thread configuration
-/// from the environment.
-pub const PARALLEL_MODULE_FILE: &str = "crates/tensor/src/parallel.rs";
+use crate::effects::EffectAnalysis;
+use crate::index::SymbolIndex;
+use crate::rules::in_lib_src;
+use crate::sites::Kind;
+use crate::Finding;
 
 /// The module path D006 tracks reachability to.
 pub const PARALLEL_MODULE_PATH: &str = "aptq_tensor::parallel";
 
-/// Per-crate designated config modules: the only library files where
-/// `std::env` reads are legal without an annotation.
-pub const ENV_CONFIG_MODULES: &[&str] = &[PARALLEL_MODULE_FILE];
-
-/// True for library source files: `crates/<name>/src/**`.
-fn in_lib_src(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/") && rel_path.contains("/src/")
-}
-
-/// True for files exempt from the wall-clock/entropy rule: bench
-/// binaries (the whole `crates/bench` tree) and `src/bin/` entry points
-/// are allowed to time and report.
-pub(crate) fn clock_exempt(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/bench/") || rel_path.contains("/src/bin/")
-}
-
-/// Runs D001–D005 over one scanned file.
-pub fn check_file(file: &FileIndex) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let rel_path = file.rel_path.as_str();
-    let f = &file.scanned;
-
-    for (idx, line) in f.lines.iter().enumerate() {
-        let code = &line.code;
-
-        // D001 — thread spawns outside the choke point.
-        if in_lib_src(rel_path) && rel_path != PARALLEL_MODULE_FILE && !line.in_test {
-            for pat in ["thread::spawn", "thread::scope", "thread::Builder"] {
-                for col in word_occurrences(code, pat) {
-                    if !f.allowed(idx, "thread") {
-                        findings.push(Finding {
-                            rule: "D001",
-                            severity: Severity::Error,
-                            path: rel_path.to_string(),
-                            line: idx + 1,
-                            col: col + 1,
-                            message: format!(
-                                "`{pat}` outside `aptq_tensor::parallel` — the workspace's one \
-                                 concurrency choke point"
-                            ),
-                            help: "spawning threads elsewhere lets scheduling reach results; \
-                                   express the fan-out through the parallel module instead, or \
-                                   annotate with `// audit:allow(thread): <reason>`"
-                                .into(),
-                            suggestion: "use `aptq_tensor::parallel::run_indexed` / \
-                                         `run_indexed_with` (index-ordered, bit-identical at any \
-                                         thread count)"
-                                .into(),
-                        });
-                    }
-                }
-            }
-        }
-
-        // D002 — env reads outside the designated config module.
-        if in_lib_src(rel_path) && !ENV_CONFIG_MODULES.contains(&rel_path) && !line.in_test {
-            for col in word_occurrences(code, "env::var") {
-                if !f.allowed(idx, "env") {
-                    findings.push(Finding {
-                        rule: "D002",
-                        severity: Severity::Error,
-                        path: rel_path.to_string(),
-                        line: idx + 1,
-                        col: col + 1,
-                        message: "`std::env::var` outside the designated config module".into(),
-                        help: "scattered environment reads make runs irreproducible from the \
-                               command line alone; resolve configuration once in \
-                               `aptq_tensor::parallel` (thread knobs) or annotate with \
-                               `// audit:allow(env): <reason>`"
-                            .into(),
-                        suggestion: "take the value as a parameter, or read it via \
-                                     `aptq_tensor::parallel::thread_count()`"
-                            .into(),
-                    });
-                }
-            }
-        }
-
-        // D003 — order-dependent collections in result-producing code.
-        if in_lib_src(rel_path) && !line.in_test {
-            for pat in ["HashMap", "HashSet"] {
-                for col in word_occurrences(code, pat) {
-                    if !f.allowed(idx, "order") {
-                        let btree = if pat == "HashMap" {
-                            "BTreeMap"
-                        } else {
-                            "BTreeSet"
-                        };
-                        findings.push(Finding {
-                            rule: "D003",
-                            severity: Severity::Error,
-                            path: rel_path.to_string(),
-                            line: idx + 1,
-                            col: col + 1,
-                            message: format!(
-                                "`{pat}` in result-producing library code — iteration order is \
-                                 randomized per process"
-                            ),
-                            help: format!(
-                                "if any iteration over this collection can reach an output \
-                                 (serialization, reports, accumulation), two runs will differ; \
-                                 use `{btree}`, or annotate with `// audit:allow(order): <why \
-                                 iteration order cannot reach outputs>`"
-                            ),
-                            suggestion: format!("replace `{pat}` with `{btree}`"),
-                        });
-                    }
-                }
-            }
-        }
-
-        // D004 — wall clock / entropy in library crates.
-        if in_lib_src(rel_path) && !clock_exempt(rel_path) && !line.in_test {
-            for pat in [
-                "Instant::now",
-                "SystemTime",
-                "thread_rng",
-                "from_entropy",
-                "random_seed",
-            ] {
-                for col in word_occurrences(code, pat) {
-                    if !f.allowed(idx, "nondet") {
-                        findings.push(Finding {
-                            rule: "D004",
-                            severity: Severity::Error,
-                            path: rel_path.to_string(),
-                            line: idx + 1,
-                            col: col + 1,
-                            message: format!(
-                                "`{pat}` in library code — wall clock / entropy cannot feed \
-                                 reproducible results"
-                            ),
-                            help: "library crates must be replayable from their inputs; inject \
-                                   timestamps or seeds from the caller (bench binaries under \
-                                   `crates/bench` and `src/bin` are exempt), or annotate with \
-                                   `// audit:allow(nondet): <reason>`"
-                                .into(),
-                            suggestion: "accept a seed/timestamp parameter instead".into(),
-                        });
-                    }
-                }
-            }
-        }
-
-        // D005 — mutable / interior-mutable globals, everywhere.
-        if rel_path.starts_with("crates/") {
-            if let Some(col) = static_global_col(code) {
-                if !f.allowed(idx, "global") {
-                    findings.push(Finding {
-                        rule: "D005",
-                        severity: Severity::Error,
-                        path: rel_path.to_string(),
-                        line: idx + 1,
-                        col: col + 1,
-                        message: "mutable or interior-mutable global state".into(),
-                        help: "global state couples otherwise-independent calls and makes \
-                               results depend on call ordering across threads; pass state \
-                               explicitly (sessions, parameters), or annotate with \
-                               `// audit:allow(global): <reason>` after review"
-                            .into(),
-                        suggestion: "thread the state through a struct owned by the caller \
-                                     (see `QuantSession`)"
-                            .into(),
-                    });
-                }
-            }
-        }
-    }
-    findings
-}
-
-/// Returns the column of a `static mut` / interior-mutable `static` /
-/// `thread_local!` declaration on this line of code text, if any.
-pub(crate) fn static_global_col(code: &str) -> Option<usize> {
-    if let Some(col) = word_occurrences(code, "thread_local!").first() {
-        return Some(*col);
-    }
-    let trimmed = code.trim_start();
-    let lead = code.chars().count() - trimmed.chars().count();
-    let at = trimmed.find("static ")?;
-    // Must be a declaration: only modifiers before the keyword, which
-    // also rules out `'static` lifetimes mid-expression.
-    let prefix = &trimmed[..at];
-    if !prefix
-        .split_whitespace()
-        .all(|t| t == "pub" || t.starts_with("pub("))
-    {
-        return None;
-    }
-    if prefix.trim_end().ends_with('\'') || prefix.contains('&') {
-        return None;
-    }
-    let rest = &trimmed[at + "static ".len()..];
-    const INTERIOR: &[&str] = &[
-        "Mutex<",
-        "RwLock<",
-        "RefCell<",
-        "Cell<",
-        "UnsafeCell<",
-        "OnceLock<",
-        "OnceCell<",
-        "LazyLock<",
-        "LazyCell<",
-        "AtomicBool",
-        "AtomicU",
-        "AtomicI",
-        "AtomicPtr",
-    ];
-    if rest.trim_start().starts_with("mut ") || INTERIOR.iter().any(|t| rest.contains(t)) {
-        Some(lead + at)
-    } else {
-        None
-    }
-}
-
-/// Runs the full determinism rule set (D001–D006) over an index,
-/// computing a private [`EffectAnalysis`](crate::effects::EffectAnalysis)
-/// for D006. Production callers run the shared analysis once and use
-/// [`check_with`] instead.
-pub fn check_index(index: &SymbolIndex) -> Vec<Finding> {
-    check_with(index, &crate::effects::EffectAnalysis::compute(index))
-}
-
-/// Runs D001–D006 with D006's reachability answered by the shared
-/// effect engine ([`crate::effects`]): the engine's
-/// `reaches_parallel` fixpoint *is* the pre-engine D006 computation,
-/// bit-for-bit (pinned by tests).
-pub fn check_with(index: &SymbolIndex, analysis: &crate::effects::EffectAnalysis) -> Vec<Finding> {
+/// Runs D001–D006.
+pub(crate) fn check(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in index.files() {
-        findings.extend(check_file(file));
+        let rel_path = file.rel_path.as_str();
+        for s in &file.sites {
+            let lib = in_lib_src(rel_path) && s.live(rel_path);
+            let at = |rule, message: String, help: String, suggestion: String| {
+                Finding::new(
+                    rule,
+                    rel_path,
+                    s.line + 1,
+                    s.col + 1,
+                    message,
+                    help,
+                    suggestion,
+                )
+            };
+            let pat = s.pat;
+            findings.push(match s.kind {
+                // D001 — thread spawns outside the choke point.
+                Kind::Thread if lib => at(
+                    "D001",
+                    format!(
+                        "`{pat}` outside `aptq_tensor::parallel` — the workspace's one \
+                         concurrency choke point"
+                    ),
+                    "spawning threads elsewhere lets scheduling reach results; express the \
+                     fan-out through the parallel module instead, or annotate with \
+                     `// audit:allow(thread): <reason>`"
+                        .into(),
+                    "use `aptq_tensor::parallel::run_indexed` / `run_indexed_with` \
+                     (index-ordered, bit-identical at any thread count)"
+                        .into(),
+                ),
+                // D002 — env reads outside the designated config module.
+                Kind::Env if lib => at(
+                    "D002",
+                    "`std::env::var` outside the designated config module".into(),
+                    "scattered environment reads make runs irreproducible from the command \
+                     line alone; resolve configuration once in `aptq_tensor::parallel` \
+                     (thread knobs) or annotate with `// audit:allow(env): <reason>`"
+                        .into(),
+                    "take the value as a parameter, or read it via \
+                     `aptq_tensor::parallel::thread_count()`"
+                        .into(),
+                ),
+                // D003 — order-dependent collections in result-producing code.
+                Kind::Hash if lib => {
+                    let btree = if pat == "HashMap" {
+                        "BTreeMap"
+                    } else {
+                        "BTreeSet"
+                    };
+                    at(
+                        "D003",
+                        format!(
+                            "`{pat}` in result-producing library code — iteration order is \
+                             randomized per process"
+                        ),
+                        format!(
+                            "if any iteration over this collection can reach an output \
+                             (serialization, reports, accumulation), two runs will differ; \
+                             use `{btree}`, or annotate with `// audit:allow(order): <why \
+                             iteration order cannot reach outputs>`"
+                        ),
+                        format!("replace `{pat}` with `{btree}`"),
+                    )
+                }
+                // D004 — wall clock / entropy in library crates.
+                Kind::Clock if lib => at(
+                    "D004",
+                    format!(
+                        "`{pat}` in library code — wall clock / entropy cannot feed \
+                         reproducible results"
+                    ),
+                    "library crates must be replayable from their inputs; inject timestamps \
+                     or seeds from the caller (bench binaries under `crates/bench` and \
+                     `src/bin` are exempt), or annotate with `// audit:allow(nondet): <reason>`"
+                        .into(),
+                    "accept a seed/timestamp parameter instead".into(),
+                ),
+                // D005 — mutable / interior-mutable globals, test code included.
+                Kind::Global if rel_path.starts_with("crates/") && !s.allowed => at(
+                    "D005",
+                    "mutable or interior-mutable global state".into(),
+                    "global state couples otherwise-independent calls and makes results \
+                     depend on call ordering across threads; pass state explicitly \
+                     (sessions, parameters), or annotate with \
+                     `// audit:allow(global): <reason>` after review"
+                        .into(),
+                    "thread the state through a struct owned by the caller (see \
+                     `QuantSession`)"
+                        .into(),
+                ),
+                _ => continue,
+            });
+        }
     }
-    findings.extend(rule_d006_determinism_docs(
-        index,
-        &analysis.reaches_parallel,
-    ));
-    findings
-}
 
-/// D006: every non-test `pub fn` in library code whose body transitively
-/// reaches `aptq_tensor::parallel` must document its determinism
-/// contract in a `# Determinism` doc section. `reaches` is the engine's
-/// parallel-reachability fixpoint
-/// ([`crate::effects::parallel_reachability`]).
-fn rule_d006_determinism_docs(index: &SymbolIndex, reaches: &[Vec<bool>]) -> Vec<Finding> {
-    let mut findings = Vec::new();
+    // D006 — a non-test `pub fn` in library code whose body transitively
+    // reaches `aptq_tensor::parallel` must document its determinism
+    // contract in a `# Determinism` doc section.
     for (id, item) in index.fns() {
         let file = index.file(id);
         let rel_path = file.rel_path.as_str();
-        if !in_lib_src(rel_path) || rel_path.contains("/src/bin/") {
+        if !in_lib_src(rel_path)
+            || rel_path.contains("/src/bin/")
+            || !item.is_pub
+            || item.in_test
+            || item.has_determinism_doc
+            || !analysis.reaches_parallel[id.0][id.1]
+            || file.scanned.allowed(item.line, "determinism")
+        {
             continue;
         }
-        if !item.is_pub || item.in_test || item.has_determinism_doc {
-            continue;
-        }
-        if !reaches[id.0][id.1] {
-            continue;
-        }
-        if file.scanned.allowed(item.line, "determinism") {
-            continue;
-        }
-        findings.push(Finding {
-            rule: "D006",
-            severity: Severity::Error,
-            path: rel_path.to_string(),
-            line: item.line + 1,
-            col: 1,
-            message: format!(
+        findings.push(Finding::new(
+            "D006",
+            rel_path,
+            item.line + 1,
+            1,
+            format!(
                 "public function `{}` transitively reaches `{PARALLEL_MODULE_PATH}` but its doc \
                  comment has no `# Determinism` section",
                 item.name
             ),
-            help: "callers of parallel code need the thread-count contract in writing; state \
-                   whether results are bit-identical across thread counts and why, or annotate \
-                   with `// audit:allow(determinism): <reason>`"
-                .into(),
-            suggestion: "add a `/// # Determinism` doc section".into(),
-        });
+            "callers of parallel code need the thread-count contract in writing; state \
+             whether results are bit-identical across thread counts and why, or annotate \
+             with `// audit:allow(determinism): <reason>`",
+            "add a `/// # Determinism` doc section",
+        ));
     }
     findings
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{audit_sources, Finding};
 
     fn check_one(rel: &str, src: &str) -> Vec<Finding> {
-        let idx = SymbolIndex::build(&[(rel.to_string(), src.to_string())]);
-        check_index(&idx)
+        audit_sources(&[(rel.to_string(), src.to_string())])
+    }
+
+    fn d006(sources: &[(String, String)]) -> Vec<Finding> {
+        audit_sources(sources)
+            .into_iter()
+            .filter(|f| f.rule == "D006")
+            .collect()
     }
 
     #[test]
@@ -369,8 +212,9 @@ mod tests {
             "crates/textgen/src/x.rs",
             "use std::collections::HashMap;\nfn f() -> HashMap<String, u32> {\n    HashMap::new()\n}\n",
         );
-        assert_eq!(f.iter().filter(|f| f.rule == "D003").count(), 3);
-        assert!(f[0].suggestion.contains("BTreeMap"));
+        let d003: Vec<&Finding> = f.iter().filter(|f| f.rule == "D003").collect();
+        assert_eq!(d003.len(), 3);
+        assert!(d003[0].suggestion.contains("BTreeMap"));
     }
 
     #[test]
@@ -423,11 +267,7 @@ mod tests {
                     .to_string(),
             ),
         ];
-        let idx = SymbolIndex::build(&sources);
-        let f: Vec<Finding> = check_index(&idx)
-            .into_iter()
-            .filter(|f| f.rule == "D006")
-            .collect();
+        let f = d006(&sources);
         // `api` is flagged (pub, undocumented, transitive); `helper` is
         // private; `run_indexed` sits in the parallel module itself and
         // is flagged there too.
@@ -453,11 +293,7 @@ mod tests {
                     .to_string(),
             ),
         ];
-        let idx = SymbolIndex::build(&sources);
-        let f: Vec<Finding> = check_index(&idx)
-            .into_iter()
-            .filter(|f| f.rule == "D006")
-            .collect();
+        let f = d006(&sources);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -474,11 +310,7 @@ mod tests {
                     .to_string(),
             ),
         ];
-        let idx = SymbolIndex::build(&sources);
-        let f: Vec<Finding> = check_index(&idx)
-            .into_iter()
-            .filter(|f| f.rule == "D006")
-            .collect();
+        let f = d006(&sources);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("`api`"));
     }

@@ -1,57 +1,43 @@
-//! Unified call-graph effect inference — the engine behind D006,
-//! H001–H004, and the contract rules E001–E004.
+//! Call-graph effect inference — the engine behind D006, H001–H004 and
+//! the contract rules E001–E004 (scopes and allow kinds in
+//! [`crate::rules::CATALOG`]).
 //!
-//! PR 5 left the workspace with three separate reach analyses: the D006
-//! determinism fixpoint, the H-rule hot-path closure, and the N-rule
-//! body scans, each re-walking the call graph with its own ad-hoc
-//! rules. The guarantees they check are all *transitive* properties of
-//! whole call chains, so they now share one inference pass:
-//!
-//! 1. **Leaf facts.** Every non-test library function is scanned once
-//!    for effect *sites* — the same patterns the per-rule scans used —
-//!    yielding a per-function [`EffectSet`] over the lattice
-//!    `{Alloc, Panic, EnvRead, ThreadSpawn, WallClock, Io, GlobalMut,
-//!    FloatAccum}`. Sanctioned scopes are excluded at the leaf: env
-//!    reads inside the designated config module, thread spawns inside
-//!    `aptq_tensor::parallel`, wall-clock reads in `crates/bench` /
-//!    `src/bin`, and any site carrying its rule's `// audit:allow(...)`
-//!    annotation (an allow is a reviewed exemption, so it suppresses
-//!    both the finding *and* the effect bit).
-//! 2. **Closure.** Effects propagate callee → caller over the same
-//!    by-name call edges [`crate::reach`] uses, to a fixpoint. A
+//! 1. **Leaf facts.** A non-test library function's own effects are
+//!    the live sites of the site table ([`crate::sites`]) inside its
+//!    body, over the lattice `{Alloc, Panic, EnvRead, ThreadSpawn,
+//!    WallClock, Io, GlobalMut, FloatAccum}`. Sanctioned scopes carry
+//!    no effect (env reads in the config module, spawns in
+//!    `aptq_tensor::parallel`, clock reads in `crates/bench` /
+//!    `src/bin`), and neither does a site under its rule's
+//!    `// audit:allow(...)` annotation: an allow is a reviewed
+//!    exemption, so it suppresses both the finding *and* the effect bit.
+//! 2. **Closure.** Effects propagate callee → caller with
+//!    [`crate::reach::propagate`], the same by-name fixpoint that
+//!    computes D006's reachability to `aptq_tensor::parallel`. A
 //!    `# Panics`-documented callee does not propagate `Panic` (the doc
 //!    turns the panic into a precondition the caller accepted), and
-//!    `ThreadSpawn` additionally absorbs the exact D006 backward
-//!    fixpoint (reaching `aptq_tensor::parallel` *is* spawning).
-//! 3. **Queries.** [`crate::determinism`] reads
-//!    [`EffectAnalysis::reaches_parallel`] for D006,
-//!    [`crate::hotpath`] reads the hot-path roots / ownership map /
-//!    per-function sites for H001–H004 (bit-identical to the pre-engine
-//!    passes, pinned by tests), and [`check_contracts`] compares
-//!    *declared* contracts against *inferred* effects:
-//!
-//! | Code | What it enforces | Escape hatch |
-//! |------|------------------|--------------|
-//! | E001 | a `# HotPath` root must not infer `Alloc` | `// audit:allow(effect): <reason>` |
-//! | E002 | a `# Determinism`-documented fn must not infer `EnvRead`/`WallClock` | `// audit:allow(effect): <reason>` |
-//! | E003 | a pub fn in a panic-free crate inferring `Panic` must document `# Panics` | `// audit:allow(effect): <reason>` |
-//! | E004 | the committed `results/effects.json` matches the inferred manifest | regenerate with `--effects-out` |
+//!    every function reaching `aptq_tensor::parallel` infers
+//!    `ThreadSpawn`.
+//! 3. **Queries.** D006 reads [`EffectAnalysis::reaches_parallel`], the
+//!    H-rules read the hot-path roots, ownership map and [`leaf_sites`],
+//!    and E001–E003 compare *declared* contracts against *inferred*
+//!    effects.
 //!
 //! The manifest ([`render_manifest`]) records the inferred effect set
 //! of every public library function, BTreeMap-ordered and line-oriented
 //! so diffs review like a ledger. CI regenerates it and byte-compares
-//! against the committed copy: any PR that changes the effect signature
-//! of a public fn must update the manifest in the same diff.
+//! against the committed copy (E004): any PR that changes the effect
+//! signature of a public fn must update the manifest in the same diff.
 
 use std::collections::BTreeMap;
+use std::ops::BitOr;
 
-use crate::determinism::{
-    clock_exempt, static_global_col, ENV_CONFIG_MODULES, PARALLEL_MODULE_FILE, PARALLEL_MODULE_PATH,
-};
+use crate::determinism::PARALLEL_MODULE_PATH;
 use crate::index::{FileIndex, FnId, Item, SymbolIndex};
 use crate::reach;
-use crate::scan::word_occurrences;
-use crate::{json_str, Finding, Severity};
+use crate::rules::{in_lib_src, PANIC_FREE_CRATES};
+use crate::sites::{Kind, Site, PARALLEL_MODULE_FILE};
+use crate::{field, json_str, string_field, Finding};
 
 /// One effect in the lattice. The discriminant doubles as the bit
 /// position inside [`EffectSet`].
@@ -94,12 +80,27 @@ impl Effect {
         }
     }
 
+    /// The effect a site of `kind` carries, if any.
+    fn of(kind: Kind) -> Option<Effect> {
+        match kind {
+            Kind::Alloc => Some(Effect::Alloc),
+            Kind::Panic => Some(Effect::Panic),
+            Kind::Io => Some(Effect::Io),
+            Kind::Env => Some(Effect::EnvRead),
+            Kind::Thread => Some(Effect::ThreadSpawn),
+            Kind::Clock => Some(Effect::WallClock),
+            Kind::Global => Some(Effect::GlobalMut),
+            Kind::Accum => Some(Effect::FloatAccum),
+            Kind::Hash | Kind::Unsafe => None,
+        }
+    }
+
     fn bit(self) -> u8 {
         1 << (self as u8)
     }
 }
 
-/// A set of [`Effect`]s, packed into one byte.
+/// A set of [`Effect`]s, packed into one byte; `|` is the union.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EffectSet(u8);
 
@@ -116,10 +117,6 @@ impl EffectSet {
 
     pub fn contains(self, e: Effect) -> bool {
         self.0 & e.bit() != 0
-    }
-
-    pub fn union(self, other: EffectSet) -> EffectSet {
-        EffectSet(self.0 | other.0)
     }
 
     pub fn is_empty(self) -> bool {
@@ -141,86 +138,40 @@ impl EffectSet {
     }
 }
 
-/// One effect site inside a function body.
-#[derive(Debug, Clone)]
-pub struct Site {
-    pub effect: Effect,
-    /// 0-based line of the site.
-    pub line: usize,
-    /// 0-based char column of the site.
-    pub col: usize,
-    /// Site label as it appears in H-rule messages (`.unwrap()`,
-    /// `Vec::new`, `Mutex`, …).
-    pub what: String,
-    /// An `assert!`-family macro: feeds H002 (a hot-path assert
-    /// deserves a look even when documented) but not the `Panic` effect
-    /// bit — documented preconditions are not part of a function's
-    /// effect signature the way an `unwrap` is.
-    pub assert_family: bool,
+impl BitOr for EffectSet {
+    type Output = EffectSet;
+
+    fn bitor(self, other: EffectSet) -> EffectSet {
+        EffectSet(self.0 | other.0)
+    }
 }
 
-/// Allocation-site patterns (H001 / `Alloc`). `Matrix::zeros` and
-/// `vec![...]` are deliberately absent: sized one-shot scratch is the
-/// documented budget mechanism, while growth and copying are not.
-pub(crate) const ALLOC_SITES: &[&str] = &[
-    "Vec::new(",
-    "with_capacity(",
-    ".push(",
-    "vcat(",
-    "to_vec(",
-    ".clone()",
-    "format!",
-    "String::new(",
-    "String::from(",
-    "to_string(",
-    ".to_owned(",
-];
+/// True for the functions the engine infers effects for: non-test
+/// functions in library source.
+fn is_lib_fn(file: &FileIndex, item: &Item) -> bool {
+    !item.in_test && in_lib_src(&file.rel_path)
+}
 
-/// Lock / I-O patterns (H003 / `Io`).
-pub(crate) const IO_SITES: &[&str] = &["Mutex", "RwLock", "std::io", "println!", "eprintln!"];
-
-/// Panic macros (H002 / `Panic`): A001's set plus the assert family.
-pub(crate) const PANIC_MACROS: &[&str] = &[
-    "panic!",
-    "unreachable!",
-    "todo!",
-    "unimplemented!",
-    "assert!",
-    "assert_eq!",
-    "assert_ne!",
-];
-
-/// Thread-spawn patterns (`ThreadSpawn`), as in D001.
-const THREAD_SITES: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
-
-/// Wall-clock / entropy patterns (`WallClock`), as in D004.
-const CLOCK_SITES: &[&str] = &[
-    "Instant::now",
-    "SystemTime",
-    "thread_rng",
-    "from_entropy",
-    "random_seed",
-];
-
-/// Naive float-reduction patterns (`FloatAccum`), as in N002.
-const ACCUM_SITES: &[&str] = &[".sum::<f32>()", ".sum::<f64>()"];
-
-/// True for library source files: `crates/<name>/src/**`.
-pub(crate) fn in_lib_src(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/") && rel_path.contains("/src/")
+/// The leaf effect sites of one function: the live, effect-bearing
+/// sites of the table inside its body, in table order. Empty for
+/// anything but a non-test library function.
+pub fn leaf_sites<'a>(file: &'a FileIndex, item: &Item) -> impl Iterator<Item = &'a Site> {
+    let body = if is_lib_fn(file, item) {
+        file.sites_in(item.body.0, item.body.1)
+    } else {
+        &[]
+    };
+    body.iter()
+        .filter(|s| s.live(&file.rel_path) && Effect::of(s.kind).is_some())
 }
 
 /// The computed effect analysis for one workspace index.
 pub struct EffectAnalysis {
-    /// Per `(file, item)`: leaf effect sites, in body-scan order
-    /// (line-major; within a line: alloc, panic, io, then the rest).
-    pub sites: Vec<Vec<Vec<Site>>>,
-    /// Per `(file, item)`: effects of the function's own body.
-    pub local: Vec<Vec<EffectSet>>,
-    /// Per `(file, item)`: `local` closed over callees to the fixpoint.
+    /// Per `(file, item)`: the function's own effects closed over its
+    /// callees to the fixpoint.
     pub inferred: Vec<Vec<EffectSet>>,
-    /// Per `(file, item)`: the exact D006 backward fixpoint — whether
-    /// the body transitively reaches `aptq_tensor::parallel`.
+    /// Per `(file, item)`: whether the body transitively reaches
+    /// `aptq_tensor::parallel` (D006).
     pub reaches_parallel: Vec<Vec<bool>>,
     /// `# HotPath`-documented non-test library functions, in
     /// (path, line) order for deterministic attribution.
@@ -232,45 +183,47 @@ pub struct EffectAnalysis {
 
 impl EffectAnalysis {
     /// Runs the full inference over a workspace index: leaf sites, the
-    /// D006 backward fixpoint, the hot-path forward closures, and the
-    /// callee→caller effect fixpoint.
+    /// parallel-reachability and effect fixpoints, and the hot-path
+    /// forward closures.
     pub fn compute(index: &SymbolIndex) -> EffectAnalysis {
-        let mut sites: Vec<Vec<Vec<Site>>> = Vec::with_capacity(index.files().len());
-        let mut local: Vec<Vec<EffectSet>> = Vec::with_capacity(index.files().len());
-        for file in index.files() {
-            let mut file_sites = Vec::with_capacity(file.items.len());
-            let mut file_local = Vec::with_capacity(file.items.len());
-            for item in &file.items {
-                let s = if item.kind == crate::index::ItemKind::Fn
-                    && !item.in_test
-                    && in_lib_src(&file.rel_path)
-                {
-                    extract_sites(file, item)
-                } else {
-                    Vec::new()
-                };
-                let mut set = EffectSet::EMPTY;
-                for site in &s {
-                    if !(site.effect == Effect::Panic && site.assert_family) {
-                        set.insert(site.effect);
-                    }
-                }
-                file_sites.push(s);
-                file_local.push(set);
-            }
-            sites.push(file_sites);
-            local.push(file_local);
-        }
+        let local: Vec<Vec<EffectSet>> = index
+            .files()
+            .iter()
+            .map(|file| {
+                file.items
+                    .iter()
+                    .map(|item| {
+                        let mut set = EffectSet::EMPTY;
+                        let effects = leaf_sites(file, item)
+                            .filter(|s| !s.assert_family())
+                            .filter_map(|s| Effect::of(s.kind));
+                        effects.for_each(|e| set.insert(e));
+                        set
+                    })
+                    .collect()
+            })
+            .collect();
 
-        let reaches_parallel = parallel_reachability(index);
+        // D006's reachability: seeded by everything *defined in* the
+        // parallel module and by call sites that name it (directly or
+        // through a `use` import), then closed over every by-name edge.
+        let seeds = index
+            .files()
+            .iter()
+            .map(|file| {
+                let in_module = file.rel_path == PARALLEL_MODULE_FILE;
+                file.items
+                    .iter()
+                    .map(|item| in_module || item.calls.iter().any(|c| names_parallel(file, c)))
+                    .collect()
+            })
+            .collect();
+        let reaches_parallel = reach::propagate(index, seeds, |_, _, _, reaches| Some(reaches));
 
-        // Hot-path roots and first-root-wins ownership, exactly as the
-        // pre-engine H-rule pass computed them.
+        // Hot-path roots and first-root-wins ownership.
         let mut hot_roots: Vec<FnId> = index
             .fns()
-            .filter(|&(id, it)| {
-                it.has_hotpath_doc && !it.in_test && in_lib_src(&index.file(id).rel_path)
-            })
+            .filter(|&(id, it)| it.has_hotpath_doc && is_lib_fn(index.file(id), it))
             .map(|(id, _)| id)
             .collect();
         hot_roots.sort_by(|&a, &b| {
@@ -287,61 +240,29 @@ impl EffectAnalysis {
             }
         }
 
-        // Callee → caller effect fixpoint over by-name edges. Test
-        // definitions and non-library definitions never contribute: an
-        // integration-test helper sharing a name with a library fn must
-        // not leak its effects into the library's signature.
-        let by_name = index.fns_by_name();
-        let mut inferred = local.clone();
-        loop {
-            let mut changed = false;
-            for (id, item) in index.fns() {
-                if item.in_test || !in_lib_src(&index.file(id).rel_path) {
-                    continue;
-                }
-                let mut acc = inferred[id.0][id.1];
-                for call in &item.calls {
-                    if !reach::may_resolve_in_workspace(call) {
-                        continue;
-                    }
-                    let Some(defs) = by_name.get(call.name.as_str()) else {
-                        continue;
-                    };
-                    for &(fi, ii) in defs {
-                        let callee = &index.files()[fi].items[ii];
-                        if callee.in_test || !in_lib_src(&index.files()[fi].rel_path) {
-                            continue;
-                        }
-                        let mut ce = inferred[fi][ii];
-                        if callee.has_panics_doc {
-                            ce.remove(Effect::Panic);
-                        }
-                        acc = acc.union(ce);
-                    }
-                }
-                if acc != inferred[id.0][id.1] {
-                    inferred[id.0][id.1] = acc;
-                    changed = true;
-                }
+        // Callee → caller effects. Test definitions and non-library
+        // definitions never contribute: an integration-test helper
+        // sharing a name with a library fn must not leak its effects
+        // into the library's signature.
+        let lib = |id: FnId| is_lib_fn(index.file(id), index.item(id));
+        let mut inferred = reach::propagate(index, local, |caller, call, callee, mut set| {
+            if !lib(caller) || !lib(callee) || !reach::may_resolve_in_workspace(call) {
+                return None;
             }
-            if !changed {
-                break;
+            if index.item(callee).has_panics_doc {
+                set.remove(Effect::Panic);
             }
-        }
+            Some(set)
+        });
 
-        // Reaching `aptq_tensor::parallel` *is* spawning threads; the
-        // D006 fixpoint already closed over callers, so the bit lands
-        // directly on every reaching library function.
-        for (id, item) in index.fns() {
-            if !item.in_test && in_lib_src(&index.file(id).rel_path) && reaches_parallel[id.0][id.1]
-            {
+        // Reaching `aptq_tensor::parallel` *is* spawning threads.
+        for (id, _) in index.fns() {
+            if lib(id) && reaches_parallel[id.0][id.1] {
                 inferred[id.0][id.1].insert(Effect::ThreadSpawn);
             }
         }
 
         EffectAnalysis {
-            sites,
-            local,
             inferred,
             reaches_parallel,
             hot_roots,
@@ -350,207 +271,24 @@ impl EffectAnalysis {
     }
 }
 
-/// Computes, per function item, whether its body transitively reaches
-/// `aptq_tensor::parallel`: seeded by functions *defined in* the
-/// parallel module and by call sites that name it (directly or through
-/// a `use` import), then propagated over name-resolved call edges to a
-/// fixpoint — [`crate::reach::reaches`] with the parallel module as
-/// seed and import-aware path matching as the direct classifier. This
-/// is D006's reachability, bit-for-bit.
-pub fn parallel_reachability(index: &SymbolIndex) -> Vec<Vec<bool>> {
-    reach::reaches(
-        index,
-        |f| f.rel_path == PARALLEL_MODULE_FILE,
-        |file: &FileIndex, call| {
-            let call_path = call.path.as_str();
-            if call_path.contains(PARALLEL_MODULE_PATH) {
-                return true;
-            }
-            let first = call_path.split("::").next().unwrap_or(call_path);
-            file.imports
-                .get(first)
-                .or_else(|| {
-                    // `use aptq_tensor::parallel::thread_count;` imports
-                    // the terminal name itself.
-                    file.imports.get(call_path)
-                })
-                .is_some_and(|full| full.contains(PARALLEL_MODULE_PATH))
-        },
-    )
-}
-
-/// Scans one function body for leaf effect sites. The per-line order —
-/// alloc, panic, io, env, thread, clock, global, accum — matches the
-/// emission order of the pre-engine H-rule pass so ported findings stay
-/// bit-identical.
-fn extract_sites(file: &FileIndex, item: &Item) -> Vec<Site> {
-    let f = &file.scanned;
-    let rel_path = file.rel_path.as_str();
-    let (lo, hi) = item.body;
-    let mut sites = Vec::new();
-    for idx in lo..=hi.min(f.lines.len().saturating_sub(1)) {
-        let line = &f.lines[idx];
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-
-        for pat in ALLOC_SITES {
-            for col in word_occurrences(code, pat) {
-                if f.allowed(idx, "alloc") {
-                    continue;
-                }
-                sites.push(Site {
-                    effect: Effect::Alloc,
-                    line: idx,
-                    col,
-                    what: pat.trim_end_matches('(').to_string(),
-                    assert_family: false,
-                });
-            }
-        }
-
-        // Panic sites: `.unwrap()`, message-less `.expect(`, and the
-        // panic macros. A descriptive `.expect("...")` self-annotates
-        // exactly as in A001 (the scanner blanked string contents, so a
-        // literal message shows up as `.expect("   ")`).
-        let mut panic_cols: Vec<(usize, String, bool)> = Vec::new();
-        for col in word_occurrences(code, ".unwrap()") {
-            panic_cols.push((col, "`.unwrap()`".into(), false));
-        }
-        for col in word_occurrences(code, ".expect(") {
-            let after = &code[code
-                .char_indices()
-                .nth(col + ".expect(".len())
-                .map_or(code.len(), |(b, _)| b)..];
-            let trimmed = after.trim_start();
-            let descriptive = trimmed.starts_with('"')
-                && trimmed[1..]
-                    .chars()
-                    .take_while(|&c| c != '"')
-                    .any(|c| c == ' ')
-                && trimmed[1..].contains('"');
-            if !descriptive {
-                panic_cols.push((col, "message-less `.expect(...)`".into(), false));
-            }
-        }
-        for mac in PANIC_MACROS {
-            for col in word_occurrences(code, mac) {
-                let assert_family = mac.starts_with("assert");
-                panic_cols.push((col, format!("`{mac}`"), assert_family));
-            }
-        }
-        for (col, what, assert_family) in panic_cols {
-            if f.allowed(idx, "panic") {
-                continue;
-            }
-            sites.push(Site {
-                effect: Effect::Panic,
-                line: idx,
-                col,
-                what,
-                assert_family,
-            });
-        }
-
-        for pat in IO_SITES {
-            for col in word_occurrences(code, pat) {
-                if f.allowed(idx, "io") {
-                    continue;
-                }
-                sites.push(Site {
-                    effect: Effect::Io,
-                    line: idx,
-                    col,
-                    what: (*pat).to_string(),
-                    assert_family: false,
-                });
-            }
-        }
-
-        if !ENV_CONFIG_MODULES.contains(&rel_path) {
-            for col in word_occurrences(code, "env::var") {
-                if f.allowed(idx, "env") {
-                    continue;
-                }
-                sites.push(Site {
-                    effect: Effect::EnvRead,
-                    line: idx,
-                    col,
-                    what: "env::var".to_string(),
-                    assert_family: false,
-                });
-            }
-        }
-
-        if rel_path != PARALLEL_MODULE_FILE {
-            for pat in THREAD_SITES {
-                for col in word_occurrences(code, pat) {
-                    if f.allowed(idx, "thread") {
-                        continue;
-                    }
-                    sites.push(Site {
-                        effect: Effect::ThreadSpawn,
-                        line: idx,
-                        col,
-                        what: (*pat).to_string(),
-                        assert_family: false,
-                    });
-                }
-            }
-        }
-
-        if !clock_exempt(rel_path) {
-            for pat in CLOCK_SITES {
-                for col in word_occurrences(code, pat) {
-                    if f.allowed(idx, "nondet") {
-                        continue;
-                    }
-                    sites.push(Site {
-                        effect: Effect::WallClock,
-                        line: idx,
-                        col,
-                        what: (*pat).to_string(),
-                        assert_family: false,
-                    });
-                }
-            }
-        }
-
-        if let Some(col) = static_global_col(code) {
-            if !f.allowed(idx, "global") {
-                sites.push(Site {
-                    effect: Effect::GlobalMut,
-                    line: idx,
-                    col,
-                    what: "static".to_string(),
-                    assert_family: false,
-                });
-            }
-        }
-
-        for pat in ACCUM_SITES {
-            for col in word_occurrences(code, pat) {
-                if f.allowed(idx, "accum") {
-                    continue;
-                }
-                sites.push(Site {
-                    effect: Effect::FloatAccum,
-                    line: idx,
-                    col,
-                    what: (*pat).to_string(),
-                    assert_family: false,
-                });
-            }
-        }
+/// True when `call` names `aptq_tensor::parallel`, written out or
+/// through a `use` import of the module or of the called item.
+fn names_parallel(file: &FileIndex, call: &crate::index::Call) -> bool {
+    let call_path = call.path.as_str();
+    if call_path.contains(PARALLEL_MODULE_PATH) {
+        return true;
     }
-    sites
+    let first = call_path.split("::").next().unwrap_or(call_path);
+    file.imports
+        .get(first)
+        .or_else(|| file.imports.get(call_path))
+        .is_some_and(|full| full.contains(PARALLEL_MODULE_PATH))
 }
 
 /// E001–E003: declared contracts checked against inferred effects.
 /// All three clear with `// audit:allow(effect): <reason>` on the
 /// declaration line (or the comment-only line above).
-pub fn check_contracts(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding> {
+pub(crate) fn check(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // E001 — a `# HotPath` root whose closure allocates. H001 flags the
@@ -563,28 +301,26 @@ pub fn check_contracts(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Fi
         {
             continue;
         }
-        findings.push(Finding {
-            rule: "E001",
-            severity: Severity::Error,
-            path: file.rel_path.clone(),
-            line: item.line + 1,
-            col: 1,
-            message: format!(
+        findings.push(Finding::new(
+            "E001",
+            &file.rel_path,
+            item.line + 1,
+            1,
+            format!(
                 "hot-path root `{}` declares `# HotPath` but infers effect `Alloc`",
                 item.name
             ),
-            help: "the transitive closure of this root contains allocation sites (H001 lists \
-                   them); hoist the allocations into caller-owned scratch, or annotate the root \
-                   with `// audit:allow(effect): <reason>`"
-                .into(),
-            suggestion: "make the closure allocation-free, then re-run the audit".into(),
-        });
+            "the transitive closure of this root contains allocation sites (H001 lists \
+             them); hoist the allocations into caller-owned scratch, or annotate the root \
+             with `// audit:allow(effect): <reason>`",
+            "make the closure allocation-free, then re-run the audit",
+        ));
     }
 
     for (id, item) in index.fns() {
         let file = index.file(id);
         let rel_path = file.rel_path.as_str();
-        if item.in_test || !in_lib_src(rel_path) {
+        if !is_lib_fn(file, item) {
             continue;
         }
         let inferred = analysis.inferred[id.0][id.1];
@@ -599,23 +335,21 @@ pub fn check_contracts(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Fi
                 }
             }
             if !bad.is_empty() && !file.scanned.allowed(item.line, "effect") {
-                findings.push(Finding {
-                    rule: "E002",
-                    severity: Severity::Error,
-                    path: file.rel_path.clone(),
-                    line: item.line + 1,
-                    col: 1,
-                    message: format!(
+                findings.push(Finding::new(
+                    "E002",
+                    rel_path,
+                    item.line + 1,
+                    1,
+                    format!(
                         "function `{}` documents `# Determinism` but infers effect `{}`",
                         item.name,
                         bad.label()
                     ),
-                    help: "a determinism contract cannot coexist with ambient environment or \
-                           wall-clock reads; inject the value from the caller, or annotate with \
-                           `// audit:allow(effect): <reason>`"
-                        .into(),
-                    suggestion: "take the configuration/timestamp as a parameter".into(),
-                });
+                    "a determinism contract cannot coexist with ambient environment or \
+                     wall-clock reads; inject the value from the caller, or annotate with \
+                     `// audit:allow(effect): <reason>`",
+                    "take the configuration/timestamp as a parameter",
+                ));
             }
         }
 
@@ -623,29 +357,25 @@ pub fn check_contracts(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Fi
         // `Panic` (transitively — beyond A003's own-body view).
         if item.is_pub
             && !item.has_panics_doc
-            && crate::rules::PANIC_FREE_CRATES
-                .iter()
-                .any(|p| rel_path.starts_with(p))
+            && PANIC_FREE_CRATES.iter().any(|p| rel_path.starts_with(p))
             && inferred.contains(Effect::Panic)
             && !file.scanned.allowed(item.line, "effect")
         {
-            findings.push(Finding {
-                rule: "E003",
-                severity: Severity::Error,
-                path: file.rel_path.clone(),
-                line: item.line + 1,
-                col: 1,
-                message: format!(
+            findings.push(Finding::new(
+                "E003",
+                rel_path,
+                item.line + 1,
+                1,
+                format!(
                     "public function `{}` infers effect `Panic` but its doc comment has no \
                      `# Panics` section",
                     item.name
                 ),
-                help: "a panic-free-crate API that can transitively panic must say so; document \
-                       the precondition in a `# Panics` section, make the callee infallible, or \
-                       annotate with `// audit:allow(effect): <reason>`"
-                    .into(),
-                suggestion: "add a `/// # Panics` doc section".into(),
-            });
+                "a panic-free-crate API that can transitively panic must say so; document \
+                 the precondition in a `# Panics` section, make the callee infallible, or \
+                 annotate with `// audit:allow(effect): <reason>`",
+                "add a `/// # Panics` doc section",
+            ));
         }
     }
     findings
@@ -672,7 +402,7 @@ pub fn render_manifest(index: &SymbolIndex, analysis: &EffectAnalysis) -> String
         let entry = map
             .entry((rel_path.clone(), item.name.clone()))
             .or_insert(EffectSet::EMPTY);
-        *entry = entry.union(analysis.inferred[id.0][id.1]);
+        *entry = *entry | analysis.inferred[id.0][id.1];
     }
     let mut out = format!("{{\"version\":{MANIFEST_VERSION},\"fns\":[\n");
     let total = map.len();
@@ -691,11 +421,11 @@ pub fn render_manifest(index: &SymbolIndex, analysis: &EffectAnalysis) -> String
 }
 
 /// Parses a manifest produced by [`render_manifest`] into
-/// `(path, fn) → effect names`. Line-oriented, like the baseline
-/// parser: one entry object per line, fields extracted by key.
+/// `(path, fn) → effect names`. Line-oriented: one entry object per
+/// line, fields extracted by key.
 pub fn parse_manifest(text: &str) -> Result<BTreeMap<(String, String), Vec<String>>, String> {
     let head = text.lines().next().unwrap_or("");
-    let version = crate::baseline::field(head, "version").and_then(|v| v.parse::<u32>().ok());
+    let version = field(head, "version").and_then(|v| v.parse::<u32>().ok());
     if version != Some(MANIFEST_VERSION) {
         return Err(format!(
             "effects manifest version mismatch: expected {MANIFEST_VERSION}, file header is \
@@ -708,9 +438,9 @@ pub fn parse_manifest(text: &str) -> Result<BTreeMap<(String, String), Vec<Strin
         if line.is_empty() || line == "]}" {
             continue;
         }
-        let path = crate::baseline::string_field(line, "path")
+        let path = string_field(line, "path")
             .ok_or_else(|| format!("manifest entry missing `path`: {line}"))?;
-        let name = crate::baseline::string_field(line, "fn")
+        let name = string_field(line, "fn")
             .ok_or_else(|| format!("manifest entry missing `fn`: {line}"))?;
         let effects_at = line
             .find("\"effects\":[")
@@ -733,20 +463,19 @@ pub fn parse_manifest(text: &str) -> Result<BTreeMap<(String, String), Vec<Strin
 /// one. Every divergence — a new fn, a removed fn, a changed effect
 /// set — is one finding, so the failure names exactly what moved.
 pub fn diff_manifests(committed: &str, current: &str) -> Vec<Finding> {
-    let finding = |message: String| Finding {
-        rule: "E004",
-        severity: Severity::Error,
-        path: MANIFEST_PATH.to_string(),
-        line: 1,
-        col: 1,
-        message,
-        help: "the committed effects manifest must match the inferred effect signatures; \
-               regenerate it and review the diff — an unexpected effect change is the bug, not \
-               the manifest"
-            .into(),
-        suggestion: "run `cargo run -p aptq-audit -- --effects-out results/effects.json` and \
-                     commit the result"
-            .into(),
+    let finding = |message: String| {
+        Finding::new(
+            "E004",
+            MANIFEST_PATH,
+            1,
+            1,
+            message,
+            "the committed effects manifest must match the inferred effect signatures; \
+             regenerate it and review the diff — an unexpected effect change is the bug, not \
+             the manifest",
+            "run `cargo run -p aptq-audit -- --effects-out results/effects.json` and \
+             commit the result",
+        )
     };
     let committed = match parse_manifest(committed) {
         Ok(m) => m,
@@ -787,6 +516,7 @@ pub fn diff_manifests(committed: &str, current: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit_one;
 
     fn build(sources: &[(&str, &str)]) -> SymbolIndex {
         let owned: Vec<(String, String)> = sources
@@ -847,9 +577,10 @@ mod tests {
         )]);
         let a = EffectAnalysis::compute(&idx);
         assert!(!inferred_of(&idx, &a, "api").contains(Effect::Panic));
-        let (id, _) = idx.fns().next().expect("one fn");
-        assert_eq!(a.sites[id.0][id.1].len(), 1);
-        assert!(a.sites[id.0][id.1][0].assert_family);
+        let (id, item) = idx.fns().next().expect("one fn");
+        let sites: Vec<&Site> = leaf_sites(idx.file(id), item).collect();
+        assert_eq!(sites.len(), 1);
+        assert!(sites[0].assert_family());
     }
 
     #[test]
@@ -909,41 +640,31 @@ mod tests {
     #[test]
     fn e001_fires_on_allocating_hot_root_and_clears_with_allow() {
         let src = "/// # HotPath\n/// budget: zero.\npub fn forward() {\n    helper();\n}\nfn helper() {\n    let v = Vec::new();\n}\n";
-        let idx = build(&[("crates/core/src/x.rs", src)]);
-        let a = EffectAnalysis::compute(&idx);
-        let f = check_contracts(&idx, &a);
-        assert_eq!(f.iter().filter(|f| f.rule == "E001").count(), 1, "{f:?}");
+        let f = audit_one("crates/core/src/x.rs", src, "E001");
+        assert_eq!(f.len(), 1, "{f:?}");
         let annotated = src.replace(
             "pub fn forward() {",
             "// audit:allow(effect): closure audited by hand\npub fn forward() {",
         );
-        let idx2 = build(&[("crates/core/src/x.rs", &annotated)]);
-        let a2 = EffectAnalysis::compute(&idx2);
-        let g = check_contracts(&idx2, &a2);
-        assert!(g.iter().all(|f| f.rule != "E001"), "{g:?}");
+        let g = audit_one("crates/core/src/x.rs", &annotated, "E001");
+        assert!(g.is_empty(), "{g:?}");
     }
 
     #[test]
     fn e002_fires_on_env_read_behind_determinism_doc() {
         let src = "/// # Determinism\n/// Bit-identical.\npub fn api() -> Option<String> {\n    std::env::var(\"X\").ok()\n}\n";
-        let idx = build(&[("crates/core/src/x.rs", src)]);
-        let a = EffectAnalysis::compute(&idx);
-        let f = check_contracts(&idx, &a);
-        assert_eq!(f.iter().filter(|f| f.rule == "E002").count(), 1, "{f:?}");
+        let f = audit_one("crates/core/src/x.rs", src, "E002");
+        assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("EnvRead"), "{f:?}");
     }
 
     #[test]
     fn e003_fires_on_transitive_panic_without_doc() {
         let src = "pub fn api() {\n    helper();\n}\nfn helper() {\n    x.unwrap();\n}\n";
-        let idx = build(&[("crates/core/src/x.rs", src)]);
-        let a = EffectAnalysis::compute(&idx);
-        let f = check_contracts(&idx, &a);
-        assert_eq!(f.iter().filter(|f| f.rule == "E003").count(), 1, "{f:?}");
+        let f = audit_one("crates/core/src/x.rs", src, "E003");
+        assert_eq!(f.len(), 1, "{f:?}");
         // Outside the panic-free crates the rule stays silent.
-        let idx2 = build(&[("crates/lm/src/x.rs", src)]);
-        let a2 = EffectAnalysis::compute(&idx2);
-        assert!(check_contracts(&idx2, &a2).iter().all(|f| f.rule != "E003"));
+        assert!(audit_one("crates/lm/src/x.rs", src, "E003").is_empty());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Hot-path contract rules (H001–H004).
+//! Hot-path contract rules (H001–H004; scopes and allow kinds in
+//! [`crate::rules::CATALOG`]).
 //!
 //! APTQ's serving claim is that the quantized forward/decode path runs
 //! "as fast as the hardware allows"; allocation, panicking, and locking
@@ -9,35 +10,19 @@
 //! - a function documented with a `# HotPath` doc section is a *root*
 //!   ([`EffectAnalysis::hot_roots`](crate::effects::EffectAnalysis));
 //! - the engine computes everything a root can transitively execute
-//!   (by-name call edges, test code excluded) and scans every function
-//!   body for effect sites once;
-//! - every `Alloc`/`Panic`/`Io` site inside a root's closure becomes a
-//!   finding, attributed to the first root in (path, line) order so
-//!   messages — and therefore baseline keys — are deterministic.
-//!
-//! | Code | What it enforces | Escape hatch |
-//! |------|------------------|--------------|
-//! | H001 | no allocation sites (`Vec::new`/`with_capacity`/`push`, `vcat`, `to_vec`, `clone`, `format!`, `String` construction) | `// audit:allow(alloc): <reason>` |
-//! | H002 | no panic sites (`unwrap`/message-less `expect`/`panic!`-family/`assert!`-family), *transitively* — beyond A001's per-file view | `// audit:allow(panic): <reason>` or a `# Panics` doc on the containing fn |
-//! | H003 | no locks or I/O (`Mutex`/`RwLock`/`std::io`/`println!`) | `// audit:allow(io): <reason>` |
-//! | H004 | every `# HotPath` root documents its allocation budget | `// audit:allow(budget): <reason>` |
+//!   (by-name call edges, test code excluded);
+//! - every `Alloc`/`Panic`/`Io` leaf site inside a root's closure
+//!   becomes a finding, attributed to the first root in (path, line)
+//!   order so messages are deterministic. A `# Panics` doc on the
+//!   containing function exempts its panic sites.
 
-use crate::effects::{Effect, EffectAnalysis};
+use crate::effects::{leaf_sites, EffectAnalysis};
 use crate::index::SymbolIndex;
-use crate::{Finding, Severity};
+use crate::sites::Kind;
+use crate::Finding;
 
-/// Runs H001–H004 over the workspace index, computing a private
-/// [`EffectAnalysis`]. Production callers run the shared analysis once
-/// and use [`check_with`] instead.
-pub fn check_index(index: &SymbolIndex) -> Vec<Finding> {
-    check_with(index, &EffectAnalysis::compute(index))
-}
-
-/// Runs H001–H004 against a precomputed effect analysis. Findings are
-/// bit-identical to the pre-engine pass (pinned by tests): the engine
-/// extracts sites with the same patterns, in the same body-scan order,
-/// honoring the same `audit:allow` kinds.
-pub fn check_with(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding> {
+/// Runs H001–H004 against the shared effect analysis.
+pub(crate) fn check(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // H004 — a root without a stated allocation budget.
@@ -47,27 +32,25 @@ pub fn check_with(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding
         if item.hotpath_budget || file.scanned.allowed(item.line, "budget") {
             continue;
         }
-        findings.push(Finding {
-            rule: "H004",
-            severity: Severity::Error,
-            path: file.rel_path.clone(),
-            line: item.line + 1,
-            col: 1,
-            message: format!(
+        findings.push(Finding::new(
+            "H004",
+            &file.rel_path,
+            item.line + 1,
+            1,
+            format!(
                 "hot-path root `{}` has a `# HotPath` doc section but states no allocation budget",
                 item.name
             ),
-            help: "the `# HotPath` contract is only checkable against a stated budget; say what \
-                   the function may allocate and when (e.g. \"budget: zero allocations on the \
-                   steady-state token path\"), or annotate with `// audit:allow(budget): <reason>`"
-                .into(),
-            suggestion: "add a budget line to the `# HotPath` doc section".into(),
-        });
+            "the `# HotPath` contract is only checkable against a stated budget; say what \
+             the function may allocate and when (e.g. \"budget: zero allocations on the \
+             steady-state token path\"), or annotate with `// audit:allow(budget): <reason>`",
+            "add a budget line to the `# HotPath` doc section",
+        ));
     }
 
-    // H001–H003 — effect sites inside owned closures. The engine only
-    // extracts sites for non-test library functions, so the ownership
-    // map is the sole remaining filter.
+    // H001–H003 — leaf sites inside owned closures. The engine only
+    // yields sites of non-test library functions, so the ownership map
+    // is the sole remaining filter.
     for (&id, &root) in &analysis.hot_owner {
         let item = index.item(id);
         let file = index.file(id);
@@ -76,13 +59,14 @@ pub fn check_with(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding
             index.file(root).module.as_str(),
             index.item(root).name
         );
-        for site in &analysis.sites[id.0][id.1] {
-            let (rule, message, help, suggestion) = match site.effect {
-                Effect::Alloc => (
+        for site in leaf_sites(file, item) {
+            let (rule, message, help, suggestion) = match site.kind {
+                Kind::Alloc => (
                     "H001",
                     format!(
                         "allocation site `{}` in `{}`, reachable from hot path `{root_label}`",
-                        site.what, item.name
+                        site.pat.trim_end_matches('('),
+                        item.name
                     ),
                     "hot paths must run on caller-provided or preallocated buffers; write \
                      into scratch owned by the session/struct, or annotate with \
@@ -90,30 +74,28 @@ pub fn check_with(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding
                      steady-state path",
                     "preallocate in the constructor and reuse the buffer",
                 ),
-                Effect::Panic => {
-                    // A `# Panics` doc on the containing function turns
-                    // the sites into documented preconditions.
-                    if item.has_panics_doc {
-                        continue;
-                    }
-                    (
-                        "H002",
-                        format!(
-                            "panic site {} in `{}`, reachable from hot path `{root_label}`",
-                            site.what, item.name
-                        ),
-                        "a panic mid-decode aborts the whole generation; return an error at \
-                         the boundary, document the precondition in a `# Panics` section on \
-                         the containing function, or annotate with \
-                         `// audit:allow(panic): <reason>`",
-                        "validate at the session boundary and make the hot path infallible",
-                    )
-                }
-                Effect::Io => (
+                Kind::Panic if !item.has_panics_doc => (
+                    "H002",
+                    format!(
+                        "panic site {} in `{}`, reachable from hot path `{root_label}`",
+                        match site.pat {
+                            ".unwrap()" => "`.unwrap()`".to_string(),
+                            ".expect(" => "message-less `.expect(...)`".to_string(),
+                            mac => format!("`{mac}`"),
+                        },
+                        item.name
+                    ),
+                    "a panic mid-decode aborts the whole generation; return an error at \
+                     the boundary, document the precondition in a `# Panics` section on \
+                     the containing function, or annotate with \
+                     `// audit:allow(panic): <reason>`",
+                    "validate at the session boundary and make the hot path infallible",
+                ),
+                Kind::Io => (
                     "H003",
                     format!(
                         "lock/I-O site `{}` in `{}`, reachable from hot path `{root_label}`",
-                        site.what, item.name
+                        site.pat, item.name
                     ),
                     "blocking on a lock or file descriptor inside the token loop turns \
                      tail latency into throughput collapse; hoist the I/O to the caller \
@@ -122,16 +104,15 @@ pub fn check_with(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding
                 ),
                 _ => continue,
             };
-            findings.push(Finding {
+            findings.push(Finding::new(
                 rule,
-                severity: Severity::Error,
-                path: file.rel_path.clone(),
-                line: site.line + 1,
-                col: site.col + 1,
+                &file.rel_path,
+                site.line + 1,
+                site.col + 1,
                 message,
-                help: help.into(),
-                suggestion: suggestion.into(),
-            });
+                help,
+                suggestion,
+            ));
         }
     }
 
@@ -140,11 +121,10 @@ pub fn check_with(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Finding
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{audit_sources, Finding};
 
     fn check(src: &str) -> Vec<Finding> {
-        let idx = SymbolIndex::build(&[("crates/core/src/x.rs".to_string(), src.to_string())]);
-        check_index(&idx)
+        audit_sources(&[("crates/core/src/x.rs".to_string(), src.to_string())])
     }
 
     const ROOT_DOC: &str = "/// # HotPath\n/// budget: zero allocations.\n";
@@ -204,7 +184,7 @@ mod tests {
     fn ported_findings_match_per_line_ordering() {
         // One helper with an alloc, a panic, and an I/O site on
         // consecutive lines: emission must stay line-major with
-        // H001 < H002 < H003 within a line, as the pre-engine pass did.
+        // H001 < H002 < H003 within a line, in site-table order.
         let src = format!(
             "{ROOT_DOC}pub fn forward() {{\n    let v = Vec::new();\n    x.unwrap();\n    println!(\"t\");\n}}\n"
         );

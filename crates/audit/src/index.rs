@@ -1,14 +1,14 @@
 //! Lightweight workspace symbol index.
 //!
-//! The determinism rules (D001–D006) need more context than a single
-//! line: D006 in particular must know whether a `pub fn`'s body
-//! *transitively* reaches `aptq_tensor::parallel`. This module builds
-//! that context with the same philosophy as [`crate::scan`] — a
-//! lexer-grade pass, no external parser:
+//! The call-graph rules (D006, E001–E003, H001–H004) and A003 need more
+//! context than a single line: a function's body, its doc sections and
+//! the functions it calls. This module builds that context with the
+//! same philosophy as [`crate::scan`] — a lexer-grade pass, no external
+//! parser:
 //!
-//! - every `fn`/`struct`/`impl` item per file, with declaration line,
-//!   visibility, `#[cfg(test)]` state, body span, and whether the doc
-//!   comment above carries a `# Determinism` section;
+//! - every `fn` item per file, with declaration line, visibility, `#[cfg(test)]` state, body span, and the doc sections
+//!   (`# Determinism`, `# HotPath`, `# Panics`) above it;
+//! - the file's site table ([`crate::sites`]);
 //! - every `use` import, resolved to an alias → full-path map;
 //! - every call-site occurrence inside a function body (free calls,
 //!   path-qualified calls, and method calls by terminal name).
@@ -19,15 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::scan::{scan, word_occurrences, ScannedFile};
-
-/// Kind of an indexed item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    Fn,
-    Struct,
-    Impl,
-}
+use crate::scan::{scan, ScannedFile};
+use crate::sites::{self, Site};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -42,10 +35,9 @@ pub struct Call {
     pub line: usize,
 }
 
-/// One indexed item (function, struct, or impl block).
+/// One indexed function.
 #[derive(Debug, Clone)]
 pub struct Item {
-    pub kind: ItemKind,
     pub name: String,
     /// 0-based declaration line.
     pub line: usize,
@@ -53,23 +45,21 @@ pub struct Item {
     pub is_pub: bool,
     /// Declared inside a `#[cfg(test)]` region.
     pub in_test: bool,
-    /// For functions: 0-based inclusive body span (decl line through the
-    /// closing brace). Items without a body span cover only their line.
+    /// 0-based inclusive body span (decl line through the closing
+    /// brace, or through the `;` of a body-less declaration).
     pub body: (usize, usize),
-    /// For functions: the doc block above contains a `# Determinism`
-    /// section.
+    /// The doc block above contains a `# Determinism` section.
     pub has_determinism_doc: bool,
-    /// For functions: the doc block above contains a `# HotPath`
-    /// section — the root marker for the H-rules (see
-    /// [`crate::hotpath`]).
+    /// The doc block above contains a `# HotPath` section — the root
+    /// marker for the H-rules (see [`crate::hotpath`]).
     pub has_hotpath_doc: bool,
-    /// For functions with a `# HotPath` doc: the doc block also states
-    /// an allocation budget (mentions "budget"/"Budget"), per H004.
+    /// The doc block also states an allocation budget (mentions
+    /// "budget"/"Budget"), per H004.
     pub hotpath_budget: bool,
-    /// For functions: the doc block above contains a `# Panics`
-    /// section (documented preconditions exempt asserts from H002).
+    /// The doc block above contains a `# Panics` section (documented
+    /// preconditions exempt asserts from H002).
     pub has_panics_doc: bool,
-    /// For functions: call sites inside the body.
+    /// Call sites inside the body.
     pub calls: Vec<Call>,
 }
 
@@ -83,6 +73,9 @@ pub struct FileIndex {
     pub module: String,
     /// The lexical scan the items were derived from.
     pub scanned: ScannedFile,
+    /// Every pattern hit in the file, in [`sites::extract`] order.
+    pub sites: Vec<Site>,
+    /// The file's functions, in declaration order.
     pub items: Vec<Item>,
     /// `use` imports: visible alias (terminal segment or `as` name) →
     /// full imported path.
@@ -121,7 +114,6 @@ impl SymbolIndex {
             file.items
                 .iter()
                 .enumerate()
-                .filter(|(_, it)| it.kind == ItemKind::Fn)
                 .map(move |(ii, it)| ((fi, ii), it))
         })
     }
@@ -146,8 +138,16 @@ impl SymbolIndex {
     }
 }
 
-/// Visibility modifiers that may precede `fn` / `struct` on a
-/// declaration line.
+impl FileIndex {
+    /// The sites on 0-based lines `lo..=hi` (the table is line-major).
+    pub fn sites_in(&self, lo: usize, hi: usize) -> &[Site] {
+        let start = self.sites.partition_point(|s| s.line < lo);
+        let end = self.sites.partition_point(|s| s.line <= hi);
+        &self.sites[start..end.max(start)]
+    }
+}
+
+/// Visibility modifiers that may precede `fn` on a declaration line.
 fn is_modifier_token(tok: &str) -> bool {
     matches!(
         tok,
@@ -165,10 +165,9 @@ fn index_file(rel_path: &str, source: &str) -> FileIndex {
     let mut idx = 0usize;
     while idx < n {
         let code = scanned.lines[idx].code.trim_start().to_string();
-        if let Some(name) = decl_name(&code, "fn ") {
+        if let Some(name) = decl_name(&code) {
             let (body, calls) = fn_body(&scanned, idx, &name);
             items.push(Item {
-                kind: ItemKind::Fn,
                 name,
                 line: idx,
                 is_pub: code.starts_with("pub fn ")
@@ -187,60 +186,30 @@ fn index_file(rel_path: &str, source: &str) -> FileIndex {
             idx = body.1.max(idx) + 1;
             continue;
         }
-        if let Some(name) = decl_name(&code, "struct ") {
-            items.push(Item {
-                kind: ItemKind::Struct,
-                name,
-                line: idx,
-                is_pub: code.starts_with("pub struct "),
-                in_test: scanned.lines[idx].in_test,
-                body: (idx, idx),
-                has_determinism_doc: false,
-                has_hotpath_doc: false,
-                hotpath_budget: false,
-                has_panics_doc: false,
-                calls: Vec::new(),
-            });
-        } else if code.starts_with("impl ") || code.starts_with("impl<") {
-            items.push(Item {
-                kind: ItemKind::Impl,
-                name: impl_target(&code),
-                line: idx,
-                is_pub: false,
-                in_test: scanned.lines[idx].in_test,
-                body: (idx, idx),
-                has_determinism_doc: false,
-                has_hotpath_doc: false,
-                hotpath_budget: false,
-                has_panics_doc: false,
-                calls: Vec::new(),
-            });
-        }
         idx += 1;
     }
 
     FileIndex {
         rel_path: rel_path.to_string(),
         module: module_path(rel_path),
+        sites: sites::extract(&scanned),
         scanned,
         items,
         imports,
     }
 }
 
-/// If `code` (already trimmed) declares an item introduced by `kw`
-/// (`"fn "` / `"struct "`), returns the declared name.
-fn decl_name(code: &str, kw: &str) -> Option<String> {
-    let at = code.find(kw)?;
-    // Everything before the keyword must be modifier tokens.
+/// If `code` (already trimmed) declares a function, returns its name.
+fn decl_name(code: &str) -> Option<String> {
+    let at = code.find("fn ")?;
+    // Everything before the keyword must be modifier tokens (which also
+    // rules out `fn ` inside an identifier like `safe_fn x`).
     if !code[..at].split_whitespace().all(is_modifier_token) {
         return None;
     }
-    // Keyword must sit at a token boundary (`fn ` inside `safe_fn x` is
-    // ruled out by the modifier check; `impl Trait for X` has no kw).
     // A raw identifier (`fn r#match`) names the same symbol as its
     // unprefixed spelling — strip the sigil so call edges resolve.
-    let after = code[at + kw.len()..].trim_start();
+    let after = code[at + "fn ".len()..].trim_start();
     let after = after.strip_prefix("r#").unwrap_or(after);
     let name: String = after
         .chars()
@@ -251,32 +220,6 @@ fn decl_name(code: &str, kw: &str) -> Option<String> {
     } else {
         Some(name)
     }
-}
-
-/// Best-effort impl target: the text after `impl`, trimmed of the
-/// generics list and the opening brace.
-fn impl_target(code: &str) -> String {
-    let rest = code.trim_start_matches("impl").trim_start();
-    let rest = rest.strip_prefix('<').map_or(rest, |r| {
-        // Skip the generics list (depth-matched on <>).
-        let mut depth = 1i32;
-        let mut out = r;
-        for (i, c) in r.char_indices() {
-            match c {
-                '<' => depth += 1,
-                '>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        out = &r[i + 1..];
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        out.trim_start()
-    });
-    rest.trim_end_matches('{').trim().to_string()
 }
 
 /// True if the doc-comment block immediately above `decl_line`
@@ -493,12 +436,6 @@ fn module_path(rel_path: &str) -> String {
     }
 }
 
-/// True when `needle` occurs in `code` at a word boundary — re-exported
-/// convenience over [`crate::scan::word_occurrences`].
-pub fn mentions(code: &str, needle: &str) -> bool {
-    !word_occurrences(code, needle).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,16 +522,16 @@ mod tests {
     }
 
     #[test]
-    fn structs_impls_and_module_paths_are_recorded() {
+    fn methods_and_module_paths_are_recorded() {
         let idx = build_one(
             "crates/core/src/methods/mod.rs",
             "pub struct Thing {\n    x: u32,\n}\n\nimpl Thing {\n    pub fn new() -> Thing {\n        Thing { x: 0 }\n    }\n}\n",
         );
         let file = &idx.files()[0];
         assert_eq!(file.module, "aptq_core::methods");
-        let kinds: Vec<ItemKind> = file.items.iter().map(|i| i.kind).collect();
-        assert_eq!(kinds, vec![ItemKind::Struct, ItemKind::Impl, ItemKind::Fn]);
-        assert_eq!(file.items[1].name, "Thing");
+        let names: Vec<&str> = file.items.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, vec!["new"]);
+        assert_eq!(file.items[0].line, 5);
     }
 
     #[test]

@@ -1,53 +1,30 @@
 //! aptq-audit: the workspace static-analysis pass.
 //!
 //! A zero-dependency lint layer that walks every `.rs` file and every
-//! `Cargo.toml` in the workspace and enforces the project's numerical
-//! and hygiene invariants *before* the compiler gets a say:
+//! `Cargo.toml` in the workspace and enforces the project's numerical,
+//! determinism and hygiene invariants *before* the compiler gets a say.
+//! [`rules::CATALOG`] is the one list of rules (`aptq-audit
+//! --list-rules`); each family lives in its own module: the A-rules in
+//! [`rules`], D001–D006 in [`determinism`], H001–H004 in [`hotpath`],
+//! N001–N004 in [`numerics`], E001–E004 in [`effects`] and U001 in
+//! [`stale`].
 //!
-//! - **A001** — no `.unwrap()` / message-less `.expect(...)` /
-//!   `panic!`-family macros in non-test library code of `aptq-tensor`,
-//!   `aptq-core`, `aptq-qmodel`, unless the line carries
-//!   `// audit:allow(panic): <reason>`.
-//! - **A002** — no bare float↔int `as` casts in hot paths
-//!   (`crates/tensor/src`, `crates/core/src/pack.rs`,
-//!   `crates/core/src/grid.rs`) without `// audit:allow(cast): <reason>`.
-//! - **A003** — every `pub fn` containing an unannotated `assert!` /
-//!   `panic!` must have a `# Panics` doc section.
-//! - **A004** — `unsafe` is forbidden outside an explicit allowlist
-//!   (currently empty).
-//! - **A005** — every crate dependency must resolve through
-//!   `[workspace.dependencies]`.
-//!
-//! plus the determinism & concurrency rule set **D001–D006** (see
-//! [`determinism`]): thread-spawn containment, env-read containment,
-//! ordered collections, wall-clock/entropy bans, global-state bans, and
-//! `# Determinism` doc coverage for public functions that transitively
-//! reach `aptq_tensor::parallel` — resolved over a workspace-wide
-//! symbol index ([`index`]) rather than per-file text.
-//!
-//! Two further families run on the reusable reachability engine
-//! ([`reach`]): the hot-path contracts **H001–H004** ([`hotpath`]) —
-//! the transitive callee closure of every `# HotPath`-documented
-//! function must be free of allocation, panic, and lock/I-O sites, and
-//! each root must state its allocation budget — and the
-//! numerical-safety rules **N001–N004** ([`numerics`]) — no bare float
-//! equality, reductions through `aptq_tensor::stats::kahan_sum`,
-//! guarded denominators, clamped `exp`/`ln`/`sqrt`. The full catalog
-//! lives in [`rules::CATALOG`] (`aptq-audit --list-rules`).
+//! Every file is lexed once ([`scan`]) and its pattern hits recorded
+//! once in a site table ([`sites`]); the per-line rules and the effect
+//! engine's leaf facts are filters over that table. The workspace
+//! symbol index ([`index`]) supplies function bodies, doc sections and
+//! call edges, and one by-name fixpoint ([`reach`]) closes effects and
+//! `aptq_tensor::parallel` reachability over the call graph.
 //!
 //! Run it as `cargo run -p aptq-audit` (text diagnostics, rustc style)
-//! or `cargo run -p aptq-audit -- --json` (machine-readable). CI runs
-//! `--ratchet results/audit-baseline.json`, which fails on findings
-//! *not* in the committed baseline and on stale baseline entries — debt
-//! may only shrink (see [`baseline`]). Library consumers call
-//! [`audit_workspace`], or [`rules::check_source`] /
-//! [`rules::check_manifest`] on in-memory sources.
+//! or `cargo run -p aptq-audit -- --json` (machine-readable); any
+//! finding exits 1. Library consumers call [`audit_workspace`], or
+//! [`audit_sources`] / [`rules::check_manifest`] on in-memory sources.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod determinism;
 pub mod effects;
 pub mod hotpath;
@@ -56,32 +33,14 @@ pub mod numerics;
 pub mod reach;
 pub mod rules;
 pub mod scan;
+pub mod sites;
 pub mod stale;
 
-/// Finding severity. Everything the current rule set emits is an
-/// [`Severity::Error`]; the distinction exists so future advisory rules
-/// don't need an output-format change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Error,
-    Warning,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Error => write!(f, "error"),
-            Severity::Warning => write!(f, "warning"),
-        }
-    }
-}
-
-/// One diagnostic produced by a rule.
+/// One diagnostic produced by a rule. Every rule emits errors.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule code, e.g. `"A001"`.
     pub rule: &'static str,
-    pub severity: Severity,
     /// Workspace-relative path with forward slashes.
     pub path: String,
     /// 1-based line number.
@@ -95,6 +54,27 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A finding of `rule` at the 1-based `line`/`col` of `path`.
+    pub fn new(
+        rule: &'static str,
+        path: &str,
+        line: usize,
+        col: usize,
+        message: impl Into<String>,
+        help: impl Into<String>,
+        suggestion: impl Into<String>,
+    ) -> Finding {
+        Finding {
+            rule,
+            path: path.to_string(),
+            line,
+            col,
+            message: message.into(),
+            help: help.into(),
+            suggestion: suggestion.into(),
+        }
+    }
+
     /// Renders the finding in rustc style:
     ///
     /// ```text
@@ -104,8 +84,8 @@ impl Finding {
     /// ```
     pub fn render_text(&self) -> String {
         let mut out = format!(
-            "{}[{}]: {}\n --> {}:{}:{}\n  = help: {}\n",
-            self.severity, self.rule, self.message, self.path, self.line, self.col, self.help
+            "error[{}]: {}\n --> {}:{}:{}\n  = help: {}\n",
+            self.rule, self.message, self.path, self.line, self.col, self.help
         );
         if !self.suggestion.is_empty() {
             out.push_str(&format!("  = suggestion: {}\n", self.suggestion));
@@ -116,9 +96,8 @@ impl Finding {
     /// Renders the finding as a JSON object (single line).
     pub fn render_json(&self) -> String {
         format!(
-            "{{\"rule\":{},\"severity\":{},\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"help\":{},\"suggestion\":{}}}",
+            "{{\"rule\":{},\"severity\":\"error\",\"path\":{},\"line\":{},\"col\":{},\"message\":{},\"help\":{},\"suggestion\":{}}}",
             json_str(self.rule),
-            json_str(&self.severity.to_string()),
             json_str(&self.path),
             self.line,
             self.col,
@@ -144,25 +123,44 @@ impl fmt::Display for AuditError {
 
 impl std::error::Error for AuditError {}
 
-/// Runs every in-memory rule family over a set of sources: the A-rule
-/// lexical pass per file, then — over one shared
-/// [`effects::EffectAnalysis`] — the D-rules, H-rules, N-rules, and
-/// contract rules E001–E003. Returns the findings unsorted, plus the
+/// Runs every source rule family over one shared index and
+/// [`effects::EffectAnalysis`]. Returns the findings unsorted, plus the
 /// index and analysis for manifest rendering and U001.
 fn source_rule_findings(
     sources: &[(String, String)],
 ) -> (Vec<Finding>, index::SymbolIndex, effects::EffectAnalysis) {
-    let mut findings = Vec::new();
-    for (rel_path, source) in sources {
-        findings.extend(rules::check_source(rel_path, source));
-    }
     let index = index::SymbolIndex::build(sources);
     let analysis = effects::EffectAnalysis::compute(&index);
-    findings.extend(determinism::check_with(&index, &analysis));
-    findings.extend(hotpath::check_with(&index, &analysis));
-    findings.extend(numerics::check_index(&index));
-    findings.extend(effects::check_contracts(&index, &analysis));
+    let mut findings = rules::check(&index);
+    findings.extend(determinism::check(&index, &analysis));
+    findings.extend(hotpath::check(&index, &analysis));
+    findings.extend(numerics::check(&index));
+    findings.extend(effects::check(&index, &analysis));
     (findings, index, analysis)
+}
+
+/// [`source_rule_findings`] plus U001, which re-runs the rules on an
+/// annotation-neutralized shadow copy (see [`stale`]).
+fn source_findings_with_stale(
+    sources: &[(String, String)],
+) -> (Vec<Finding>, index::SymbolIndex, effects::EffectAnalysis) {
+    let (mut findings, index, analysis) = source_rule_findings(sources);
+    let shadow_sources: Vec<(String, String)> = sources
+        .iter()
+        .map(|(p, s)| (p.clone(), stale::neutralize(s)))
+        .collect();
+    let (shadow, _, _) = source_rule_findings(&shadow_sources);
+    findings.extend(stale::check(&index, &findings, &shadow));
+    (findings, index, analysis)
+}
+
+/// The findings of `rule` when `src` alone is audited as `rel_path`.
+#[cfg(test)]
+pub(crate) fn audit_one(rel_path: &str, src: &str, rule: &str) -> Vec<Finding> {
+    audit_sources(&[(rel_path.to_string(), src.to_string())])
+        .into_iter()
+        .filter(|f| f.rule == rule)
+        .collect()
 }
 
 fn sort_findings(findings: &mut [Finding]) {
@@ -172,10 +170,9 @@ fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Audits a set of in-memory `(rel_path, source)` pairs with every rule
-/// that needs no filesystem: A/D/H/N, the E-contract rules, and U001
-/// (which re-runs the pipeline on an annotation-neutralized shadow copy
-/// — see [`stale`]). The manifest-drift rule E004 only runs in
-/// [`audit_workspace`], where a committed manifest exists to diff.
+/// that needs no filesystem: A001–A004, D, H, N, E001–E003 and U001.
+/// A005 needs manifests and E004 a committed effects manifest; both run
+/// only in [`audit_workspace`].
 ///
 /// # Determinism
 ///
@@ -183,13 +180,7 @@ fn sort_findings(findings: &mut [Finding]) {
 /// is BTreeMap-ordered, so findings are byte-identical for identical
 /// sources regardless of `APTQ_THREADS`.
 pub fn audit_sources(sources: &[(String, String)]) -> Vec<Finding> {
-    let (mut findings, index, _) = source_rule_findings(sources);
-    let shadow_sources: Vec<(String, String)> = sources
-        .iter()
-        .map(|(p, s)| (p.clone(), stale::neutralize(s)))
-        .collect();
-    let (shadow, _, _) = source_rule_findings(&shadow_sources);
-    findings.extend(stale::check(&index, &findings, &shadow));
+    let (mut findings, _, _) = source_findings_with_stale(sources);
     sort_findings(&mut findings);
     findings
 }
@@ -235,19 +226,11 @@ pub fn audit_workspace_with_manifest(root: &Path) -> Result<(Vec<Finding>, Strin
         sources.push((rel(root, path), read(path)?));
     }
 
-    let (mut findings, index, analysis) = source_rule_findings(&sources);
+    let (mut findings, index, analysis) = source_findings_with_stale(&sources);
     for path in &manifests {
         let source = read(path)?;
         findings.extend(rules::check_manifest(&rel(root, path), &source));
     }
-
-    // U001 — shadow pass with neutralized annotations.
-    let shadow_sources: Vec<(String, String)> = sources
-        .iter()
-        .map(|(p, s)| (p.clone(), stale::neutralize(s)))
-        .collect();
-    let (shadow, _, _) = source_rule_findings(&shadow_sources);
-    findings.extend(stale::check(&index, &findings, &shadow));
 
     // E004 — committed manifest vs. the one just inferred.
     let manifest = effects::render_manifest(&index, &analysis);
@@ -345,22 +328,60 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// Extracts the raw (unquoted) value following `"key":` on a line of
+/// line-oriented JSON (the effects manifest's format).
+fn field(line: &str, key: &str) -> Option<String> {
+    let needle = format!("\"{key}\":");
+    let at = line.find(&needle)? + needle.len();
+    let rest = &line[at..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim().to_string())
+}
+
+/// Extracts and unescapes a JSON string value following `"key":`.
+fn string_field(line: &str, key: &str) -> Option<String> {
+    let needle = format!("\"{key}\":\"");
+    let at = line.find(&needle)? + needle.len();
+    let rest = &line[at..];
+    let mut out = String::new();
+    let mut chars = rest.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let code = u32::from_str_radix(&hex, 16).ok()?;
+                    out.push(char::from_u32(code)?);
+                }
+                other => out.push(other),
+            },
+            c => out.push(c),
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn json_report_shape() {
-        let f = Finding {
-            rule: "A001",
-            severity: Severity::Error,
-            path: "crates/core/src/x.rs".into(),
-            line: 3,
-            col: 7,
-            message: "msg with \"quotes\"".into(),
-            help: "do the thing".into(),
-            suggestion: "use `BTreeMap`".into(),
-        };
+        let f = Finding::new(
+            "A001",
+            "crates/core/src/x.rs",
+            3,
+            7,
+            "msg with \"quotes\"",
+            "do the thing",
+            "use `BTreeMap`",
+        );
         let doc = render_json_report(&[f]);
         assert!(doc.starts_with("{\"findings\":["));
         assert!(doc.ends_with("\"count\":1}"));
@@ -371,16 +392,15 @@ mod tests {
 
     #[test]
     fn text_rendering_is_rustc_style() {
-        let f = Finding {
-            rule: "A002",
-            severity: Severity::Error,
-            path: "crates/tensor/src/matrix.rs".into(),
-            line: 10,
-            col: 2,
-            message: "bad cast".into(),
-            help: "fix it".into(),
-            suggestion: "write `f32::from(x)`".into(),
-        };
+        let f = Finding::new(
+            "A002",
+            "crates/tensor/src/matrix.rs",
+            10,
+            2,
+            "bad cast",
+            "fix it",
+            "write `f32::from(x)`",
+        );
         let text = f.render_text();
         assert!(text.starts_with("error[A002]: bad cast\n"));
         assert!(text.contains(" --> crates/tensor/src/matrix.rs:10:2\n"));
@@ -391,5 +411,13 @@ mod tests {
     #[test]
     fn empty_report() {
         assert_eq!(render_json_report(&[]), "{\"findings\":[],\"count\":0}");
+    }
+
+    #[test]
+    fn string_fields_unescape() {
+        let line = r#"{"path":"a\"b\\c","fn":"f","version":1}"#;
+        assert_eq!(string_field(line, "path").as_deref(), Some("a\"b\\c"));
+        assert_eq!(field(line, "version").as_deref(), Some("1"));
+        assert_eq!(string_field(line, "missing"), None);
     }
 }

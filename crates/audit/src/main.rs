@@ -4,34 +4,22 @@
 //! cargo run -p aptq-audit                 # text diagnostics, exit 1 on findings
 //! cargo run -p aptq-audit -- --json       # JSON report on stdout
 //! cargo run -p aptq-audit -- --json-out results/audit.json
-//! cargo run -p aptq-audit -- --ratchet results/audit-baseline.json
-//! cargo run -p aptq-audit -- --write-baseline results/audit-baseline.json
 //! cargo run -p aptq-audit -- --effects-out results/effects.json
 //! cargo run -p aptq-audit -- --root /path/to/workspace
+//! cargo run -p aptq-audit -- --list-rules # the rule catalog
 //! ```
 //!
-//! In `--ratchet` mode findings listed in the baseline are accepted;
-//! only *new* findings fail (exit 1), and baseline entries that no
-//! longer match any finding fail too (exit 3) so the baseline can only
-//! shrink. `--write-baseline` regenerates the file from the current
-//! findings and exits 0 — if the file already exists, the regeneration
-//! only *intersects* with it (debt can be dropped, never added).
-//! `--list-rules` prints the rule catalog and exits.
-//!
-//! Exit codes: `0` clean, `1` findings (or new-vs-baseline findings),
-//! `2` usage or I/O error, `3` stale baseline entries only.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use aptq_audit::{audit_workspace_with_manifest, baseline, render_json_report, rules};
+use aptq_audit::{audit_workspace_with_manifest, render_json_report, rules};
 
 struct Options {
     json: bool,
     quiet: bool,
     root: PathBuf,
-    ratchet: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     json_out: Option<PathBuf>,
     effects_out: Option<PathBuf>,
     list_rules: bool,
@@ -42,8 +30,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         quiet: false,
         root: default_root(),
-        ratchet: None,
-        write_baseline: None,
         json_out: None,
         effects_out: None,
         list_rules: false,
@@ -59,45 +45,38 @@ fn parse_args() -> Result<Options, String> {
             "--json" => opts.json = true,
             "-q" | "--quiet" => opts.quiet = true,
             "--root" => opts.root = path_arg(&mut args, "--root")?,
-            "--ratchet" => opts.ratchet = Some(path_arg(&mut args, "--ratchet")?),
-            "--write-baseline" => {
-                opts.write_baseline = Some(path_arg(&mut args, "--write-baseline")?)
-            }
             "--json-out" => opts.json_out = Some(path_arg(&mut args, "--json-out")?),
             "--effects-out" => opts.effects_out = Some(path_arg(&mut args, "--effects-out")?),
             "--list-rules" => opts.list_rules = true,
             "-h" | "--help" => {
-                println!(
-                    "aptq-audit: workspace static-analysis pass\n\n\
-                     USAGE: aptq-audit [--json] [--quiet] [--root <dir>]\n\
-                            [--ratchet <baseline.json>] [--write-baseline <baseline.json>]\n\
-                            [--json-out <report.json>] [--effects-out <effects.json>]\n\
-                            [--list-rules]\n\n\
-                     Rules: A001 panic sites, A002 float casts, A003 panic docs,\n\
-                     A004 unsafe allowlist, A005 workspace dependencies,\n\
-                     D001 thread containment, D002 env containment, D003 ordered\n\
-                     collections, D004 wall-clock/entropy, D005 global state,\n\
-                     D006 determinism docs, E001 hot-path effect contracts,\n\
-                     E002 determinism effect contracts, E003 undocumented panic\n\
-                     effects, E004 effects-manifest drift, H001 hot-path\n\
-                     allocations, H002 hot-path panics, H003 hot-path locks/I-O,\n\
-                     H004 hot-path budgets, N001 float equality, N002 compensated\n\
-                     sums, N003 guarded denominators, N004 clamped\n\
-                     transcendentals, U001 stale allow annotations.\n\
-                     --effects-out writes the inferred per-function effects\n\
-                     manifest (the file E004 diffs against).\n\
-                     Run --list-rules for scopes and allow kinds.\n\
-                     Exit codes: 0 clean, 1 findings, 2 error, 3 stale baseline."
-                );
+                println!("{}", help_text());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if opts.ratchet.is_some() && opts.write_baseline.is_some() {
-        return Err("--ratchet and --write-baseline are mutually exclusive".to_string());
-    }
     Ok(opts)
+}
+
+/// `--help`, with the rule list taken from [`rules::CATALOG`].
+fn help_text() -> String {
+    let mut out = String::from(
+        "aptq-audit: workspace static-analysis pass\n\n\
+         USAGE: aptq-audit [--json] [--quiet] [--root <dir>]\n\
+         \x20      [--json-out <report.json>] [--effects-out <effects.json>]\n\
+         \x20      [--list-rules]\n\n\
+         Rules:\n",
+    );
+    for r in rules::CATALOG {
+        out.push_str(&format!("  {}  {}\n", r.code, r.summary));
+    }
+    out.push_str(
+        "--effects-out writes the inferred per-function effects\n\
+         manifest (the file E004 diffs against).\n\
+         Run --list-rules for scopes and allow kinds.\n\
+         Exit codes: 0 clean, 1 findings, 2 error.",
+    );
+    out
 }
 
 /// The workspace root: `CARGO_MANIFEST_DIR/../..` when run via cargo,
@@ -113,156 +92,61 @@ fn default_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("aptq-audit: {e}");
-            return ExitCode::from(2);
+fn print_catalog(json: bool) {
+    if json {
+        let mut out = String::from("{\"rules\":[");
+        for (i, r) in rules::CATALOG.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"code\":\"{}\",\"scope\":{:?},\"summary\":{:?},\"allow\":{:?}}}",
+                r.code, r.scope, r.summary, r.allow
+            ));
         }
-    };
+        out.push_str(&format!("],\"count\":{}}}", rules::CATALOG.len()));
+        println!("{out}");
+        return;
+    }
+    println!(
+        "aptq-audit rule catalog ({} rules):\n",
+        rules::CATALOG.len()
+    );
+    for r in rules::CATALOG {
+        let hatch = if r.allow.is_empty() {
+            String::from("none")
+        } else {
+            format!("audit:allow({})", r.allow)
+        };
+        println!(
+            "  {}  {}\n        scope: {}\n        allow: {}",
+            r.code, r.summary, r.scope, hatch
+        );
+    }
+}
 
+fn write_output(path: &Path, text: &str) -> Result<(), ExitCode> {
+    std::fs::write(path, text).map_err(|e| {
+        eprintln!("aptq-audit: {}: {e}", path.display());
+        ExitCode::from(2)
+    })
+}
+
+fn run_audit(opts: &Options) -> Result<ExitCode, ExitCode> {
     if opts.list_rules {
-        if opts.json {
-            let mut out = String::from("{\"rules\":[");
-            for (i, r) in rules::CATALOG.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"code\":\"{}\",\"scope\":{:?},\"summary\":{:?},\"allow\":{:?}}}",
-                    r.code, r.scope, r.summary, r.allow
-                ));
-            }
-            out.push_str(&format!("],\"count\":{}}}", rules::CATALOG.len()));
-            println!("{out}");
-        } else {
-            println!(
-                "aptq-audit rule catalog ({} rules):\n",
-                rules::CATALOG.len()
-            );
-            for r in rules::CATALOG {
-                let hatch = if r.allow.is_empty() {
-                    String::from("none")
-                } else {
-                    format!("audit:allow({})", r.allow)
-                };
-                println!(
-                    "  {}  {}\n        scope: {}\n        allow: {}",
-                    r.code, r.summary, r.scope, hatch
-                );
-            }
-        }
-        return ExitCode::SUCCESS;
+        print_catalog(opts.json);
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let (findings, manifest) = match audit_workspace_with_manifest(&opts.root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-
+    let (findings, manifest) = audit_workspace_with_manifest(&opts.root).map_err(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    })?;
     if let Some(path) = &opts.effects_out {
-        if let Err(e) = std::fs::write(path, &manifest) {
-            eprintln!("aptq-audit: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+        write_output(path, &manifest)?;
     }
-
     if let Some(path) = &opts.json_out {
-        if let Err(e) = std::fs::write(path, render_json_report(&findings) + "\n") {
-            eprintln!("aptq-audit: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(path) = &opts.write_baseline {
-        // A fresh path records all current findings; an existing file is
-        // only ever *intersected* — the ratchet must never grow.
-        let (doc, written, excluded) = if path.is_file() {
-            let existing = match std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| baseline::parse(&t))
-            {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("aptq-audit: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let (kept, excluded) = baseline::shrink(&findings, &existing);
-            (baseline::render_entries(&kept), kept.len(), excluded)
-        } else {
-            (baseline::render(&findings), findings.len(), 0)
-        };
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("aptq-audit: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !opts.quiet {
-            println!(
-                "audit: wrote baseline with {written} entr{} to {}{}",
-                if written == 1 { "y" } else { "ies" },
-                path.display(),
-                if excluded > 0 {
-                    format!(" ({excluded} finding(s) not covered by the existing baseline were excluded — fix or annotate them)")
-                } else {
-                    String::new()
-                }
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &opts.ratchet {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("aptq-audit: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let base = match baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("aptq-audit: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let diff = baseline::diff(&findings, &base);
-        if opts.json {
-            println!("{}", render_json_report(&diff.new));
-        } else if !opts.quiet {
-            for f in &diff.new {
-                println!("{}", f.render_text());
-            }
-            for e in &diff.stale {
-                println!(
-                    "stale baseline entry: [{}] {} — {}\n  = fix: the finding is gone; \
-                     remove this entry from {} (or regenerate with --write-baseline)\n",
-                    e.rule,
-                    e.path,
-                    e.message,
-                    path.display()
-                );
-            }
-            println!(
-                "audit: {} finding(s) total, {} accepted by baseline, {} new, {} stale",
-                findings.len(),
-                findings.len() - diff.new.len(),
-                diff.new.len(),
-                diff.stale.len()
-            );
-        }
-        return if !diff.new.is_empty() {
-            ExitCode::from(1)
-        } else if !diff.stale.is_empty() {
-            ExitCode::from(3)
-        } else {
-            ExitCode::SUCCESS
-        };
+        write_output(path, &(render_json_report(&findings) + "\n"))?;
     }
 
     if opts.json {
@@ -278,9 +162,19 @@ fn main() -> ExitCode {
         }
     }
 
-    if findings.is_empty() {
+    Ok(if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    })
+}
+
+fn main() -> ExitCode {
+    match parse_args() {
+        Ok(opts) => run_audit(&opts).unwrap_or_else(|code| code),
+        Err(e) => {
+            eprintln!("aptq-audit: {e}");
+            ExitCode::from(2)
+        }
     }
 }

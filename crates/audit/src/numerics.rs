@@ -1,4 +1,5 @@
-//! Numerical-safety rules (N001–N004).
+//! Numerical-safety rules (N001–N004; scopes and allow kinds in
+//! [`crate::rules::CATALOG`]).
 //!
 //! The quantities APTQ's mixed-precision decisions hang off — Hessian
 //! traces, sensitivity scores, Eq.18 bit budgets, perplexity — are all
@@ -6,21 +7,17 @@
 //! a `== 0.0` guard that never fires because the value is `1e-17`, a
 //! naive sum that loses the small terms, a division by an unguarded
 //! count, an `exp` on an unbounded logit. These rules make each one a
-//! lint-time finding:
+//! lint-time finding.
 //!
-//! | Code | Scope | What it enforces | Escape hatch |
-//! |------|-------|------------------|--------------|
-//! | N001 | `crates/*/src`, non-test | no bare f32/f64 `==`/`!=` against float literals (assert lines are themselves guards and exempt) | `// audit:allow(fpeq): <reason>` |
-//! | N002 | `crates/{tensor,core,eval}/src`, non-test | reductions via `.sum::<f32>()`/`.sum::<f64>()` must use `aptq_tensor::stats::kahan_sum` | `// audit:allow(accum): <reason>` |
-//! | N003 | `crates/{tensor,core,eval}/src`, non-test | division by a bare identifier unguarded in the same function | `// audit:allow(div): <reason>` |
-//! | N004 | `crates/{core,eval}/src`, non-test | `exp`/`ln`/`sqrt` on unclamped inputs | `// audit:allow(range): <reason>` |
-//!
-//! N001/N002 are per-line; N003/N004 need the function body (from the
-//! symbol index) to search for guards on the operand identifier.
+//! N001 scans each line for float-literal comparisons and N002 filters
+//! the site table; N003/N004 need the function body (from the symbol
+//! index) to search for guards on the operand identifier.
 
-use crate::index::{FileIndex, SymbolIndex};
-use crate::scan::word_occurrences;
-use crate::{Finding, Severity};
+use crate::index::{FileIndex, Item, SymbolIndex};
+use crate::rules::in_lib_src;
+use crate::scan::{word_occurrences, ScannedFile};
+use crate::sites::Kind;
+use crate::Finding;
 
 /// Crates whose reductions and divisions feed quantization decisions.
 const NUMERIC_CRATES: &[&str] = &["crates/tensor/src/", "crates/core/src/", "crates/eval/src/"];
@@ -37,19 +34,16 @@ const GUARD_TOKENS: &[&str] = &[
     "while ", "is_empty", "match ", "for ",
 ];
 
-fn in_lib_src(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/") && rel_path.contains("/src/")
-}
-
 fn in_numeric_crate(rel_path: &str) -> bool {
     NUMERIC_CRATES.iter().any(|p| rel_path.starts_with(p))
 }
 
 /// Runs N001–N004 over the workspace index.
-pub fn check_index(index: &SymbolIndex) -> Vec<Finding> {
+pub(crate) fn check(index: &SymbolIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in index.files() {
-        check_lines(file, &mut findings);
+        rule_n001_float_equality(file, &mut findings);
+        rule_n002_naive_sums(file, &mut findings);
     }
     for (id, item) in index.fns() {
         let file = index.file(id);
@@ -64,79 +58,68 @@ pub fn check_index(index: &SymbolIndex) -> Vec<Finding> {
     findings
 }
 
-/// Per-line rules N001 and N002.
-fn check_lines(file: &FileIndex, findings: &mut Vec<Finding>) {
+/// N001 — bare float equality. An `assert`-family line *is* the guard
+/// idiom (exact-equality regression pins), so it is exempt.
+fn rule_n001_float_equality(file: &FileIndex, findings: &mut Vec<Finding>) {
     let rel_path = file.rel_path.as_str();
+    if !in_lib_src(rel_path) {
+        return;
+    }
     let f = &file.scanned;
     for (idx, line) in f.lines.iter().enumerate() {
-        if line.in_test {
+        if line.in_test || line.code.contains("assert") {
             continue;
         }
-        let code = &line.code;
-
-        // N001 — bare float equality. An `assert`-family line *is* the
-        // guard idiom (exact-equality regression pins), so it is exempt.
-        if in_lib_src(rel_path) && !code.contains("assert") {
-            for col in float_eq_cols(code) {
-                if f.allowed(idx, "fpeq") {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: "N001",
-                    severity: Severity::Error,
-                    path: rel_path.to_string(),
-                    line: idx + 1,
-                    col: col + 1,
-                    message: "bare float `==`/`!=` comparison — exact equality rarely survives \
-                              accumulation"
-                        .into(),
-                    help: "values that are conceptually zero arrive as `1e-17` after rounding; \
-                           compare against an epsilon scaled to the data's magnitude, or — for \
-                           genuine sentinel/sparsity checks on values never produced by \
-                           arithmetic — annotate with `// audit:allow(fpeq): <reason>`"
-                        .into(),
-                    suggestion: "use an epsilon-scaled guard (see `aptq_tensor::stats::pearson`)"
-                        .into(),
-                });
+        for col in float_eq_cols(&line.code) {
+            if f.allowed(idx, "fpeq") {
+                continue;
             }
+            findings.push(Finding::new(
+                "N001",
+                rel_path,
+                idx + 1,
+                col + 1,
+                "bare float `==`/`!=` comparison — exact equality rarely survives accumulation",
+                "values that are conceptually zero arrive as `1e-17` after rounding; compare \
+                 against an epsilon scaled to the data's magnitude, or — for genuine \
+                 sentinel/sparsity checks on values never produced by arithmetic — annotate \
+                 with `// audit:allow(fpeq): <reason>`",
+                "use an epsilon-scaled guard (see `aptq_tensor::stats::pearson`)",
+            ));
         }
+    }
+}
 
-        // N002 — naive reductions in numeric crates.
-        if in_numeric_crate(rel_path) {
-            for pat in [".sum::<f32>()", ".sum::<f64>()"] {
-                for col in word_occurrences(code, pat) {
-                    if f.allowed(idx, "accum") {
-                        continue;
-                    }
-                    findings.push(Finding {
-                        rule: "N002",
-                        severity: Severity::Error,
-                        path: rel_path.to_string(),
-                        line: idx + 1,
-                        col: col + 1,
-                        message: format!(
-                            "naive `{pat}` reduction — error grows with input magnitude spread"
-                        ),
-                        help: "long reductions (Hessian rows, NLL sums, means over a layer) \
-                               lose the small terms; sum through \
-                               `aptq_tensor::stats::kahan_sum` / `KahanSum`, or annotate with \
-                               `// audit:allow(accum): <reason>` when terms are few and bounded"
-                            .into(),
-                        suggestion: "replace with `aptq_tensor::stats::kahan_sum`".into(),
-                    });
-                }
-            }
+/// N002 — naive reductions in numeric crates.
+fn rule_n002_naive_sums(file: &FileIndex, findings: &mut Vec<Finding>) {
+    let rel_path = file.rel_path.as_str();
+    if !in_numeric_crate(rel_path) {
+        return;
+    }
+    for s in &file.sites {
+        if s.kind != Kind::Accum || !s.live(rel_path) {
+            continue;
         }
+        findings.push(Finding::new(
+            "N002",
+            rel_path,
+            s.line + 1,
+            s.col + 1,
+            format!(
+                "naive `{}` reduction — error grows with input magnitude spread",
+                s.pat
+            ),
+            "long reductions (Hessian rows, NLL sums, means over a layer) lose the small \
+             terms; sum through `aptq_tensor::stats::kahan_sum` / `KahanSum`, or annotate \
+             with `// audit:allow(accum): <reason>` when terms are few and bounded",
+            "replace with `aptq_tensor::stats::kahan_sum`",
+        ));
     }
 }
 
 /// N003 — `a / n` or `a /= n` where `n` is a bare identifier with no
 /// guard mentioning it anywhere in the same function body.
-fn rule_n003_unguarded_division(
-    file: &FileIndex,
-    item: &crate::index::Item,
-    findings: &mut Vec<Finding>,
-) {
+fn rule_n003_unguarded_division(file: &FileIndex, item: &Item, findings: &mut Vec<Finding>) {
     let f = &file.scanned;
     let (lo, hi) = item.body;
     for idx in lo..=hi.min(f.lines.len().saturating_sub(1)) {
@@ -147,34 +130,29 @@ fn rule_n003_unguarded_division(
             if f.allowed(idx, "div") || ident_guarded(f, item.body, &ident) {
                 continue;
             }
-            findings.push(Finding {
-                rule: "N003",
-                severity: Severity::Error,
-                path: file.rel_path.clone(),
-                line: idx + 1,
-                col: col + 1,
-                message: format!(
+            findings.push(Finding::new(
+                "N003",
+                &file.rel_path,
+                idx + 1,
+                col + 1,
+                format!(
                     "division by `{ident}` with no guard on it in `{}`",
                     item.name
                 ),
-                help: format!(
+                format!(
                     "nothing in this function bounds `{ident}` away from zero; add an \
                      assert/clamp/branch on it, or annotate with \
                      `// audit:allow(div): <why {ident} is nonzero>`"
                 ),
-                suggestion: format!("guard with `assert!({ident} > 0.0)` or `.max(EPS)`"),
-            });
+                format!("guard with `assert!({ident} > 0.0)` or `.max(EPS)`"),
+            ));
         }
     }
 }
 
 /// N004 — `.exp()` / `.ln()` / `.sqrt()` whose input is not visibly
 /// clamped (same line) or guarded (same function, for ident receivers).
-fn rule_n004_unclamped_transcendentals(
-    file: &FileIndex,
-    item: &crate::index::Item,
-    findings: &mut Vec<Finding>,
-) {
+fn rule_n004_unclamped_transcendentals(file: &FileIndex, item: &Item, findings: &mut Vec<Finding>) {
     const CLAMPED: &[&str] = &["clamp", ".max(", ".min(", ".abs("];
     let f = &file.scanned;
     let (lo, hi) = item.body;
@@ -198,24 +176,22 @@ fn rule_n004_unclamped_transcendentals(
                         continue;
                     }
                 }
-                findings.push(Finding {
-                    rule: "N004",
-                    severity: Severity::Error,
-                    path: file.rel_path.clone(),
-                    line: idx + 1,
-                    col: col + 1,
-                    message: format!(
+                findings.push(Finding::new(
+                    "N004",
+                    &file.rel_path,
+                    idx + 1,
+                    col + 1,
+                    format!(
                         "`{}` on an unclamped input in `{}`",
                         pat.trim_start_matches('.').trim_end_matches("()"),
                         item.name
                     ),
-                    help: "`exp` overflows past ~88 (f32), `ln`/`sqrt` return NaN below zero — \
-                           and a NaN here silently poisons every downstream score; clamp the \
-                           operand (`.max`, `.min`, `clamp`) or annotate with \
-                           `// audit:allow(range): <why the input is bounded>`"
-                        .into(),
-                    suggestion: "clamp the operand before the call".into(),
-                });
+                    "`exp` overflows past ~88 (f32), `ln`/`sqrt` return NaN below zero — and a \
+                     NaN here silently poisons every downstream score; clamp the operand \
+                     (`.max`, `.min`, `clamp`) or annotate with \
+                     `// audit:allow(range): <why the input is bounded>`",
+                    "clamp the operand before the call",
+                ));
             }
         }
     }
@@ -272,7 +248,7 @@ fn division_idents(code: &str) -> Vec<(usize, String)> {
 
 /// True when some line of the function body mentions `ident` (word
 /// boundary) on a line that also carries a guard-shaped token.
-fn ident_guarded(f: &crate::scan::ScannedFile, body: (usize, usize), ident: &str) -> bool {
+fn ident_guarded(f: &ScannedFile, body: (usize, usize), ident: &str) -> bool {
     let (lo, hi) = body;
     for j in lo..=hi.min(f.lines.len().saturating_sub(1)) {
         let code = &f.lines[j].code;
@@ -397,10 +373,10 @@ fn float_literal(tok: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit_sources;
 
     fn check(rel: &str, src: &str) -> Vec<Finding> {
-        let idx = SymbolIndex::build(&[(rel.to_string(), src.to_string())]);
-        check_index(&idx)
+        audit_sources(&[(rel.to_string(), src.to_string())])
     }
 
     #[test]

@@ -1,30 +1,27 @@
-//! Reusable reachability over the [`crate::index::SymbolIndex`] call
-//! graph.
+//! Call-graph closure over the [`crate::index::SymbolIndex`]: one
+//! backward fixpoint and one forward closure.
 //!
-//! PR 3 built a one-off fixpoint for D006 ("does this pub fn reach
-//! `aptq_tensor::parallel`?"). Two directions of that computation turn
-//! out to be the backbone of every call-graph contract rule:
-//!
-//! - [`reaches`] — *backward*: which functions transitively reach a
-//!   seeded target (a module, a sink)? Seeds are per-file, and a
-//!   per-call `direct` classifier catches path-qualified references
-//!   that never touch an indexed definition. This is exactly D006.
-//! - [`reachable_from`] — *forward*: which functions are in the
-//!   transitive callee closure of a set of roots? This powers the
-//!   H-rules, which walk everything a `# HotPath` function can execute
-//!   and flag allocation/panic/lock sites inside the closure.
+//! - [`propagate`] — *backward*: each function joins in the values of
+//!   the functions it calls, until nothing changes. With `bool` values
+//!   seeded at `aptq_tensor::parallel` it is D006's reachability; with
+//!   effect sets seeded by the site table it is the effect inference
+//!   ([`crate::effects`]). Only the seeds and the edge filter differ.
+//! - [`reachable_from`] — *forward*: the transitive callee closure of a
+//!   set of roots, which the H-rules walk from every `# HotPath`
+//!   function.
 //!
 //! Both directions resolve call edges by terminal name (a call to
-//! `forward` links to *every* indexed `fn forward`), the same
-//! over-approximation D006 shipped with: false edges are possible, but
-//! a missed edge is not, and the `// audit:allow` escape hatch absorbs
-//! the noise. The forward direction additionally drops calls whose
-//! path qualifier names a std/core type or module (`Vec::new`,
-//! `f64::from`, `std::mem::take`): those can never land on a workspace
-//! definition, and resolving them by terminal name would drag every
-//! workspace `fn new`/`fn from` into every hot-path closure.
+//! `forward` links to *every* indexed `fn forward`): false edges are
+//! possible, but a missed edge is not, and the `// audit:allow` escape
+//! hatch absorbs the noise. Calls whose path qualifier names a std/core
+//! type or module (`Vec::new`, `f64::from`, `std::mem::take`) can never
+//! land on a workspace definition; `may_resolve_in_workspace` lets the
+//! forward closure and the effect inference drop them, so every
+//! workspace `fn new`/`fn from` is not dragged into every closure.
 
-use crate::index::{Call, FileIndex, FnId, SymbolIndex};
+use std::ops::BitOr;
+
+use crate::index::{Call, FnId, SymbolIndex};
 
 /// First path segments that always denote std/core items, never a
 /// workspace definition. A call qualified by one of these is resolved
@@ -38,8 +35,6 @@ const STD_QUALIFIERS: &[&str] = &[
 ];
 
 /// Whether a call site can resolve to a workspace definition at all.
-/// Crate-visible: the effect engine builds its call edges with the same
-/// filter so ported findings stay bit-identical.
 pub(crate) fn may_resolve_in_workspace(call: &Call) -> bool {
     match call.path.split("::").next() {
         Some(first) if first != call.name => !STD_QUALIFIERS.contains(&first),
@@ -47,46 +42,40 @@ pub(crate) fn may_resolve_in_workspace(call: &Call) -> bool {
     }
 }
 
-/// Backward fixpoint: for every item, whether its body transitively
-/// reaches a seeded target.
-///
-/// `seed_file` marks every item of matching files as reaching (a module
-/// *is* its own target); `direct` classifies a single call site as a
-/// direct reference (e.g. a path-qualified call or an import-resolved
-/// alias). Call edges then propagate reachability by terminal name
-/// until the fixpoint.
-pub fn reaches(
+/// Backward fixpoint over by-name call edges, from the per-item values
+/// `init`: every function joins (`|`) into its own value what `edge`
+/// contributes for each definition its calls name, until nothing
+/// changes. `edge(caller, call, callee, callee value)` returns `None`
+/// to drop the edge. The join is monotone, so the result is the least
+/// fixpoint above `init` whatever the iteration order.
+pub fn propagate<T>(
     index: &SymbolIndex,
-    seed_file: impl Fn(&FileIndex) -> bool,
-    direct: impl Fn(&FileIndex, &Call) -> bool,
-) -> Vec<Vec<bool>> {
+    init: Vec<Vec<T>>,
+    edge: impl Fn(FnId, &Call, FnId, T) -> Option<T>,
+) -> Vec<Vec<T>>
+where
+    T: Copy + PartialEq + BitOr<Output = T>,
+{
     let by_name = index.fns_by_name();
-    let mut reach: Vec<Vec<bool>> = index
-        .files()
-        .iter()
-        .map(|f| vec![seed_file(f); f.items.len()])
-        .collect();
-
+    let mut value = init;
     loop {
         let mut changed = false;
         for (id, item) in index.fns() {
-            if reach[id.0][id.1] {
-                continue;
+            let mut acc = value[id.0][id.1];
+            for call in &item.calls {
+                for &def in by_name.get(call.name.as_str()).into_iter().flatten() {
+                    if let Some(v) = edge(id, call, def, value[def.0][def.1]) {
+                        acc = acc | v;
+                    }
+                }
             }
-            let file = index.file(id);
-            let hit = item.calls.iter().any(|call| {
-                direct(file, call)
-                    || by_name
-                        .get(call.name.as_str())
-                        .is_some_and(|defs: &Vec<FnId>| defs.iter().any(|&(fi, ii)| reach[fi][ii]))
-            });
-            if hit {
-                reach[id.0][id.1] = true;
+            if acc != value[id.0][id.1] {
+                value[id.0][id.1] = acc;
                 changed = true;
             }
         }
         if !changed {
-            return reach;
+            return value;
         }
     }
 }
@@ -160,11 +149,23 @@ mod tests {
                 "pub fn api() -> usize {\n    helper()\n}\nfn helper() -> usize {\n    aptq_tensor::parallel::run_indexed(3)\n}\nfn unrelated() -> usize { 0 }\n",
             ),
         ]);
-        let r = reaches(
-            &idx,
-            |f| f.rel_path == "crates/tensor/src/parallel.rs",
-            |_, call| call.path.contains("aptq_tensor::parallel"),
-        );
+        let init = idx
+            .files()
+            .iter()
+            .map(|f| {
+                let seed = f.rel_path == "crates/tensor/src/parallel.rs";
+                f.items
+                    .iter()
+                    .map(|it| {
+                        seed || it
+                            .calls
+                            .iter()
+                            .any(|c| c.path.contains("aptq_tensor::parallel"))
+                    })
+                    .collect()
+            })
+            .collect();
+        let r = propagate(&idx, init, |_, _, _, reaches| Some(reaches));
         let api = fn_id(&idx, "api");
         let unrelated = fn_id(&idx, "unrelated");
         assert!(r[api.0][api.1]);

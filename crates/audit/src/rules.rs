@@ -27,23 +27,20 @@
 //! | E004 | `results/effects.json` | the committed effects manifest matches the inferred one |
 //! | U001 | every `audit:allow` annotation, non-test | an annotation that suppresses no finding is stale (`// audit:allow(stale)`) |
 //!
-//! The A-rules live in this module; the D-rules live in
-//! [`crate::determinism`] because D006 needs the workspace-wide symbol
-//! index ([`crate::index`]); the H-rules ([`crate::hotpath`]),
-//! N-rules ([`crate::numerics`]), and contract rules E001–E004
-//! ([`crate::effects`]) run on the same index via the shared effect
-//! engine, and U001 ([`crate::stale`]) audits the annotations
-//! themselves. [`CATALOG`] is the single source of truth the CLI's
-//! `--list-rules` prints, and a test pins it against the table above.
+//! [`CATALOG`] is the one list of rules: the CLI's `--list-rules` and
+//! `--help` print it, and a test pins it against the table above. This
+//! module holds the A-rules. A001 and A004 filter the site table
+//! ([`crate::sites`]), A003 reads function bodies and doc sections from
+//! the symbol index, A002 scans casts itself and A005 reads manifests.
 //!
 //! A `.expect("non-empty message")` is treated as self-annotating: the
-//! message *is* the reason, matching the burn-down policy in ISSUE /
-//! DESIGN ("convert to `Result`, descriptive `expect`, or annotated
-//! allow"). Message-less or computed-argument `expect` still needs an
-//! annotation.
+//! message *is* the reason. Message-less or computed-argument `expect`
+//! still needs an annotation.
 
-use crate::scan::{scan, word_occurrences, ScannedFile};
-use crate::{Finding, Severity};
+use crate::index::{FileIndex, SymbolIndex};
+use crate::scan::word_occurrences;
+use crate::sites::Kind;
+use crate::Finding;
 
 /// One entry of the rule catalog: code, where it applies, what it
 /// enforces, and the `audit:allow` kind that silences it (empty when
@@ -58,8 +55,8 @@ pub struct RuleInfo {
 }
 
 /// The full rule catalog — the single source of truth behind
-/// `aptq-audit --list-rules` and the module doc table above (a test
-/// asserts they agree).
+/// `aptq-audit --list-rules`, `--help` and the module doc table above
+/// (a test asserts the table agrees).
 pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         code: "A001",
@@ -229,98 +226,80 @@ const HOT_PATHS: &[&str] = &[
     "crates/core/src/grid.rs",
 ];
 
-/// Runs every source-level rule (A001–A004) over one file.
-///
-/// `rel_path` must be workspace-relative with forward slashes; it
-/// selects which rules apply. Exposed so tests can audit synthetic
-/// sources without touching the filesystem.
-pub fn check_source(rel_path: &str, source: &str) -> Vec<Finding> {
-    let scanned = scan(source);
+/// True for library source files: `crates/<name>/src/**`.
+pub(crate) fn in_lib_src(rel_path: &str) -> bool {
+    rel_path.starts_with("crates/") && rel_path.contains("/src/")
+}
+
+/// Runs A001–A004 over every indexed file.
+pub(crate) fn check(index: &SymbolIndex) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if PANIC_FREE_CRATES.iter().any(|p| rel_path.starts_with(p)) {
-        rule_a001_panic_sites(rel_path, &scanned, &mut findings);
+    for file in index.files() {
+        let rel_path = file.rel_path.as_str();
+        rule_a001_a004_sites(file, &mut findings);
+        if HOT_PATHS.iter().any(|p| rel_path.starts_with(p)) {
+            rule_a002_float_casts(file, &mut findings);
+        }
+        if in_lib_src(rel_path) {
+            rule_a003_panic_docs(file, &mut findings);
+        }
     }
-    if HOT_PATHS.iter().any(|p| rel_path.starts_with(p)) {
-        rule_a002_float_casts(rel_path, &scanned, &mut findings);
-    }
-    if rel_path.starts_with("crates/") && rel_path.contains("/src/") {
-        rule_a003_panic_docs(rel_path, &scanned, &mut findings);
-    }
-    rule_a004_unsafe(rel_path, &scanned, &mut findings);
     findings
 }
 
 /// A001: `.unwrap()`, message-less `.expect(`, and `panic!`-family
-/// macros in non-test library code need an annotation.
-fn rule_a001_panic_sites(rel_path: &str, f: &ScannedFile, findings: &mut Vec<Finding>) {
-    for (idx, line) in f.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        let mut sites: Vec<(usize, String, String, String)> = Vec::new();
-        for col in word_occurrences(code, ".unwrap()") {
-            sites.push((
-                col,
-                "`.unwrap()` in library code".into(),
-                "convert to `Result`, use a descriptive `.expect(\"...\")`, or annotate \
-                 with `// audit:allow(panic): <reason>`"
-                    .into(),
-                "replace `.unwrap()` with `.expect(\"<why this cannot fail>\")`".into(),
-            ));
-        }
-        for col in word_occurrences(code, ".expect(") {
-            // Descriptive expects are self-annotating: the scanner
-            // blanked string contents to spaces, so a literal message
-            // shows up as `.expect("   ")` — quotes survive, text
-            // doesn't. Non-empty literal => allowed.
-            let after = &code[code
-                .char_indices()
-                .nth(col + ".expect(".len())
-                .map_or(code.len(), |(b, _)| b)..];
-            let trimmed = after.trim_start();
-            let descriptive = trimmed.starts_with('"')
-                && trimmed[1..]
-                    .chars()
-                    .take_while(|&c| c != '"')
-                    .any(|c| c == ' ')
-                && trimmed[1..].contains('"');
-            if !descriptive {
-                sites.push((
-                    col,
-                    "`.expect(...)` without a literal message in library code".into(),
-                    "give `.expect` a descriptive string literal, or annotate with \
-                     `// audit:allow(panic): <reason>`"
-                        .into(),
-                    "write `.expect(\"<invariant that guarantees Some/Ok>\")`".into(),
-                ));
-            }
-        }
-        for mac in ["panic!", "unreachable!", "todo!", "unimplemented!"] {
-            for col in word_occurrences(code, mac) {
-                sites.push((
-                    col,
-                    format!("`{mac}` in library code"),
-                    "return an error instead, or annotate with \
-                     `// audit:allow(panic): <reason>`"
-                        .into(),
-                    format!("replace `{mac}` with a `Result`/`Option` return"),
-                ));
-            }
-        }
-        for (col, msg, help, suggestion) in sites {
-            if !f.allowed(idx, "panic") {
-                findings.push(Finding {
-                    rule: "A001",
-                    severity: Severity::Error,
-                    path: rel_path.to_string(),
-                    line: idx + 1,
-                    col: col + 1,
-                    message: msg,
-                    help,
-                    suggestion,
+/// macros in non-test library code of the panic-free crates need an
+/// annotation. A004: `unsafe` is forbidden outside [`UNSAFE_ALLOWLIST`],
+/// test code included.
+fn rule_a001_a004_sites(file: &FileIndex, findings: &mut Vec<Finding>) {
+    let rel_path = file.rel_path.as_str();
+    let panic_free = PANIC_FREE_CRATES.iter().any(|p| rel_path.starts_with(p));
+    for s in &file.sites {
+        let at = |message: String, help: &str, suggestion: String| {
+            Finding::new(
+                "A001",
+                rel_path,
+                s.line + 1,
+                s.col + 1,
+                message,
+                help,
+                suggestion,
+            )
+        };
+        match s.kind {
+            Kind::Panic if panic_free && s.live(rel_path) && !s.assert_family() => {
+                findings.push(match s.pat {
+                    ".unwrap()" => at(
+                        "`.unwrap()` in library code".into(),
+                        "convert to `Result`, use a descriptive `.expect(\"...\")`, or annotate \
+                         with `// audit:allow(panic): <reason>`",
+                        "replace `.unwrap()` with `.expect(\"<why this cannot fail>\")`".into(),
+                    ),
+                    ".expect(" => at(
+                        "`.expect(...)` without a literal message in library code".into(),
+                        "give `.expect` a descriptive string literal, or annotate with \
+                         `// audit:allow(panic): <reason>`",
+                        "write `.expect(\"<invariant that guarantees Some/Ok>\")`".into(),
+                    ),
+                    mac => at(
+                        format!("`{mac}` in library code"),
+                        "return an error instead, or annotate with \
+                         `// audit:allow(panic): <reason>`",
+                        format!("replace `{mac}` with a `Result`/`Option` return"),
+                    ),
                 });
             }
+            Kind::Unsafe if !UNSAFE_ALLOWLIST.contains(&rel_path) => findings.push(Finding::new(
+                "A004",
+                rel_path,
+                s.line + 1,
+                s.col + 1,
+                "`unsafe` is forbidden in this workspace",
+                "rewrite in safe Rust, or add the file to `UNSAFE_ALLOWLIST` in \
+                 crates/audit/src/rules.rs with a review note",
+                "",
+            )),
+            _ => {}
         }
     }
 }
@@ -333,11 +312,12 @@ fn rule_a001_panic_sites(rel_path: &str, f: &ScannedFile, findings: &mut Vec<Fin
 /// codebase: casts *to* a float type, and casts *to* an integer type
 /// whose operand visibly ends in `.round()`/`.floor()`/`.ceil()`/
 /// `.trunc()`. Integer↔integer masks like `(x & 0xF) as u8` stay legal.
-fn rule_a002_float_casts(rel_path: &str, f: &ScannedFile, findings: &mut Vec<Finding>) {
+fn rule_a002_float_casts(file: &FileIndex, findings: &mut Vec<Finding>) {
     const INT_TYPES: &[&str] = &[
         "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
     ];
     const ROUNDERS: &[&str] = &[".round()", ".floor()", ".ceil()", ".trunc()"];
+    let f = &file.scanned;
     for (idx, line) in f.lines.iter().enumerate() {
         if line.in_test {
             continue;
@@ -362,163 +342,69 @@ fn rule_a002_float_casts(rel_path: &str, f: &ScannedFile, findings: &mut Vec<Fin
                 .collect();
             let before: String = chars[..col].iter().collect();
             let before = before.trim_end();
-            let (flagged, what) = if target == "f32" || target == "f64" {
-                (true, format!("numeric `as {target}` cast in a hot path"))
+            let message = if target == "f32" || target == "f64" {
+                format!("numeric `as {target}` cast in a hot path")
             } else if INT_TYPES.contains(&target.as_str())
                 && ROUNDERS.iter().any(|r| before.ends_with(r))
             {
-                (
-                    true,
-                    format!("float-to-`{target}` truncating cast in a hot path"),
-                )
+                format!("float-to-`{target}` truncating cast in a hot path")
             } else {
-                (false, String::new())
-            };
-            if flagged && !f.allowed(idx, "cast") {
-                findings.push(Finding {
-                    rule: "A002",
-                    severity: Severity::Error,
-                    path: rel_path.to_string(),
-                    line: idx + 1,
-                    col: col + 1,
-                    message: what,
-                    help: "use `f64::from`/`From`/`TryFrom` where lossless, or annotate \
-                           with `// audit:allow(cast): <reason>` stating the value range"
-                        .into(),
-                    suggestion: "annotate with `// audit:allow(cast): <value range proof>`".into(),
-                });
-            }
-        }
-    }
-}
-
-/// A003: a `pub fn` whose body contains an unannotated `assert!`,
-/// `assert_eq!`, `assert_ne!`, or `panic!` must carry a `# Panics`
-/// section in its doc comment.
-fn rule_a003_panic_docs(rel_path: &str, f: &ScannedFile, findings: &mut Vec<Finding>) {
-    const PANICKY: &[&str] = &["assert!", "assert_eq!", "assert_ne!", "panic!"];
-    let n = f.lines.len();
-    let mut idx = 0usize;
-    while idx < n {
-        let line = &f.lines[idx];
-        if line.in_test {
-            idx += 1;
-            continue;
-        }
-        let code = line.code.trim_start();
-        let is_pub_fn = code.starts_with("pub fn ")
-            || code.starts_with("pub const fn ")
-            || code.starts_with("pub(crate) fn ");
-        if !is_pub_fn {
-            idx += 1;
-            continue;
-        }
-        let fn_line = idx;
-        // Gather the doc comment block immediately above (skipping
-        // attributes like #[inline] / #[must_use]). The scanner routes
-        // `/// ...` into the line's *comment* text (leading `/` plus the
-        // doc text), so that's where `# Panics` lives.
-        let mut has_panics_doc = false;
-        {
-            let mut j = fn_line;
-            while j > 0 {
-                j -= 1;
-                let l = &f.lines[j];
-                let c = l.code.trim();
-                let is_comment_only = c.is_empty() && !l.comment.is_empty();
-                if is_comment_only {
-                    if l.comment.contains("# Panics") {
-                        has_panics_doc = true;
-                    }
-                    continue;
-                }
-                if c.starts_with("#[") || c.starts_with("#![") {
-                    continue;
-                }
-                break;
-            }
-        }
-        // Find the body: first '{' at or after fn_line, match braces.
-        let (mut depth, mut body_open) = (0i64, false);
-        let mut j = fn_line;
-        let mut first_panic: Option<(usize, usize, &'static str)> = None;
-        'body: while j < n {
-            let lc = &f.lines[j].code;
-            // A declaration ending in ';' before any '{' has no body.
-            if !body_open && lc.contains(';') && !lc.contains('{') {
-                break;
-            }
-            for ch in lc.chars() {
-                if ch == '{' {
-                    depth += 1;
-                    body_open = true;
-                } else if ch == '}' {
-                    depth -= 1;
-                    if body_open && depth == 0 {
-                        break 'body;
-                    }
-                }
-            }
-            if body_open && j > fn_line {
-                for mac in PANICKY {
-                    if first_panic.is_none() {
-                        if let Some(col) = word_occurrences(lc, mac).first().copied() {
-                            if !f.allowed(j, "panic") {
-                                first_panic = Some((j, col, mac));
-                            }
-                        }
-                    }
-                }
-            }
-            j += 1;
-        }
-        if let Some((pl, pc, mac)) = first_panic {
-            if !has_panics_doc {
-                findings.push(Finding {
-                    rule: "A003",
-                    severity: Severity::Error,
-                    path: rel_path.to_string(),
-                    line: pl + 1,
-                    col: pc + 1,
-                    message: format!(
-                        "public function contains `{mac}` but its doc comment has no `# Panics` section"
-                    ),
-                    help: "add a `/// # Panics` section describing the condition, or \
-                           annotate the site with `// audit:allow(panic): <reason>`"
-                        .into(),
-                    suggestion: "add a `/// # Panics` doc section".into(),
-                });
-            }
-        }
-        idx = j.max(fn_line) + 1;
-    }
-}
-
-/// A004: `unsafe` is forbidden outside [`UNSAFE_ALLOWLIST`].
-fn rule_a004_unsafe(rel_path: &str, f: &ScannedFile, findings: &mut Vec<Finding>) {
-    if UNSAFE_ALLOWLIST.contains(&rel_path) {
-        return;
-    }
-    for (idx, line) in f.lines.iter().enumerate() {
-        for col in word_occurrences(&line.code, "unsafe") {
-            // Word boundary on the right too: `unsafe_code` (the lint
-            // name in attributes) is not the keyword.
-            let after = line.code.chars().nth(col + "unsafe".len());
-            if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
                 continue;
+            };
+            if !f.allowed(idx, "cast") {
+                findings.push(Finding::new(
+                    "A002",
+                    &file.rel_path,
+                    idx + 1,
+                    col + 1,
+                    message,
+                    "use `f64::from`/`From`/`TryFrom` where lossless, or annotate \
+                     with `// audit:allow(cast): <reason>` stating the value range",
+                    "annotate with `// audit:allow(cast): <value range proof>`",
+                ));
             }
-            findings.push(Finding {
-                rule: "A004",
-                severity: Severity::Error,
-                path: rel_path.to_string(),
-                line: idx + 1,
-                col: col + 1,
-                message: "`unsafe` is forbidden in this workspace".into(),
-                help: "rewrite in safe Rust, or add the file to `UNSAFE_ALLOWLIST` in \
-                       crates/audit/src/rules.rs with a review note"
-                    .into(),
-                suggestion: String::new(),
-            });
+        }
+    }
+}
+
+/// A003: a `pub fn`, `pub const fn` or `pub(crate) fn` whose body
+/// contains an unannotated `assert!`, `assert_eq!`, `assert_ne!` or
+/// `panic!` must carry a `# Panics` section in its doc comment. The
+/// first such site strictly between the declaration line and the
+/// closing line is reported, the macros ranked in that order within a
+/// line.
+fn rule_a003_panic_docs(file: &FileIndex, findings: &mut Vec<Finding>) {
+    const DECLS: &[&str] = &["pub fn ", "pub const fn ", "pub(crate) fn "];
+    const PANICKY: &[&str] = &["assert!", "assert_eq!", "assert_ne!", "panic!"];
+    for item in &file.items {
+        if item.in_test || item.has_panics_doc {
+            continue;
+        }
+        let decl = file.scanned.lines[item.line].code.trim_start();
+        if !DECLS.iter().any(|d| decl.starts_with(d)) {
+            continue;
+        }
+        let (lo, hi) = item.body;
+        let first = file
+            .sites_in(lo + 1, hi.saturating_sub(1))
+            .iter()
+            .filter(|s| s.kind == Kind::Panic && !s.allowed)
+            .filter_map(|s| Some((s.line, PANICKY.iter().position(|m| *m == s.pat)?, s.col)))
+            .min();
+        if let Some((line, rank, col)) = first {
+            findings.push(Finding::new(
+                "A003",
+                &file.rel_path,
+                line + 1,
+                col + 1,
+                format!(
+                    "public function contains `{}` but its doc comment has no `# Panics` section",
+                    PANICKY[rank]
+                ),
+                "add a `/// # Panics` section describing the condition, or \
+                 annotate the site with `// audit:allow(panic): <reason>`",
+                "add a `/// # Panics` doc section",
+            ));
         }
     }
 }
@@ -555,21 +441,18 @@ pub fn check_manifest(rel_path: &str, source: &str) -> Vec<Finding> {
             || (val.starts_with('{') && val.contains("workspace") && val.contains("true"));
         if !inherited {
             let name = key.split('.').next().unwrap_or(key);
-            findings.push(Finding {
-                rule: "A005",
-                severity: Severity::Error,
-                path: rel_path.to_string(),
-                line: idx + 1,
-                col: 1,
-                message: format!(
-                    "dependency `{name}` does not resolve through [workspace.dependencies]"
-                ),
-                help: format!(
+            findings.push(Finding::new(
+                "A005",
+                rel_path,
+                idx + 1,
+                1,
+                format!("dependency `{name}` does not resolve through [workspace.dependencies]"),
+                format!(
                     "declare `{name}` once in the root [workspace.dependencies] table and \
                      use `{name}.workspace = true` here"
                 ),
-                suggestion: format!("write `{name}.workspace = true`"),
-            });
+                format!("write `{name}.workspace = true`"),
+            ));
         }
     }
     findings
@@ -578,12 +461,10 @@ pub fn check_manifest(rel_path: &str, source: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit_one as rule;
 
     fn a001(src: &str) -> Vec<Finding> {
-        check_source("crates/core/src/demo.rs", src)
-            .into_iter()
-            .filter(|f| f.rule == "A001")
-            .collect()
+        rule("crates/core/src/demo.rs", src, "A001")
     }
 
     #[test]
@@ -608,8 +489,8 @@ mod tests {
 
     #[test]
     fn unwrap_outside_scoped_crates_is_ignored() {
-        let f = check_source("crates/lm/src/demo.rs", "fn f() { x.unwrap(); }\n");
-        assert!(f.iter().all(|f| f.rule != "A001"));
+        let f = rule("crates/lm/src/demo.rs", "fn f() { x.unwrap(); }\n", "A001");
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
@@ -627,10 +508,7 @@ mod tests {
     }
 
     fn a002(src: &str) -> Vec<Finding> {
-        check_source("crates/core/src/pack.rs", src)
-            .into_iter()
-            .filter(|f| f.rule == "A002")
-            .collect()
+        rule("crates/core/src/pack.rs", src, "A002")
     }
 
     #[test]
@@ -657,18 +535,16 @@ mod tests {
 
     #[test]
     fn cast_outside_hot_paths_is_ignored() {
-        let f = check_source(
+        let f = rule(
             "crates/core/src/mixed.rs",
             "fn f(x: usize) -> f32 { x as f32 }\n",
+            "A002",
         );
-        assert!(f.iter().all(|f| f.rule != "A002"));
+        assert!(f.is_empty(), "{f:?}");
     }
 
     fn a003(src: &str) -> Vec<Finding> {
-        check_source("crates/lm/src/demo.rs", src)
-            .into_iter()
-            .filter(|f| f.rule == "A003")
-            .collect()
+        rule("crates/lm/src/demo.rs", src, "A003")
     }
 
     #[test]
@@ -704,14 +580,14 @@ mod tests {
 
     #[test]
     fn unsafe_is_flagged_everywhere() {
-        let f = check_source("crates/bench/benches/b.rs", "unsafe fn f() {}\n");
-        assert_eq!(f.iter().filter(|f| f.rule == "A004").count(), 1);
+        let f = rule("crates/bench/benches/b.rs", "unsafe fn f() {}\n", "A004");
+        assert_eq!(f.len(), 1);
     }
 
     #[test]
     fn unsafe_code_lint_name_is_not_the_keyword() {
-        let f = check_source("crates/lm/src/lib.rs", "#![deny(unsafe_code)]\n");
-        assert!(f.iter().all(|f| f.rule != "A004"));
+        let f = rule("crates/lm/src/lib.rs", "#![deny(unsafe_code)]\n", "A004");
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::index::SymbolIndex;
-use crate::{Finding, Severity};
+use crate::Finding;
 
 /// Rewrites every `audit:allow(` marker to the same-length
 /// `audit:al1ow(` so a shadow audit reveals what the annotations
@@ -83,9 +83,11 @@ pub fn check(index: &SymbolIndex, normal: &[Finding], shadow: &[Finding]) -> Vec
         // comment-only line above; mark both candidates used.
         let line0 = f.line.saturating_sub(1);
         for a in &allows {
+            let file = &index.files()[a.file];
             if a.kind == kind
-                && index.files()[a.file].rel_path == f.path
-                && (a.line == line0 || a.line + 1 == line0)
+                && file.rel_path == f.path
+                && (a.line == line0
+                    || (a.line + 1 == line0 && file.scanned.lines[a.line].code.trim().is_empty()))
             {
                 used.insert((a.file, a.line));
             }
@@ -101,22 +103,20 @@ pub fn check(index: &SymbolIndex, normal: &[Finding], shadow: &[Finding]) -> Vec
         if file.scanned.allowed(a.line, "stale") {
             continue;
         }
-        findings.push(Finding {
-            rule: "U001",
-            severity: Severity::Error,
-            path: file.rel_path.clone(),
-            line: a.line + 1,
-            col: a.col + 1,
-            message: format!(
+        findings.push(Finding::new(
+            "U001",
+            &file.rel_path,
+            a.line + 1,
+            a.col + 1,
+            format!(
                 "stale `audit:allow({})` annotation suppresses no finding",
                 a.kind
             ),
-            help: "the finding this annotation once excused is gone; a standing allow is a \
-                   hole the next regression hides in — delete it, or annotate with \
-                   `// audit:allow(stale): <reason>` if it must outlive its site"
-                .into(),
-            suggestion: format!("remove the `// audit:allow({}): ...` annotation", a.kind),
-        });
+            "the finding this annotation once excused is gone; a standing allow is a hole \
+             the next regression hides in — delete it, or annotate with \
+             `// audit:allow(stale): <reason>` if it must outlive its site",
+            format!("remove the `// audit:allow({}): ...` annotation", a.kind),
+        ));
     }
     findings
 }

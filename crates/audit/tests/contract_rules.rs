@@ -11,8 +11,7 @@
 
 use std::path::PathBuf;
 
-use aptq_audit::index::SymbolIndex;
-use aptq_audit::{audit_workspace, hotpath, numerics};
+use aptq_audit::{audit_sources, audit_workspace};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -22,22 +21,22 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn index_of(path: &str, source: &str) -> SymbolIndex {
-    SymbolIndex::build(&[(path.to_string(), source.to_string())])
+/// The codes of the findings of one rule family (`'H'`, `'N'`) when
+/// `source` alone is audited as `path`.
+fn family_findings(family: char, path: &str, source: &str) -> Vec<String> {
+    audit_sources(&[(path.to_string(), source.to_string())])
+        .into_iter()
+        .filter(|f| f.rule.starts_with(family))
+        .map(|f| f.rule.to_string())
+        .collect()
 }
 
 fn hot_findings(path: &str, source: &str) -> Vec<String> {
-    hotpath::check_index(&index_of(path, source))
-        .into_iter()
-        .map(|f| f.rule.to_string())
-        .collect()
+    family_findings('H', path, source)
 }
 
 fn num_findings(path: &str, source: &str) -> Vec<String> {
-    numerics::check_index(&index_of(path, source))
-        .into_iter()
-        .map(|f| f.rule.to_string())
-        .collect()
+    family_findings('N', path, source)
 }
 
 const HOT_DOC: &str = "/// # HotPath\n/// Allocation budget: zero.\n";

@@ -7,13 +7,11 @@
 //! diagnostic schema (`rule`/`path`/`line`/`col`/`suggestion` fields)
 //! that `ci/check.sh` archives as `results/audit.json`.
 
-use aptq_audit::index::SymbolIndex;
-use aptq_audit::{determinism, render_json_report, Finding};
+use aptq_audit::{audit_sources, render_json_report, Finding};
 
-/// Runs D001–D006 on one synthetic file.
+/// Audits one synthetic file.
 fn check_one(rel: &str, src: &str) -> Vec<Finding> {
-    let idx = SymbolIndex::build(&[(rel.to_string(), src.to_string())]);
-    determinism::check_index(&idx)
+    audit_sources(&[(rel.to_string(), src.to_string())])
 }
 
 fn only_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
@@ -90,8 +88,7 @@ fn d006_undocumented_parallel_reach_fires_exactly_once_and_doc_clears_it() {
         "pub fn api(n: usize) -> usize {\n    aptq_tensor::parallel::run_indexed(n)\n}\n"
             .to_string(),
     );
-    let idx = SymbolIndex::build(&[parallel.clone(), bad]);
-    let f = determinism::check_index(&idx);
+    let f = audit_sources(&[parallel.clone(), bad]);
     assert_eq!(only_rule(&f, "D006").len(), 1, "{f:?}");
     assert_eq!(only_rule(&f, "D006")[0].path, "crates/core/src/x.rs");
 
@@ -100,8 +97,7 @@ fn d006_undocumented_parallel_reach_fires_exactly_once_and_doc_clears_it() {
         "/// Runs it.\n///\n/// # Determinism\n/// Bit-identical at any thread count.\npub fn api(n: usize) -> usize {\n    aptq_tensor::parallel::run_indexed(n)\n}\n"
             .to_string(),
     );
-    let idx2 = SymbolIndex::build(&[parallel, documented]);
-    let g = determinism::check_index(&idx2);
+    let g = audit_sources(&[parallel, documented]);
     assert!(only_rule(&g, "D006").is_empty(), "{g:?}");
 }
 

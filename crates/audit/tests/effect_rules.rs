@@ -1,25 +1,18 @@
 //! The effect engine and its rules, exercised through the public
 //! pipeline.
 //!
-//! Three families of pins:
+//! Two families of pins:
 //!
-//! 1. **Sabotage** — each new rule (E001–E004, U001) must fire exactly
+//! 1. **Sabotage** — each rule here (E001–E004, U001) must fire exactly
 //!    once on a seeded violation and clear through its documented
 //!    escape hatch. Firing zero times means the rule is dead; more than
-//!    once means findings (and baseline keys) are unstable.
-//! 2. **Equivalence** — D006's reachability was moved verbatim into the
-//!    engine; over the *real workspace* the engine's
-//!    `reaches_parallel` must equal a fresh run of the original
-//!    backward fixpoint, and the ported D/H rules must report exactly
-//!    what the pre-port pass reported (nothing, now the debt is burned,
-//!    plus the sabotage checks above).
-//! 3. **Manifest** — the committed `results/effects.json` must equal
+//!    once means findings are unstable.
+//! 2. **Manifest** — the committed `results/effects.json` must equal
 //!    what the engine infers from the tree today, byte for byte, and
 //!    re-rendering must be byte-stable.
 
 use std::path::PathBuf;
 
-use aptq_audit::index::SymbolIndex;
 use aptq_audit::{audit_sources, audit_workspace_with_manifest, effects};
 
 fn workspace_root() -> PathBuf {
@@ -135,54 +128,21 @@ fn u001_stays_silent_for_a_load_bearing_allow() {
     assert_eq!(count(&f, "A001"), 0, "{f:?}");
 }
 
-// ------------------------------------------------------- equivalence
-
 #[test]
-fn engine_reachability_equals_the_original_d006_fixpoint() {
-    // The engine carries D006's backward fixpoint verbatim; on the real
-    // workspace the two must agree function-for-function.
-    let root = workspace_root();
-    let mut rs_files = Vec::new();
-    collect_rs(&root, &mut rs_files);
-    let mut sources: Vec<(String, String)> = rs_files
+fn u001_flags_a_trailing_allow_above_a_suppressed_site() {
+    // An annotation after code covers only its own line, never the line
+    // below: the first allow excuses `g()`, which cannot panic, so it is
+    // stale even though the next line's unwrap is suppressed (by its
+    // own annotation).
+    let src = "pub fn outer(y: Option<u32>) -> u32 {\n    g(); // audit:allow(panic): g is infallible\n    y.unwrap() // audit:allow(panic): caller checks Some\n}\nfn g() {}\n";
+    let f = audit_one(src);
+    let stale: Vec<usize> = f
         .iter()
-        .map(|p| {
-            let rel = p
-                .strip_prefix(&root)
-                .expect("collected under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            (rel, std::fs::read_to_string(p).expect("readable source"))
-        })
+        .filter(|f| f.rule == "U001")
+        .map(|f| f.line)
         .collect();
-    sources.sort();
-    let index = SymbolIndex::build(&sources);
-    let analysis = effects::EffectAnalysis::compute(&index);
-    assert_eq!(
-        analysis.reaches_parallel,
-        effects::parallel_reachability(&index)
-    );
-}
-
-fn collect_rs(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("readable dir") {
-        let path = entry.expect("readable entry").path();
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .to_string();
-        if path.is_dir() {
-            if !matches!(
-                name.as_str(),
-                "target" | ".git" | "results" | "assets" | "fixtures"
-            ) {
-                collect_rs(&path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
+    assert_eq!(stale, vec![2], "{f:?}");
+    assert_eq!(count(&f, "A001"), 0, "{f:?}");
 }
 
 // ---------------------------------------------------------- manifest

@@ -9,23 +9,19 @@
 //! string, so any drift in what the lexer sees is a visible diff, not a
 //! silently changed call graph.
 
-use aptq_audit::index::{ItemKind, SymbolIndex};
+use aptq_audit::index::SymbolIndex;
 
 /// Renders the full symbol table of a single-file index as one line per
-/// item: `kind name @decl-line pub|priv [callee, ...]`.
+/// function: `fn name @decl-line pub|priv [callee, ...]`.
 fn snapshot(source: &str) -> String {
     let idx = SymbolIndex::build(&[("crates/core/src/x.rs".to_string(), source.to_string())]);
     let file = &idx.files()[0];
     let mut out = String::new();
     for item in &file.items {
-        let kind = match item.kind {
-            ItemKind::Fn => "fn",
-            _ => "struct",
-        };
         let vis = if item.is_pub { "pub" } else { "priv" };
         let calls: Vec<&str> = item.calls.iter().map(|c| c.name.as_str()).collect();
         out.push_str(&format!(
-            "{kind} {} @{} {vis} {:?}\n",
+            "fn {} @{} {vis} {:?}\n",
             item.name,
             item.line + 1,
             calls

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use aptq_audit::{audit_workspace, baseline, rules};
+use aptq_audit::{audit_sources, audit_workspace, rules, Finding};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -16,42 +16,21 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-#[test]
-fn workspace_is_audit_clean_modulo_baseline() {
-    let root = workspace_root();
-    let findings = audit_workspace(&root).expect("audit walk must succeed");
-    let text = std::fs::read_to_string(root.join("results/audit-baseline.json"))
-        .expect("results/audit-baseline.json must exist (regenerate with --write-baseline)");
-    let base = baseline::parse(&text).expect("baseline must parse");
-    let diff = baseline::diff(&findings, &base);
-    assert!(
-        diff.new.is_empty(),
-        "workspace must stay audit-clean modulo the committed baseline; run \
-         `cargo run -p aptq-audit -- --ratchet results/audit-baseline.json` for details:\n{}",
-        diff.new.iter().map(|f| f.render_text()).collect::<String>()
-    );
-    assert!(
-        diff.stale.is_empty(),
-        "baseline entries whose findings are fixed must be deleted (the ratchet only \
-         tightens); stale:\n{:#?}",
-        diff.stale
-    );
+/// The A-rule findings when `source` alone is audited as `rel_path`.
+fn a_rules(rel_path: &str, source: &str) -> Vec<Finding> {
+    audit_sources(&[(rel_path.to_string(), source.to_string())])
+        .into_iter()
+        .filter(|f| f.rule.starts_with('A'))
+        .collect()
 }
 
 #[test]
-fn baseline_is_empty() {
-    // The D006 doc burn-down the ratchet staged is complete: every
-    // public function reaching `aptq_tensor::parallel` now documents
-    // its `# Determinism` contract. With the debt at zero, any entry
-    // reappearing in the baseline would re-legalize a hard rule — the
-    // ratchet now requires the file to stay empty.
-    let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("results/audit-baseline.json"))
-        .expect("baseline must exist");
-    let base = baseline::parse(&text).expect("baseline must parse");
+fn workspace_is_audit_clean() {
+    let findings = audit_workspace(&workspace_root()).expect("audit walk must succeed");
     assert!(
-        base.is_empty(),
-        "the audit baseline must stay empty — fix findings instead of baselining them: {base:?}"
+        findings.is_empty(),
+        "workspace must stay audit-clean; run `cargo run -p aptq-audit` for details:\n{}",
+        findings.iter().map(|f| f.render_text()).collect::<String>()
     );
 }
 
@@ -60,11 +39,11 @@ fn bare_unwrap_in_hessian_is_caught() {
     let path = workspace_root().join("crates/core/src/hessian.rs");
     let source = std::fs::read_to_string(path).expect("hessian.rs must exist");
     // The real file must be clean...
-    let before = rules::check_source("crates/core/src/hessian.rs", &source);
+    let before = a_rules("crates/core/src/hessian.rs", &source);
     assert!(before.is_empty(), "{before:?}");
     // ...and introducing a bare unwrap must produce an A001 finding.
     let sabotaged = format!("{source}\npub fn sneaky(x: Option<u32>) -> u32 {{ x.unwrap() }}\n");
-    let after = rules::check_source("crates/core/src/hessian.rs", &sabotaged);
+    let after = a_rules("crates/core/src/hessian.rs", &sabotaged);
     assert!(
         after
             .iter()
@@ -78,7 +57,7 @@ fn bare_float_cast_in_pack_is_caught() {
     let path = workspace_root().join("crates/core/src/pack.rs");
     let source = std::fs::read_to_string(path).expect("pack.rs must exist");
     let sabotaged = format!("{source}\npub fn sneaky(n: usize) -> f32 {{ n as f32 }}\n");
-    let after = rules::check_source("crates/core/src/pack.rs", &sabotaged);
+    let after = a_rules("crates/core/src/pack.rs", &sabotaged);
     assert!(
         after.iter().any(|f| f.rule == "A002"),
         "audit must flag a bare float cast in pack.rs: {after:?}"
@@ -88,7 +67,7 @@ fn bare_float_cast_in_pack_is_caught() {
 #[test]
 fn unsafe_block_is_caught_anywhere() {
     let sabotaged = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-    let after = rules::check_source("crates/eval/src/zoo.rs", sabotaged);
+    let after = a_rules("crates/eval/src/zoo.rs", sabotaged);
     assert!(after.iter().any(|f| f.rule == "A004"), "{after:?}");
 }
 

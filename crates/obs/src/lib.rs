@@ -15,12 +15,10 @@
 //!   sink, no `thread_local`: a [`Recorder`] is a plain value the
 //!   caller owns and threads through the code it wants observed —
 //!   exactly like `QuantSession` threads its caches.
-//! * **No wall clock in default builds** (D004). The primary signals
-//!   are deterministic *work units* — matmul FLOPs, unpacked codes,
-//!   cache bytes, tokens — which are identical across runs and thread
-//!   counts. Wall-clock timing exists behind the opt-in `wallclock`
-//!   feature ([`wallclock::Stopwatch`]); a default build contains zero
-//!   time reads.
+//! * **No wall clock** (D004). The signals are deterministic *work
+//!   units* — matmul FLOPs, unpacked codes, cache bytes, tokens — which
+//!   are identical across runs and thread counts. The crate reads no
+//!   clock; timing belongs to bench binaries.
 //! * **Deterministic serialization** (D003). Counters live in a
 //!   `BTreeMap`, so iteration, [`Recorder::to_json`] output and
 //!   [`Recorder::merge`] results are byte-identical across runs.
@@ -52,7 +50,5 @@
 
 pub mod recorder;
 pub mod scope;
-#[cfg(feature = "wallclock")]
-pub mod wallclock;
 
 pub use recorder::{Recorder, ScopedRecorder};
