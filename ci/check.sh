@@ -91,6 +91,10 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test batch_decode
     APTQ_THREADS=$threads cargo test -q -p aptq-textgen --test determinism
 done
+# The benchmark host runs 2 workers, and the Hessian capture window
+# follows the thread count: 2 is a schedule distinct from 1 and 4.
+echo "    APTQ_THREADS=2"
+APTQ_THREADS=2 cargo test -q -p aptq-core --test determinism
 
 phase "chaos suite (seeded fault injection, archived as results/chaos.json)"
 # Every injected fault must be detected (structured error, no panic)

@@ -50,7 +50,7 @@ pub(crate) fn check(index: &SymbolIndex, analysis: &EffectAnalysis) -> Vec<Findi
                      fan-out through the parallel module instead, or annotate with \
                      `// audit:allow(thread): <reason>`"
                         .into(),
-                    "use `aptq_tensor::parallel::run_indexed` / `run_indexed_with` \
+                    "use `aptq_tensor::parallel::run_indexed` \
                      (index-ordered, bit-identical at any thread count)"
                         .into(),
                 ),

@@ -3,10 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use aptq_lm::{LayerKind, LayerRef, Model};
+use aptq_lm::{BlockCapture, LayerKind, LayerRef, Model};
+use aptq_tensor::parallel::{run_indexed, thread_count};
+use aptq_tensor::Matrix;
 
 use crate::attn;
-use crate::hessian::{HessianAccumulator, HessianMode, LayerHessian};
+use crate::hessian::{gram, HessianAccumulator, HessianMode, LayerHessian};
 use crate::QuantError;
 
 /// Collects per-layer Hessians over a calibration set.
@@ -18,6 +20,12 @@ use crate::QuantError;
 ///   the feed-forward projections use their raw inputs, exactly as the
 ///   paper prescribes for "the Feed-Forward layer".
 ///
+/// Segments run in windows of [`aptq_tensor::parallel::thread_count`]
+/// at once. Each job walks one segment block by block and turns each
+/// block's capture into that block's Grams before the next block runs;
+/// the window's Grams are then folded into the accumulators in segment
+/// order, then layer order, then head order.
+///
 /// # Errors
 ///
 /// Returns [`QuantError::EmptyCalibration`] if `segments` is empty or
@@ -25,72 +33,133 @@ use crate::QuantError;
 ///
 /// # Determinism
 ///
-/// Bit-identical at every `APTQ_THREADS`: Hessian accumulation routes
-/// all parallelism through `aptq_tensor::parallel`, whose kernels keep
-/// the floating-point reduction order of the sequential path.
+/// Bit-identical at every `APTQ_THREADS`: a Gram depends only on its
+/// segment, and every accumulator folds its Grams in segment order, as
+/// a one-segment-at-a-time loop would; all other parallelism routes
+/// through `aptq_tensor::parallel`, whose kernels keep the
+/// floating-point reduction order of the sequential path.
 pub fn collect_hessians(
     model: &Model,
     segments: &[Vec<u32>],
     mode: HessianMode,
 ) -> Result<BTreeMap<LayerRef, LayerHessian>, QuantError> {
-    if segments.iter().all(|s| s.is_empty()) {
+    let segments: Vec<&[u32]> = segments
+        .iter()
+        .filter(|s| !s.is_empty())
+        .map(Vec::as_slice)
+        .collect();
+    if segments.is_empty() {
         return Err(QuantError::EmptyCalibration);
     }
     let d_model = model.config().d_model;
     let d_ff = model.config().d_ff;
+    let layers = model.layer_refs();
+    let mut accs: Vec<HessianAccumulator> = layers
+        .iter()
+        .map(|r| {
+            HessianAccumulator::new(if r.kind == LayerKind::Down {
+                d_ff
+            } else {
+                d_model
+            })
+        })
+        .collect();
 
-    let mut accs: BTreeMap<LayerRef, HessianAccumulator> = BTreeMap::new();
-    for r in model.layer_refs() {
-        let dim = if r.kind == LayerKind::Down {
-            d_ff
-        } else {
-            d_model
-        };
-        accs.insert(r, HessianAccumulator::new(dim));
-    }
-
-    for seg in segments.iter().filter(|s| !s.is_empty()) {
-        let (_, capture) = model.forward_capture(seg);
-        for (b, cap) in capture.blocks.iter().enumerate() {
-            let wo = model.layer_weight(LayerRef {
-                block: b,
-                kind: LayerKind::O,
-            });
-            for kind in LayerKind::ALL {
-                let r = LayerRef { block: b, kind };
-                let acc = accs.get_mut(&r).expect("accumulator exists");
-                match (mode, kind) {
-                    (HessianMode::AttentionAware, LayerKind::Q) => {
-                        acc.update(&attn::effective_input_q(cap, wo));
-                    }
-                    (HessianMode::AttentionAware, LayerKind::K) => {
-                        acc.update(&attn::effective_input_k(cap, wo));
-                    }
-                    (HessianMode::AttentionAware, LayerKind::V) => {
-                        // Per-head terms all describe the same tokens;
-                        // count them once so the trace normalization stays
-                        // comparable across layers.
-                        for (i, (s, x)) in attn::effective_inputs_v(cap, wo).into_iter().enumerate()
-                        {
-                            if i == 0 {
-                                acc.update_weighted(&x, s);
-                            } else {
-                                acc.update_weighted_uncounted(&x, s);
-                            }
-                        }
-                    }
-                    (_, LayerKind::O) => acc.update(&attn::effective_input_o(cap)),
-                    (HessianMode::LayerInput, LayerKind::Q | LayerKind::K | LayerKind::V) => {
-                        acc.update(&cap.attn_input);
-                    }
-                    (_, LayerKind::Gate | LayerKind::Up) => acc.update(&cap.ffn_input),
-                    (_, LayerKind::Down) => acc.update(&cap.ffn_hidden),
+    let window = thread_count();
+    for chunk in segments.chunks(window) {
+        let grams = run_indexed(chunk.len(), window, |i| {
+            segment_grams(model, chunk[i], mode)
+        });
+        for segment in grams {
+            for (b, block) in segment.into_iter().enumerate() {
+                for &(kind, g, weight, tokens) in &block.terms {
+                    let layer = b * LayerKind::ALL.len() + kind as usize;
+                    accs[layer].add_gram(&block.grams[g], weight, tokens);
                 }
             }
         }
     }
 
-    Ok(accs.into_iter().map(|(r, a)| (r, a.finish())).collect())
+    Ok(layers
+        .into_iter()
+        .zip(accs)
+        .map(|(r, a)| (r, a.finish()))
+        .collect())
+}
+
+/// One block's Grams for one segment.
+struct BlockGrams {
+    grams: Vec<Matrix>,
+    /// `(kind, index into grams, weight, tokens counted)` in fold order:
+    /// layer order, then head order.
+    terms: Vec<(LayerKind, usize, f32, usize)>,
+}
+
+impl BlockGrams {
+    /// Adds `x`'s Gram, returning its index.
+    fn push_gram(&mut self, x: &Matrix) -> usize {
+        self.grams.push(gram(x));
+        self.grams.len() - 1
+    }
+}
+
+/// Walks one segment's forward block by block, turning each block's
+/// capture into that block's Grams and dropping the capture before the
+/// next block runs.
+fn segment_grams(model: &Model, seg: &[u32], mode: HessianMode) -> Vec<BlockGrams> {
+    let mut x = model.embed_tokens(seg);
+    let mut out = Vec::with_capacity(model.blocks().len());
+    for block in model.blocks() {
+        let (y, cache) = block.forward(&x, model.rope());
+        out.push(block_grams(
+            &BlockCapture::from(cache),
+            block.weight(LayerKind::O),
+            mode,
+        ));
+        x = y;
+    }
+    out
+}
+
+/// Every Gram one block's capture contributes, for each layer of the
+/// block. Layers fed the same input share one Gram: q/k/v under
+/// [`HessianMode::LayerInput`], and gate/up in both modes.
+fn block_grams(cap: &BlockCapture, wo: &Matrix, mode: HessianMode) -> BlockGrams {
+    let t = cap.attn_input.rows();
+    let mut g = BlockGrams {
+        grams: Vec::new(),
+        terms: Vec::new(),
+    };
+    match mode {
+        HessianMode::AttentionAware => {
+            let q = g.push_gram(&attn::effective_input_q(cap, wo));
+            g.terms.push((LayerKind::Q, q, 1.0, t));
+            let k = g.push_gram(&attn::effective_input_k(cap, wo));
+            g.terms.push((LayerKind::K, k, 1.0, t));
+            // Per-head terms all describe the same tokens; count them
+            // once so the trace normalization stays comparable across
+            // layers.
+            for (i, (s, x)) in attn::effective_inputs_v(cap, wo).into_iter().enumerate() {
+                let v = g.push_gram(&x);
+                g.terms
+                    .push((LayerKind::V, v, s, if i == 0 { t } else { 0 }));
+            }
+        }
+        HessianMode::LayerInput => {
+            let x = g.push_gram(&cap.attn_input);
+            for kind in [LayerKind::Q, LayerKind::K, LayerKind::V] {
+                g.terms.push((kind, x, 1.0, t));
+            }
+        }
+    }
+    let o = g.push_gram(&attn::effective_input_o(cap));
+    g.terms.push((LayerKind::O, o, 1.0, t));
+    let ffn = g.push_gram(&cap.ffn_input);
+    g.terms.push((LayerKind::Gate, ffn, 1.0, t));
+    g.terms.push((LayerKind::Up, ffn, 1.0, t));
+    let down = g.push_gram(&cap.ffn_hidden);
+    g.terms.push((LayerKind::Down, down, 1.0, t));
+    g
 }
 
 #[cfg(test)]

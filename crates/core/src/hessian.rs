@@ -49,17 +49,15 @@ impl HessianAccumulator {
         self.h.rows()
     }
 
-    /// Accumulates one sample's effective input (`T × dim`), optionally
-    /// pre-weighted per token.
+    /// Accumulates one sample's effective input (`T × dim`).
+    ///
+    /// Equal bit for bit to `add_gram(&gram(x), 1.0, x.rows())`.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != dim`.
     pub fn update(&mut self, x: &Matrix) {
-        assert_eq!(x.cols(), self.h.rows(), "hessian update: width mismatch");
-        let gram = x.matmul_tn(x); // XᵀX
-        self.h.axpy(2.0, &gram);
-        self.n_tokens += x.rows();
+        self.update_weighted(x, 1.0);
     }
 
     /// Accumulates with a scalar weight (used by per-head sums).
@@ -69,9 +67,7 @@ impl HessianAccumulator {
     /// Panics if `x.cols() != dim`.
     pub fn update_weighted(&mut self, x: &Matrix, weight: f32) {
         assert_eq!(x.cols(), self.h.rows(), "hessian update: width mismatch");
-        let gram = x.matmul_tn(x);
-        self.h.axpy(2.0 * weight, &gram);
-        self.n_tokens += x.rows();
+        self.add_gram(&gram(x), weight, x.rows());
     }
 
     /// Like [`update_weighted`] but does **not** advance the token
@@ -87,8 +83,27 @@ impl HessianAccumulator {
     /// Panics if `x.cols() != dim`.
     pub fn update_weighted_uncounted(&mut self, x: &Matrix, weight: f32) {
         assert_eq!(x.cols(), self.h.rows(), "hessian update: width mismatch");
-        let gram = x.matmul_tn(x);
-        self.h.axpy(2.0 * weight, &gram);
+        self.add_gram(&gram(x), weight, 0);
+    }
+
+    /// Folds in a precomputed Gram `XᵀX` ([`gram`]) with weight
+    /// `weight`, counting `tokens` more calibration tokens:
+    /// `H += 2·weight·XᵀX`.
+    ///
+    /// Taking the Gram apart from the fold lets the capture pass build
+    /// Grams on worker threads and fold them in a fixed order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gram` is not `dim × dim`.
+    pub fn add_gram(&mut self, gram: &Matrix, weight: f32, tokens: usize) {
+        assert_eq!(
+            gram.shape(),
+            self.h.shape(),
+            "hessian update: width mismatch"
+        );
+        self.h.axpy(2.0 * weight, gram);
+        self.n_tokens += tokens;
     }
 
     /// Finalizes into a [`LayerHessian`].
@@ -110,6 +125,17 @@ impl HessianAccumulator {
             mean_trace,
         }
     }
+}
+
+/// The Gram matrix `XᵀX` of one effective input `X` (`T × dim`): the
+/// per-sample term [`HessianAccumulator::add_gram`] folds in.
+///
+/// # Determinism
+///
+/// Bit-identical at any `APTQ_THREADS` value: the matmul runs on the
+/// deterministic threadpool ([`aptq_tensor::parallel`]).
+pub fn gram(x: &Matrix) -> Matrix {
+    x.matmul_tn(x)
 }
 
 /// A finalized per-layer Hessian plus its sensitivity statistic.

@@ -89,6 +89,13 @@ pub enum QuantError {
         /// The offending value.
         ratio: f32,
     },
+    /// The sensitivity probe measured a non-finite loss, which cannot be
+    /// ranked.
+    NonFiniteLoss {
+        /// The first offending layer, or `unperturbed model` for the
+        /// base loss.
+        layer: String,
+    },
 }
 
 impl std::fmt::Display for QuantError {
@@ -111,6 +118,9 @@ impl std::fmt::Display for QuantError {
             }
             QuantError::InvalidRatio { ratio } => {
                 write!(f, "ratio {ratio} outside [0, 1]")
+            }
+            QuantError::NonFiniteLoss { layer } => {
+                write!(f, "sensitivity probe loss for {layer} is not finite")
             }
         }
     }

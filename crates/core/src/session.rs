@@ -149,9 +149,10 @@ impl QuantSession {
     ///
     /// # Determinism
     ///
-    /// Bit-identical at any `APTQ_THREADS`: layer probes run via
-    /// `aptq_tensor::parallel::run_indexed_with`, which returns results
-    /// in layer-index order regardless of scheduling.
+    /// Bit-identical at any `APTQ_THREADS`: probe segments run via
+    /// `aptq_tensor::parallel::run_indexed`, which returns results in
+    /// segment order regardless of scheduling, and losses are folded in
+    /// that order.
     pub fn sensitivity(
         &mut self,
         model: &Model,

@@ -7,7 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use aptq_lm::{LayerRef, Model};
+use aptq_lm::{LayerKind, LayerRef, Model};
+use aptq_tensor::parallel::run_indexed;
+use aptq_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::grid::{GridConfig, QuantGrid};
@@ -124,8 +126,7 @@ impl SensitivityReport {
     fn sorted(mut entries: Vec<LayerSensitivity>) -> Self {
         entries.sort_by(|a, b| {
             b.mean_trace
-                .partial_cmp(&a.mean_trace)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&a.mean_trace)
                 .then_with(|| a.layer.cmp(&b.layer))
         });
         SensitivityReport { entries }
@@ -154,7 +155,8 @@ impl SensitivityReport {
             .map(|e| e.mean_trace)
     }
 
-    /// Mean squared per-weight sensitivity score over all entries.
+    /// Plain mean of the entries' scores (`mean_trace`), `0.0` when the
+    /// report is empty.
     pub fn mean_score(&self) -> f32 {
         if self.entries.is_empty() {
             return 0.0;
@@ -184,9 +186,11 @@ impl SensitivityReport {
 /// only the *ranking* matters) and measure the mean cross-entropy
 /// increase over `probe` segments.
 ///
-/// The probe should be a small slice of the calibration set (8 segments
-/// is plenty); cost is `n_layers × (RTN + probe forward passes)`,
-/// spread across [`crate::methods::scheduler_threads`] workers.
+/// The probe should be a small slice of the calibration set (the
+/// session probes 16 segments). Per segment the cost is one unperturbed
+/// forward plus, per layer, the forward from that layer's block on
+/// (see [`empirical_sensitivity_threads`]); segments are spread across
+/// [`crate::methods::scheduler_threads`] workers.
 ///
 /// # Determinism
 ///
@@ -197,7 +201,8 @@ impl SensitivityReport {
 ///
 /// Returns [`QuantError::EmptyCalibration`] when no probe segment has at
 /// least two tokens (a shorter segment yields no next-token targets, so
-/// the loss signal would be vacuous).
+/// the loss signal would be vacuous), and [`QuantError::NonFiniteLoss`]
+/// when the unperturbed loss or a layer's perturbed loss is not finite.
 pub fn empirical_sensitivity(
     model: &Model,
     probe: &[Vec<u32>],
@@ -215,22 +220,27 @@ pub fn empirical_sensitivity(
 
 /// [`empirical_sensitivity`] with an explicit worker-thread count.
 ///
-/// Each worker owns a single scratch clone of the model and swaps the
-/// one perturbed layer weight in and out around its probe passes, so
-/// memory stays at `threads + 1` model copies instead of one clone per
-/// layer.
+/// The probe is segment-major: one job per probe segment walks the
+/// unperturbed forward once and, at each block, branches once per
+/// layer of that block. A branch swaps the layer's RTN weight into a
+/// clone of that block only, runs it from the block's input (q/k/v/o)
+/// or from its post-attention residual (gate/up/down), then runs the
+/// untouched later blocks and the head. Blocks before the perturbed one
+/// see unchanged weights, so their outputs are taken from the
+/// unperturbed walk instead of being recomputed. Each layer's RTN solve
+/// runs once and is shared by every segment.
 ///
 /// # Determinism
 ///
-/// Results are bit-identical for every `threads` value: each layer's
-/// probe reads only the pristine reference model plus its own restored
-/// scratch state, and entries are collected in layer order via
-/// [`aptq_tensor::parallel::run_indexed_with`].
+/// Results are bit-identical for every `threads` value, and to probing
+/// each layer with a full forward: every branch runs the same float ops
+/// on the same inputs as the full forward of the perturbed model, and
+/// per-layer losses are folded in segment order after
+/// [`aptq_tensor::parallel::run_indexed`] returns them in index order.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::EmptyCalibration`] when no probe segment has at
-/// least two tokens.
+/// As [`empirical_sensitivity`].
 pub fn empirical_sensitivity_threads(
     model: &Model,
     probe: &[Vec<u32>],
@@ -238,45 +248,90 @@ pub fn empirical_sensitivity_threads(
     cfg: &GridConfig,
     threads: usize,
 ) -> Result<SensitivityReport, QuantError> {
-    if probe.iter().all(|s| s.len() < 2) {
+    let segments: Vec<&[u32]> = probe
+        .iter()
+        .filter(|s| s.len() >= 2)
+        .map(Vec::as_slice)
+        .collect();
+    if segments.is_empty() {
         return Err(QuantError::EmptyCalibration);
     }
-    let base = probe_loss(model, probe);
     let layers = model.layer_refs();
-    let threads = threads.clamp(1, layers.len().max(1));
+    let grid = QuantGrid::int(low_bits, cfg.asymmetric);
+    let perturbed: Vec<Matrix> = run_indexed(layers.len(), threads, |i| {
+        crate::engine::quantize_layer_rtn(model.layer_weight(layers[i]), grid, cfg).dequantized
+    });
+    let losses: Vec<SegmentLosses> = run_indexed(segments.len(), threads, |s| {
+        segment_losses(model, segments[s], &perturbed)
+    });
 
-    let entries: Vec<LayerSensitivity> = aptq_tensor::parallel::run_indexed_with(
-        layers.len(),
-        threads,
-        || model.clone(),
-        |scratch, i| probe_one_layer(scratch, model, layers[i], base, probe, low_bits, cfg),
-    );
+    let base = token_mean(&segments, losses.iter().map(|l| l.base));
+    if !base.is_finite() {
+        return Err(QuantError::NonFiniteLoss {
+            layer: "unperturbed model".to_string(),
+        });
+    }
+    let mut entries = Vec::with_capacity(layers.len());
+    for (i, &layer) in layers.iter().enumerate() {
+        let score = token_mean(&segments, losses.iter().map(|l| l.per_layer[i])) - base;
+        if !score.is_finite() {
+            return Err(QuantError::NonFiniteLoss {
+                layer: layer.to_string(),
+            });
+        }
+        entries.push(LayerSensitivity {
+            layer,
+            mean_trace: score,
+        });
+    }
     Ok(SensitivityReport::sorted(entries))
 }
 
-/// RTN-perturbs one layer inside `scratch` (taking the pristine weight
-/// from `reference`), measures the probe loss increase, and restores the
-/// original weight before returning.
-fn probe_one_layer(
-    scratch: &mut Model,
-    reference: &Model,
-    layer: LayerRef,
+/// Mean loss per predicted token over `segments` (each of at least two
+/// tokens), folding the segments' `losses` in segment order.
+fn token_mean(segments: &[&[u32]], losses: impl Iterator<Item = f32>) -> f32 {
+    let mut total = 0.0f64;
+    let mut n = 0usize;
+    for (seg, loss) in segments.iter().zip(losses) {
+        total += loss as f64 * (seg.len() - 1) as f64;
+        n += seg.len() - 1;
+    }
+    // audit:allow(div): callers pass at least one segment of ≥ 2 tokens, so n ≥ 1
+    (total / n as f64) as f32
+}
+
+/// One probe segment's losses.
+struct SegmentLosses {
+    /// Loss of the unperturbed model.
     base: f32,
-    probe: &[Vec<u32>],
-    low_bits: u8,
-    cfg: &GridConfig,
-) -> LayerSensitivity {
-    let res = crate::engine::quantize_layer_rtn(
-        reference.layer_weight(layer),
-        QuantGrid::int(low_bits, cfg.asymmetric),
-        cfg,
-    );
-    let original = std::mem::replace(scratch.layer_weight_mut(layer), res.dequantized);
-    let loss = probe_loss(scratch, probe);
-    *scratch.layer_weight_mut(layer) = original;
-    LayerSensitivity {
-        layer,
-        mean_trace: loss - base,
+    /// Loss with one layer RTN-perturbed, in canonical layer order.
+    per_layer: Vec<f32>,
+}
+
+/// Probes one segment: the unperturbed forward, branching at each block
+/// once per layer with `perturbed[i]` (indexed like
+/// [`Model::layer_refs`]) swapped into a clone of that block.
+fn segment_losses(model: &Model, seg: &[u32], perturbed: &[Matrix]) -> SegmentLosses {
+    let rope = model.rope();
+    let mut per_layer = Vec::with_capacity(perturbed.len());
+    let mut x = model.embed_tokens(seg);
+    for (b, block) in model.blocks().iter().enumerate() {
+        let h = block.attn_half(&x, rope);
+        for (k, kind) in LayerKind::ALL.into_iter().enumerate() {
+            let mut branch = block.clone();
+            *branch.weight_mut(kind) = perturbed[b * LayerKind::ALL.len() + k].clone();
+            let y = if kind.is_attention() {
+                branch.ffn_half(&branch.attn_half(&x, rope))
+            } else {
+                branch.ffn_half(&h)
+            };
+            per_layer.push(model.loss_from(b + 1, y, seg));
+        }
+        x = block.ffn_half(&h);
+    }
+    SegmentLosses {
+        base: model.loss_from(model.blocks().len(), x, seg),
+        per_layer,
     }
 }
 
@@ -312,21 +367,6 @@ pub fn hutchinson_trace(h: &aptq_tensor::Matrix, n_probes: usize, seed: u64) -> 
             aptq_tensor::stats::kahan_sum(z.iter().zip(hz.iter()).map(|(&a, &b)| (a * b) as f64));
     }
     (acc / n_probes as f64) as f32
-}
-
-/// Mean next-token cross-entropy over probe segments.
-fn probe_loss(model: &Model, probe: &[Vec<u32>]) -> f32 {
-    let mut total = 0.0f64;
-    let mut n = 0usize;
-    for seg in probe.iter().filter(|s| s.len() >= 2) {
-        total += model.sequence_loss(seg) as f64 * (seg.len() - 1) as f64;
-        n += seg.len() - 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (total / n as f64) as f32
-    }
 }
 
 /// Mean squared RTN quantization error of a weight matrix at `bits`.
@@ -467,6 +507,38 @@ mod tests {
                 ),
                 "probe {probe:?} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn empirical_sensitivity_rejects_non_finite_losses() {
+        let probe: Vec<Vec<u32>> = (0..3)
+            .map(|k| (0..10).map(|i| ((i + k) % 16) as u32).collect())
+            .collect();
+        let cfg = GridConfig::default();
+        let q0 = LayerRef {
+            block: 0,
+            kind: LayerKind::Q,
+        };
+
+        // One weight at f32::MAX overflows the float forward itself.
+        let mut model = Model::new(&ModelConfig::test_tiny(16), 8);
+        model.layer_weight_mut(q0)[(0, 0)] = f32::MAX;
+        match empirical_sensitivity(&model, &probe, 2, &cfg) {
+            Err(QuantError::NonFiniteLoss { layer }) => assert_eq!(layer, "unperturbed model"),
+            other => panic!("expected a non-finite base loss, got {other:?}"),
+        }
+
+        // ±f32::MAX on input rows the block's norm zeroes: the float
+        // forward never reads them, but their group's RTN range
+        // overflows, so only the perturbed `q0` loss is non-finite.
+        let mut model = Model::new(&ModelConfig::test_tiny(16), 8);
+        model.blocks_mut()[0].norm1.gain_mut()[..2].fill(0.0);
+        model.layer_weight_mut(q0)[(0, 0)] = f32::MAX;
+        model.layer_weight_mut(q0)[(1, 0)] = -f32::MAX;
+        match empirical_sensitivity(&model, &probe, 2, &cfg) {
+            Err(QuantError::NonFiniteLoss { layer }) => assert_eq!(layer, q0.to_string()),
+            other => panic!("expected a non-finite loss for {q0}, got {other:?}"),
         }
     }
 

@@ -9,6 +9,7 @@ use crate::attention::{AttentionCache, AttentionGrads, MultiHeadAttention};
 use crate::config::ModelConfig;
 use crate::ffn::{SwiGlu, SwiGluCache, SwiGluGrads};
 use crate::linear::{Linear, LinearOp};
+use crate::model::LayerKind;
 use crate::rmsnorm::{RmsNorm, RmsNormCache};
 use crate::rope::RopeTable;
 
@@ -119,9 +120,71 @@ impl<L: LinearOp> TransformerBlock<L> {
             },
         )
     }
+
+    /// The attention half of the block, inference only:
+    /// `h = x + Attn(RMSNorm(x))`.
+    ///
+    /// Runs the same float ops on the same inputs as
+    /// [`forward`](TransformerBlock::forward) up to its post-attention
+    /// residual and keeps no cache, so
+    /// `ffn_half(&attn_half(x))` equals `forward(x).0` bit for bit.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
+    pub fn attn_half(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
+        let (normed1, _) = self.norm1.forward(x);
+        let (attn_out, _) = self.attn.forward(&normed1, rope);
+        let mut h = x.clone();
+        h.add_assign(&attn_out);
+        h
+    }
+
+    /// The feed-forward half of the block, inference only:
+    /// `y = h + FFN(RMSNorm(h))`, where `h` is the post-attention
+    /// residual [`attn_half`](TransformerBlock::attn_half) returns.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
+    pub fn ffn_half(&self, h: &Matrix) -> Matrix {
+        let (normed2, _) = self.norm2.forward(h);
+        let (ffn_out, _) = self.ffn.forward(&normed2);
+        let mut y = h.clone();
+        y.add_assign(&ffn_out);
+        y
+    }
 }
 
 impl TransformerBlock {
+    /// Immutable access to one projection weight (`d_in × d_out`).
+    pub fn weight(&self, kind: LayerKind) -> &Matrix {
+        match kind {
+            LayerKind::Q => self.attn.wq().weight(),
+            LayerKind::K => self.attn.wk().weight(),
+            LayerKind::V => self.attn.wv().weight(),
+            LayerKind::O => self.attn.wo().weight(),
+            LayerKind::Gate => self.ffn.gate().weight(),
+            LayerKind::Up => self.ffn.up().weight(),
+            LayerKind::Down => self.ffn.down().weight(),
+        }
+    }
+
+    /// Mutable access to one projection weight.
+    pub fn weight_mut(&mut self, kind: LayerKind) -> &mut Matrix {
+        match kind {
+            LayerKind::Q => self.attn.wq_mut().weight_mut(),
+            LayerKind::K => self.attn.wk_mut().weight_mut(),
+            LayerKind::V => self.attn.wv_mut().weight_mut(),
+            LayerKind::O => self.attn.wo_mut().weight_mut(),
+            LayerKind::Gate => self.ffn.gate_mut().weight_mut(),
+            LayerKind::Up => self.ffn.up_mut().weight_mut(),
+            LayerKind::Down => self.ffn.down_mut().weight_mut(),
+        }
+    }
+
     /// Creates a block with random weights per the config.
     pub fn new(cfg: &ModelConfig, rng: &mut StdRng) -> Self {
         TransformerBlock {

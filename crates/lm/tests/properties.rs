@@ -66,8 +66,29 @@ proptest! {
         let plain = model.forward(&seq);
         let (captured, cap) = model.forward_capture(&seq);
         prop_assert_eq!(cap.n_blocks(), model.blocks().len());
-        for (a, b) in plain.as_slice().iter().zip(captured.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-5);
+        // Both paths run the same float ops: equal bit for bit.
+        prop_assert_eq!(plain, captured);
+    }
+
+    #[test]
+    fn resuming_at_any_block_reproduces_sequence_loss(
+        seq in tokens(16, 2, 12),
+        seed in 0u64..20,
+    ) {
+        let model = Model::new(&ModelConfig::test_tiny(16), seed);
+        let want = model.sequence_loss(&seq);
+        // Walk the forward through the block halves and resume the loss
+        // from each block's input, including the head-only resume.
+        let mut x = model.embed_tokens(&seq);
+        for start in 0..=model.blocks().len() {
+            let got = model.loss_from(start, x.clone(), &seq);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "resumed at block {}", start);
+            if let Some(block) = model.blocks().get(start) {
+                let y = block.ffn_half(&block.attn_half(&x, model.rope()));
+                // The halves are the training forward without its caches.
+                prop_assert_eq!(&y, &block.forward(&x, model.rope()).0);
+                x = y;
+            }
         }
     }
 

@@ -7,9 +7,9 @@
 //! helpers in this module:
 //!
 //! - [`matmul_into`] — the blocked, row-band-parallel matmul kernel;
-//! - [`run_indexed`] / [`run_indexed_with`] — a scoped worker pool over
-//!   `0..n` job indices whose results come back in index order, so the
-//!   output is bit-identical at every thread count.
+//! - [`run_indexed`] — a scoped worker pool over `0..n` job indices
+//!   whose results come back in index order, so the output is
+//!   bit-identical at every thread count.
 //!
 //! The matmul kernel is deliberately simple: row-band parallelism with
 //! a cache-blocked inner loop (i-k-j order so the innermost loop
@@ -150,52 +150,26 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_with(n, threads, || (), |_, i| job(i))
-}
-
-/// [`run_indexed`] with per-worker scratch state: `init()` runs once on
-/// each worker thread (and once total on the sequential path), and each
-/// job receives `&mut` access to its worker's state.
-///
-/// This is the shape schedulers with expensive per-worker setup need —
-/// e.g. the sensitivity probe clones the model once per worker instead
-/// of once per layer.
-///
-/// # Determinism
-///
-/// Bit-identical at every `threads` value provided each `job(state, i)`
-/// leaves `state` equivalent to how it found it (the scratch contract):
-/// under that contract a job's result depends only on `i`, never on
-/// which worker ran it or what that worker ran before.
-pub fn run_indexed_with<S, T, I, F>(n: usize, threads: usize, init: I, job: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| job(&mut state, i)).collect();
+        return (0..n).map(job).collect();
     }
 
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let next = &next;
-        let init = &init;
         let job = &job;
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut state = init();
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        local.push((i, job(&mut state, i)));
+                        local.push((i, job(i)));
                     }
                     local
                 })
@@ -294,22 +268,6 @@ mod tests {
         }
         assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(run_indexed(1, 4, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn run_indexed_with_gives_each_worker_its_own_state() {
-        // Each worker's scratch counts the jobs it ran; the *results*
-        // must not depend on that split.
-        let out = run_indexed_with(
-            100,
-            4,
-            || 0usize,
-            |seen, i| {
-                *seen += 1;
-                i * 3
-            },
-        );
-        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
