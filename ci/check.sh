@@ -90,6 +90,15 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test unified_path
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test batch_decode
     APTQ_THREADS=$threads cargo test -q -p aptq-textgen --test determinism
+    # The shared matmul kernel against its oracle, and the packed
+    # forward against the dequantized matmul, bit for bit. Again in
+    # release: the benchmark ships release builds, where the tiled loops
+    # auto-vectorize, and debug runs never exercise that codegen.
+    APTQ_THREADS=$threads cargo test -q -p aptq-tensor --lib parallel::tests
+    APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test kernel_diff
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib parallel::tests
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test kernel_diff
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --test batch_decode
 done
 # The benchmark host runs 2 workers, and the Hessian capture window
 # follows the thread count: 2 is a schedule distinct from 1 and 4.

@@ -28,6 +28,7 @@
 //! it counts bytes *written into* the cache and must stay linear in T.
 
 use aptq_obs::Recorder;
+use aptq_tensor::activation::silu;
 use aptq_tensor::Matrix;
 
 use crate::config::ModelConfig;
@@ -137,6 +138,12 @@ impl SlotTable for Vec<Option<SeqSlot>> {
 /// advances: the caller decides from the logits (quarantine, eviction).
 /// Only the operators' recorder hooks write into `rec`.
 ///
+/// Every layer writes into one workspace built per call — the hidden
+/// rows, their norm, q/k/v, the attention concat, a `d_model`-wide
+/// projection output, the gate and up activations and one
+/// `max_seq_len` score buffer — so the step allocates a fixed set of
+/// buffers whatever the layer count, head count or batch size.
+///
 /// Callers validate first (see [`SeqSlot::check_token`]); a row whose
 /// id names no slot is skipped.
 fn step_rows<L: LinearOp, S: SlotTable>(
@@ -158,15 +165,34 @@ fn step_rows<L: LinearOp, S: SlotTable>(
         x.row_mut(r)
             .copy_from_slice(model.embed().row(token as usize));
     }
+    let mut normed = Matrix::zeros(b, d_model);
+    let mut q = Matrix::zeros(b, d_model);
+    let mut k = Matrix::zeros(b, d_model);
+    let mut v = Matrix::zeros(b, d_model);
+    let mut concat = Matrix::zeros(b, d_model);
+    let mut proj = Matrix::zeros(b, d_model);
+    let mut gate = Matrix::zeros(b, cfg.d_ff);
+    let mut up = Matrix::zeros(b, cfg.d_ff);
+    let mut scores = vec![0.0f32; cfg.max_seq_len];
 
     for (li, block) in model.blocks().iter().enumerate() {
         // One projection call covers every row — this is where a packed
         // operator's unpacking amortizes over the batch.
-        let (normed, _) = block.norm1.forward(&x);
-        let mut q = block.attn.wq().forward_op(&normed, Some(&mut *rec));
-        let mut k = block.attn.wk().forward_op(&normed, Some(&mut *rec));
-        let v = block.attn.wv().forward_op(&normed, Some(&mut *rec));
-        let mut concat = Matrix::zeros(b, d_model);
+        block.norm1.forward_into(&x, &mut normed);
+        block
+            .attn
+            .wq()
+            .forward_into(&normed, &mut q, Some(&mut *rec));
+        block
+            .attn
+            .wk()
+            .forward_into(&normed, &mut k, Some(&mut *rec));
+        block
+            .attn
+            .wv()
+            .forward_into(&normed, &mut v, Some(&mut *rec));
+        // Attention accumulates into its row; skipped rows stay zero.
+        concat.as_mut_slice().fill(0.0);
         for (r, &(seq, _)) in tokens.iter().enumerate() {
             if let Some(slot) = slots.slot_mut(seq) {
                 attend_cached_row(
@@ -178,26 +204,38 @@ fn step_rows<L: LinearOp, S: SlotTable>(
                     q.row_mut(r),
                     k.row_mut(r),
                     v.row(r),
+                    &mut scores,
                     concat.row_mut(r),
                 );
             }
         }
-        let attn_out = block.attn.wo().forward_op(&concat, Some(&mut *rec));
-        x.add_assign(&attn_out);
+        block
+            .attn
+            .wo()
+            .forward_into(&concat, &mut proj, Some(&mut *rec));
+        x.add_assign(&proj);
 
-        let (normed2, _) = block.norm2.forward(&x);
-        let (ffn_out, _) = block.ffn.forward_opt(&normed2, Some(&mut *rec));
-        x.add_assign(&ffn_out);
+        // SwiGLU: gate and up, then silu(g)·u in place, then down.
+        block.norm2.forward_into(&x, &mut normed);
+        let ffn = &block.ffn;
+        ffn.gate().forward_into(&normed, &mut gate, Some(&mut *rec));
+        ffn.up().forward_into(&normed, &mut up, Some(&mut *rec));
+        for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+            *g = silu(*g) * u;
+        }
+        ffn.down().forward_into(&gate, &mut proj, Some(&mut *rec));
+        x.add_assign(&proj);
     }
 
-    let (normed, _) = model.final_norm().forward(&x);
+    model.final_norm().forward_into(&x, &mut normed);
     normed.matmul(model.lm_head())
 }
 
 /// One sequence's cached-attention step for one layer: rotates the
 /// freshly projected `q`/`k` rows for position `pos`, appends `k`/`v`
 /// in place at cache row `pos`, and accumulates the softmax-weighted
-/// values over rows `[0, pos]` into `out`.
+/// values over rows `[0, pos]` into `out`. `scores` is scratch of at
+/// least `pos + 1` entries.
 ///
 /// Called once per row by [`step_rows`], so a row's float operations and
 /// their order never depend on how many other sequences share the step.
@@ -214,6 +252,7 @@ fn attend_cached_row(
     q: &mut [f32],
     k: &mut [f32],
     v: &[f32],
+    scores: &mut [f32],
     out: &mut [f32],
 ) {
     for h in 0..n_heads {
@@ -226,6 +265,7 @@ fn attend_cached_row(
     kv.v.row_mut(pos).copy_from_slice(v);
 
     let t = pos + 1;
+    let scores = &mut scores[..t];
     let scale = 1.0 / (d_head as f32).sqrt();
     for h in 0..n_heads {
         let lo = h * d_head;
@@ -233,7 +273,6 @@ fn attend_cached_row(
         let qh = &q[lo..hi];
         // Scores against the cached keys, read in place (no per-token
         // copy of the cache).
-        let mut scores = vec![0.0f32; t];
         for (ti, s) in scores.iter_mut().enumerate() {
             let kh = &kv.k_rot.row(ti)[lo..hi];
             let mut acc = 0.0f32;
@@ -244,12 +283,12 @@ fn attend_cached_row(
         }
         let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
-        for s in &mut scores {
+        for s in scores.iter_mut() {
             *s = (*s - max).exp();
             sum += *s;
         }
         let inv = 1.0 / sum;
-        for s in &mut scores {
+        for s in scores.iter_mut() {
             *s *= inv;
         }
         let head = &mut out[lo..hi];
@@ -365,10 +404,11 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: per-token scratch (projection rows, per-head
-    /// score vector, logits row) sized by the model, never by the
-    /// sequence; the KV cache is written in place, never regrown. The
-    /// non-finite quarantine scan reads the logits row in place.
+    /// Allocation budget: one step workspace per token (hidden, norm,
+    /// projection and FFN rows plus one `max_seq_len` score buffer) and
+    /// the logits row — a fixed set whatever the layer or head count;
+    /// the KV cache is written in place, never regrown. The non-finite
+    /// quarantine scan reads the logits row in place.
     ///
     /// # Errors
     ///
@@ -616,12 +656,13 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: per-step scratch (stacked hidden rows,
-    /// projection outputs, per-head score vector, logits, and a
-    /// batch-sized eviction list) sized by batch × model, never by
-    /// sequence length; per-sequence KV caches are preallocated at
-    /// [`BatchDecodeSession::join`] and written in place, never
-    /// regrown.
+    /// Allocation budget: one step workspace per step (stacked hidden,
+    /// norm, projection and FFN rows plus one `max_seq_len` score
+    /// buffer), the logits and a batch-sized eviction list — a fixed set
+    /// whatever the layer count, head count or batch size, and never
+    /// sized by sequence length; per-sequence KV caches are
+    /// preallocated at [`BatchDecodeSession::join`] and written in
+    /// place, never regrown.
     ///
     /// # Errors
     ///
@@ -791,9 +832,7 @@ mod tests {
         let mut s = DecodeSession::new(&m);
         let logits = s.feed_all(&[3, 4, 5]).unwrap();
         let full = m.forward(&[3, 4, 5]);
-        for (a, b) in logits.iter().zip(full.row(2)) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        assert_eq!(logits, full.row(2));
         let mut empty = DecodeSession::new(&m);
         assert!(matches!(empty.feed_all(&[]), Err(LmError::EmptyInput)));
     }

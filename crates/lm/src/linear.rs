@@ -44,7 +44,8 @@ pub trait LinearOp {
     ///
     /// Implementations are bit-identical at any `APTQ_THREADS` value
     /// (fp32 path: deterministic threadpool in
-    /// [`aptq_tensor::parallel`]; packed path: sequential scalar loops).
+    /// [`aptq_tensor::parallel`]; packed path: sequential loops over the
+    /// same multiply-accumulate kernel).
     fn forward_into(&self, x: &Matrix, out: &mut Matrix, rec: Option<&mut Recorder>);
 
     /// Allocating convenience wrapper around

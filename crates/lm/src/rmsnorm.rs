@@ -72,20 +72,13 @@ impl RmsNorm {
     /// Panics if `x.cols() != dim`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, RmsNormCache) {
         assert_eq!(x.cols(), self.gain.len(), "RmsNorm: dimension mismatch");
-        let n = x.cols() as f32;
         // audit:allow(alloc): output matrix, one per call (the budgeted scratch)
         let mut out = x.clone();
         // audit:allow(alloc): per-row scale vector, one per call (the budgeted scratch)
         let mut inv_rms = Vec::with_capacity(x.rows());
         for i in 0..x.rows() {
-            let row = out.row_mut(i);
-            let ms: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n;
-            let inv = 1.0 / (ms + self.eps).sqrt();
             // audit:allow(alloc): appends into the preallocated per-call vector
-            inv_rms.push(inv);
-            for (v, &g) in row.iter_mut().zip(self.gain.iter()) {
-                *v = *v * inv * g;
-            }
+            inv_rms.push(self.normalize_row(out.row_mut(i)));
         }
         (
             out,
@@ -95,6 +88,37 @@ impl RmsNorm {
                 inv_rms,
             },
         )
+    }
+
+    /// Inference-only forward into the caller buffer `out`
+    /// (overwritten): the same values as [`RmsNorm::forward`], without
+    /// building a backward cache.
+    ///
+    /// # HotPath
+    ///
+    /// Allocation budget: zero allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != dim` or `out`'s shape differs from `x`'s.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+        assert_eq!(x.cols(), self.gain.len(), "RmsNorm: dimension mismatch");
+        assert_eq!(out.shape(), x.shape(), "RmsNorm: output shape mismatch");
+        out.as_mut_slice().copy_from_slice(x.as_slice());
+        for i in 0..x.rows() {
+            self.normalize_row(out.row_mut(i));
+        }
+    }
+
+    /// Normalizes one row in place and returns its reciprocal RMS.
+    fn normalize_row(&self, row: &mut [f32]) -> f32 {
+        let n = row.len() as f32;
+        let ms: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n;
+        let inv = 1.0 / (ms + self.eps).sqrt();
+        for (v, &g) in row.iter_mut().zip(self.gain.iter()) {
+            *v = *v * inv * g;
+        }
+        inv
     }
 
     /// Backward pass.
@@ -203,6 +227,19 @@ mod tests {
             let fd = (lp - lm) / (2.0 * eps);
             assert!((dg - fd).abs() < 1e-2, "dgain[{j}]: {dg} vs {fd}");
         }
+    }
+
+    #[test]
+    fn forward_into_matches_forward_bit_for_bit() {
+        let mut norm = RmsNorm::new(6, 1e-5);
+        for (j, g) in norm.gain_mut().iter_mut().enumerate() {
+            *g = 0.5 + 0.3 * j as f32;
+        }
+        let x = init::normal(4, 6, 2.0, &mut init::rng(3));
+        let (want, _) = norm.forward(&x);
+        let mut out = Matrix::filled(4, 6, f32::NAN);
+        norm.forward_into(&x, &mut out);
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -5,17 +5,18 @@ use aptq_core::grid::GridKind;
 use aptq_core::pack::{unpack_codes_at_into, PackedTensor};
 use aptq_lm::LinearOp;
 use aptq_obs::Recorder;
+use aptq_tensor::num::small_i32_f32;
+use aptq_tensor::parallel::matmul_acc;
 use aptq_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// A bias-free linear layer whose weights live in a [`PackedTensor`].
 ///
 /// The forward ([`LinearOp::forward_into`]) never materializes the full
-/// fp32 weight matrix: it streams
-/// one input-dimension group at a time — unpack the group's codes,
-/// dequantize into a `group_size × d_out` scratch, accumulate the
-/// partial product — so peak extra memory is one group's worth of f32,
-/// matching how an edge runtime would execute.
+/// fp32 weight matrix: it streams one stack-resident tile at a time —
+/// unpack at most 32 rows × 128 columns of one group's codes, dequantize
+/// them, accumulate the partial product — so it allocates nothing on the
+/// heap, matching how an edge runtime would execute.
 ///
 /// # Example
 ///
@@ -102,6 +103,22 @@ impl QuantizedLinear {
         true
     }
 
+    /// Unpacks `out.len()` codes starting at code index `start`. A
+    /// byte-aligned segment at 2 or 4 bits decodes whole bytes;
+    /// anything else goes through the bit-offset unpacker.
+    fn unpack_segment(&self, start: usize, out: &mut [u8]) {
+        let data = &self.packed.data;
+        match self.packed.grid.bits() {
+            2 if start.is_multiple_of(4) => {
+                decode_bytes::<2>(&data[start / 4..(start + out.len()).div_ceil(4)], out);
+            }
+            4 if start.is_multiple_of(2) => {
+                decode_bytes::<4>(&data[start / 2..(start + out.len()).div_ceil(2)], out);
+            }
+            bits => unpack_codes_at_into(data, bits, start, out),
+        }
+    }
+
     /// Whether the grid is one of the integer families (sanity queries
     /// for reports).
     pub fn is_integer_grid(&self) -> bool {
@@ -118,10 +135,12 @@ impl LinearOp for QuantizedLinear {
         QuantizedLinear::d_out(self)
     }
 
-    /// Group-streamed packed forward into the caller buffer: zero
-    /// `out`, then for each input-dimension group unpack its codes,
-    /// dequantize them into a `group_size × d_out` scratch and
-    /// accumulate the partial product.
+    /// Tile-streamed packed forward into the caller buffer: zero
+    /// `out`, then walk column tiles × groups × row chunks. Each tile's
+    /// codes are unpacked and dequantized into a stack tile of at most
+    /// `TILE_ROWS × TILE_COLS` weights, which the shared register-tiled
+    /// kernel ([`aptq_tensor::parallel::matmul_acc`]) accumulates into
+    /// the tile's output columns.
     ///
     /// Records under `qmodel/qlinear/…`: forward calls, groups and codes
     /// unpacked, multiply-accumulates, and `fallback_entries` — the
@@ -130,26 +149,27 @@ impl LinearOp for QuantizedLinear {
     /// that path, the counter is materialized at 0 so telemetry
     /// consumers can assert its absence rather than infer it.
     ///
-    /// Row-independent by construction: each output row accumulates its
-    /// own group partials in the same (g ascending, ri ascending) order
-    /// regardless of batch size, so 1-row incremental decode is
-    /// bit-identical to the full-sequence forward.
+    /// Bit-identical to `x.matmul(&packed.dequantize())`: each weight
+    /// dequantizes to the same float, and each output element
+    /// accumulates its terms in input-row order (groups ascending, rows
+    /// ascending) with the same exact-zero skip. The result is also
+    /// row-independent, so 1-row incremental decode matches the
+    /// full-sequence forward.
     ///
     /// # Determinism
     ///
-    /// Single-threaded scalar loops: output and counters are
-    /// bit-identical at any `APTQ_THREADS` value.
+    /// Single-threaded: output and counters are bit-identical at any
+    /// `APTQ_THREADS` value.
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one group-sized dequantization scratch and
-    /// one group-sized code buffer per call; the streaming group loop
-    /// is allocation-free.
+    /// Allocation budget: zero heap allocations; the weight tile, its
+    /// codes and the hoisted group parameters live on the stack.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != d_in` or `out` is not `(x.rows(), d_out)`.
-    fn forward_into(&self, x: &Matrix, out: &mut Matrix, mut rec: Option<&mut Recorder>) {
+    fn forward_into(&self, x: &Matrix, out: &mut Matrix, rec: Option<&mut Recorder>) {
         let d_in = self.packed.d_in;
         let d_out = self.packed.d_out;
         assert_eq!(x.cols(), d_in, "QuantizedLinear: input width mismatch");
@@ -161,56 +181,98 @@ impl LinearOp for QuantizedLinear {
         let t = x.rows();
         let group = self.packed.group_size;
         let grid = self.packed.grid;
-        out.as_mut_slice().fill(0.0);
-        // Group-sized one-shot scratch — the documented budget.
-        let mut scratch = vec![0.0f32; group * d_out];
-        let mut code_buf = vec![0u8; group * d_out];
-
+        let is_int = matches!(grid.kind(), GridKind::Int { .. });
         let n_groups = self.packed.n_groups();
-        for g in 0..n_groups {
-            let r0 = g * group;
-            let r1 = (r0 + group).min(d_in);
-            let rows = r1 - r0;
-            // Unpack this group's code rows directly from their bit
-            // offset into the reused buffer. Codes are packed row-major
-            // over the whole matrix and rows are byte-aligned only when
-            // (d_out × bits) % 8 == 0; `unpack_codes_at_into` handles
-            // the misaligned case without re-unpacking the stream from
-            // the start, and without a per-group allocation.
-            let codes = &mut code_buf[..rows * d_out];
-            unpack_codes_at_into(&self.packed.data, grid.bits(), r0 * d_out, codes);
-            if let Some(r) = rec.as_deref_mut() {
-                r.incr("qmodel/qlinear/groups_unpacked");
-                r.add("qmodel/qlinear/codes_unpacked", (rows * d_out) as u64);
-            }
-            // Dequantize into scratch.
-            for (ri, chunk) in codes.chunks(d_out).enumerate() {
-                for (c, &code) in chunk.iter().enumerate() {
-                    let p = self.packed.params[g * d_out + c];
-                    scratch[ri * d_out + c] = grid.dequantize(code, p);
+        out.as_mut_slice().fill(0.0);
+
+        let mut codes = [0u8; TILE_ROWS * TILE_COLS];
+        let mut weights = [0.0f32; TILE_ROWS * TILE_COLS];
+        let mut zero = [0i32; TILE_COLS];
+        let mut scale = [0.0f32; TILE_COLS];
+        // With no input rows there is nothing to accumulate (and no row
+        // to offset into).
+        let col_tiles = if t == 0 { 0 } else { d_out };
+        for c0 in (0..col_tiles).step_by(TILE_COLS) {
+            let w = TILE_COLS.min(d_out - c0);
+            for g in 0..n_groups {
+                let params = &self.packed.params[g * d_out + c0..g * d_out + c0 + w];
+                for (c, p) in params.iter().enumerate() {
+                    zero[c] = p.zero;
+                    scale[c] = p.scale;
                 }
-            }
-            // Accumulate x[:, r0..r1] × scratch.
-            for row in 0..t {
-                let x_row = &x.row(row)[r0..r1];
-                let y_row = out.row_mut(row);
-                for (ri, &xv) in x_row.iter().enumerate() {
-                    // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
-                    if xv == 0.0 {
-                        continue;
+                let g_end = ((g + 1) * group).min(d_in);
+                for r0 in (g * group..g_end).step_by(TILE_ROWS) {
+                    let rows = TILE_ROWS.min(g_end - r0);
+                    let codes = &mut codes[..rows * w];
+                    if w == d_out {
+                        // Full-width rows are contiguous in the stream.
+                        self.unpack_segment(r0 * d_out, codes);
+                    } else {
+                        for (ri, code_row) in codes.chunks_exact_mut(w).enumerate() {
+                            self.unpack_segment((r0 + ri) * d_out + c0, code_row);
+                        }
                     }
-                    let w_row = &scratch[ri * d_out..(ri + 1) * d_out];
-                    for (yv, &wv) in y_row.iter_mut().zip(w_row.iter()) {
-                        *yv += xv * wv;
+                    let rows_iter = weights.chunks_exact_mut(w).zip(codes.chunks_exact(w));
+                    if is_int {
+                        for (w_row, code_row) in rows_iter {
+                            for (((wv, &code), &z), &s) in
+                                w_row.iter_mut().zip(code_row).zip(&zero).zip(&scale)
+                            {
+                                *wv = small_i32_f32(i32::from(code) - z) * s;
+                            }
+                        }
+                    } else {
+                        for (w_row, code_row) in rows_iter {
+                            for ((wv, &code), &p) in w_row.iter_mut().zip(code_row).zip(params) {
+                                *wv = grid.dequantize(code, p);
+                            }
+                        }
                     }
+                    matmul_acc(
+                        &x.as_slice()[r0..],
+                        d_in,
+                        &weights[..rows * w],
+                        w,
+                        t,
+                        &mut out.as_mut_slice()[c0..],
+                        d_out,
+                    );
                 }
             }
         }
         if let Some(r) = rec {
+            r.add("qmodel/qlinear/groups_unpacked", n_groups as u64);
+            r.add("qmodel/qlinear/codes_unpacked", (d_in * d_out) as u64);
             r.incr("qmodel/qlinear/forward_calls");
             r.add("qmodel/qlinear/macs", (t * d_in * d_out) as u64);
             r.add("qmodel/qlinear/fallback_entries", 0);
         }
+    }
+}
+
+/// Input rows per dequantized weight tile.
+const TILE_ROWS: usize = 32;
+/// Output columns per dequantized weight tile.
+const TILE_COLS: usize = 128;
+
+/// Decodes `out.len()` `BITS`-wide codes from whole bytes, least
+/// significant code first (the [`aptq_core::pack`] layout). `bytes`
+/// starts at the segment's first code and ends at the byte holding its
+/// last one.
+fn decode_bytes<const BITS: usize>(bytes: &[u8], out: &mut [u8]) {
+    let split = |byte: u8, codes: &mut [u8]| {
+        for (i, code) in codes.iter_mut().enumerate() {
+            *code = (byte >> (i * BITS)) & ((1u8 << BITS) - 1);
+        }
+    };
+    let mut chunks = out.chunks_exact_mut(8 / BITS);
+    for (chunk, &byte) in (&mut chunks).zip(bytes) {
+        split(byte, chunk);
+    }
+    // A segment that ends mid-byte takes that byte's low codes only.
+    let tail = chunks.into_remainder();
+    if let Some(&byte) = bytes.last().filter(|_| !tail.is_empty()) {
+        split(byte, tail);
     }
 }
 
@@ -236,9 +298,7 @@ mod tests {
             let x = init::normal(5, 24, 1.0, &mut rng);
             let y = qlin.forward_op(&x, None);
             let want = x.matmul(&res.dequantized);
-            for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "bits={bits}: {a} vs {b}");
-            }
+            assert_eq!(y, want, "bits={bits}");
         }
     }
 
@@ -259,9 +319,7 @@ mod tests {
         let x = init::normal(3, 16, 1.0, &mut rng);
         let y = qlin.forward_op(&x, None);
         let want = x.matmul(&res.dequantized);
-        for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        assert_eq!(y, want);
     }
 
     #[test]
@@ -279,9 +337,7 @@ mod tests {
         let x = init::normal(2, 12, 1.0, &mut rng);
         let y = qlin.forward_op(&x, None);
         let want = x.matmul(&res.dequantized);
-        for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        assert_eq!(y, want);
     }
 
     #[test]
@@ -306,9 +362,7 @@ mod tests {
             let mut rec = Recorder::new();
             let y = qlin.forward_op(&x, Some(&mut rec));
             let want = x.matmul(&res.dequantized);
-            for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "bits={bits}: {a} vs {b}");
-            }
+            assert_eq!(y, want, "bits={bits}");
             assert_eq!(rec.get("qmodel/qlinear/fallback_entries"), 0);
             assert_eq!(
                 rec.get("qmodel/qlinear/codes_unpacked"),

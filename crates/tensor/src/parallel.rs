@@ -6,16 +6,22 @@
 //! rule D002). Library code parallelizes exclusively through the
 //! helpers in this module:
 //!
-//! - [`matmul_into`] — the blocked, row-band-parallel matmul kernel;
+//! - [`matmul_into`] — the blocked, row-band-parallel matmul;
 //! - [`run_indexed`] — a scoped worker pool over `0..n` job indices
 //!   whose results come back in index order, so the output is
 //!   bit-identical at every thread count.
 //!
-//! The matmul kernel is deliberately simple: row-band parallelism with
-//! a cache-blocked inner loop (i-k-j order so the innermost loop
-//! streams both the `b` panel and the output row). It is not BLAS, but
-//! it is fast enough to pretrain the tiny LLaMA-family models and run
-//! the quantization pipelines in seconds on a laptop-class CPU.
+//! It also holds the workspace's one multiply-accumulate kernel,
+//! [`matmul_acc`], which every float matmul (training, Hessian capture,
+//! the sensitivity probe, eval, the LM head) and the packed
+//! `QuantizedLinear` forward run on. It keeps 4 × 16 accumulator tiles
+//! in registers, loads each from the output, adds every `k` term in
+//! ascending order (skipping exact zeros in `a`) and stores it back, so
+//! each output element sees the same float operations in the same order
+//! as a plain `i-k-j` loop. Row bands split the work across threads and
+//! `KBLOCK`-row panels of `b` keep it in cache. It is not BLAS, but it
+//! is fast enough to pretrain the tiny LLaMA-family models and run the
+//! quantization pipelines in seconds on a laptop-class CPU.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -70,28 +76,126 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
     });
 }
 
-/// Sequential blocked kernel for a band of rows.
+/// Sequential kernel for a band of rows: [`matmul_acc`] over each
+/// `KBLOCK`-row panel of `b`, panels ascending.
 fn matmul_band(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let rows = out.len() / n.max(1);
     for k0 in (0..k).step_by(KBLOCK) {
         let kend = (k0 + KBLOCK).min(k);
-        for i in 0..rows {
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for kk in k0..kend {
-                let av = a_row[kk];
-                // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                // Innermost loop: contiguous over both b_row and o_row,
-                // auto-vectorizes well.
-                for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * bv;
-                }
+        matmul_acc(&a[k0..], k, &b[k0 * n..kend * n], n, rows, out, n);
+    }
+}
+
+/// Rows per register tile.
+const TILE_ROWS: usize = 4;
+/// Columns per register tile; narrower column tails take 4 and then 1.
+const TILE_COLS: usize = 16;
+
+/// Register-tiled multiply-accumulate: for `r < rows` and `c < n`,
+/// `out[r·ldo + c] += a[r·lda + kk] · b[kk·n + c]` for `kk` ascending
+/// over `0..b.len() / n`, skipping every term whose `a` value is exactly
+/// zero.
+///
+/// `a` and `out` are strided views that start at the tile's first
+/// element, so a caller passes `&x[col0..]` to read a column range of a
+/// wider matrix, or `&mut y[col0..]` to write one. `b` is a dense
+/// `kdim × n` panel.
+///
+/// The kernel holds `TILE_ROWS × TILE_COLS` accumulator tiles (with
+/// 4- and 1-wide column tails and 1-row tails) in registers: each tile
+/// is loaded from `out`, accumulated over every `kk` and stored back.
+/// Every output element therefore sees exactly the float operations, in
+/// exactly the order, of the plain `i-k-j` loop — only the loop nest
+/// around them changes.
+///
+/// # Determinism
+///
+/// Sequential; each output element's sum is formed in a fixed
+/// (`kk` ascending) order, independent of tiling.
+///
+/// # Panics
+///
+/// Panics if `a`, `b` or `out` is too short for the given shapes.
+pub fn matmul_acc(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    n: usize,
+    rows: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    if n == 0 || rows == 0 {
+        return;
+    }
+    let k = b.len() / n;
+    let mut r = 0;
+    while r + TILE_ROWS <= rows {
+        row_band::<TILE_ROWS>(&a[r * lda..], lda, b, n, k, &mut out[r * ldo..], ldo);
+        r += TILE_ROWS;
+    }
+    while r < rows {
+        row_band::<1>(&a[r * lda..], lda, b, n, k, &mut out[r * ldo..], ldo);
+        r += 1;
+    }
+}
+
+/// One band of `R` rows, walked in column tiles.
+fn row_band<const R: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    let mut c = 0;
+    while c + TILE_COLS <= n {
+        tile::<R, TILE_COLS>(a, lda, &b[c..], n, k, &mut out[c..], ldo);
+        c += TILE_COLS;
+    }
+    while c + 4 <= n {
+        tile::<R, 4>(a, lda, &b[c..], n, k, &mut out[c..], ldo);
+        c += 4;
+    }
+    while c < n {
+        tile::<R, 1>(a, lda, &b[c..], n, k, &mut out[c..], ldo);
+        c += 1;
+    }
+}
+
+/// One `R × W` accumulator tile: load from `out`, add every `kk`'s
+/// terms in ascending order, store back.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&out[r * ldo..r * ldo + W]);
+    }
+    for kk in 0..k {
+        let b_row = &b[kk * n..kk * n + W];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let av = a[r * lda + kk];
+            // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc_r.iter_mut().zip(b_row) {
+                *o += av * bv;
             }
         }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[r * ldo..r * ldo + W].copy_from_slice(acc_r);
     }
 }
 
@@ -217,6 +321,154 @@ mod tests {
         let want = naive(&a, m, k, &b, n);
         for (x, y) in out.iter().zip(want.iter()) {
             assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+        }
+    }
+
+    /// The pre-tiling kernel body, kept verbatim as the bit-exact
+    /// oracle for [`matmul_band`].
+    fn matmul_band_oracle(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        let rows = out.len() / n.max(1);
+        for k0 in (0..k).step_by(KBLOCK) {
+            let kend = (k0 + KBLOCK).min(k);
+            for i in 0..rows {
+                let a_row = &a[i * k..(i + 1) * k];
+                let o_row = &mut out[i * n..(i + 1) * n];
+                for kk in k0..kend {
+                    let av = a_row[kk];
+                    // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let b_row = &b[kk * n..(kk + 1) * n];
+                    // Innermost loop: contiguous over both b_row and o_row,
+                    // auto-vectorizes well.
+                    for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deterministic inputs; every `zero_every`-th entry is an exact
+    /// zero (alternating sign) so the skip path runs, and `specials`
+    /// mixes in NaN, ±inf and subnormals.
+    fn operand(len: usize, salt: usize, zero_every: usize, specials: bool) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let h = i.wrapping_mul(2_654_435_761).wrapping_add(salt * 97) % 1009;
+                if zero_every > 0 && i % zero_every == 0 {
+                    if (i / zero_every).is_multiple_of(2) {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                } else if specials && h % 53 == 0 {
+                    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -3e-39][h % 5]
+                } else {
+                    (h as f32) * 0.003 - 1.5
+                }
+            })
+            .collect()
+    }
+
+    /// Equal bits, except that any two NaNs match: Rust leaves the sign
+    /// and payload of a NaN produced by arithmetic unspecified, and
+    /// LLVM may commute an `fadd` of two NaNs.
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            if x.is_nan() && y.is_nan() {
+                continue;
+            }
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    /// `matmul_into` (tiled, threaded) against the oracle, bit for bit,
+    /// starting from a non-zero `out` so the load/store of each tile is
+    /// checked too.
+    fn check_exact(m: usize, k: usize, n: usize, zero_every: usize, specials: bool) {
+        let a = operand(m * k, 1, zero_every, specials);
+        let b = operand(k * n, 2, 0, specials);
+        let init = operand(m * n, 3, 5, false);
+        let mut want = init.clone();
+        matmul_band_oracle(&a, k, &b, n, &mut want);
+        let mut got = init;
+        matmul_into(&a, m, k, &b, n, &mut got);
+        assert_bits_eq(
+            &got,
+            &want,
+            &format!("{m}x{k}x{n} zeros/{zero_every} specials={specials}"),
+        );
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_to_oracle_at_tile_edges() {
+        for m in [1usize, 3, 4, 5, 8, 9] {
+            for n in [1usize, 3, 4, 15, 16, 17, 36, 80, 134] {
+                check_exact(m, 36, n, 3, false);
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_past_kblock() {
+        for (m, k, n) in [
+            (5, KBLOCK + 1, 17),
+            (9, 2 * KBLOCK + 7, 36),
+            (4, 3 * KBLOCK, 80),
+        ] {
+            check_exact(m, k, n, 4, false);
+        }
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_on_threaded_shape() {
+        check_exact(160, 120, 160, 7, false);
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_on_special_values() {
+        for (m, k, n) in [(9, 70, 17), (4, 36, 36), (1, 80, 134), (160, 120, 160)] {
+            check_exact(m, k, n, 3, true);
+        }
+    }
+
+    #[test]
+    fn matmul_acc_reads_and_writes_column_windows() {
+        // A 3-column window of a 7-wide `a` into columns 2..7 of a
+        // 9-wide `out`: only the window changes, and it equals the
+        // oracle on the sliced operands.
+        let (rows, lda, ldo, k, n) = (6usize, 7usize, 9usize, 3usize, 5usize);
+        let a = operand(rows * lda, 4, 4, false);
+        let b = operand(k * n, 5, 0, false);
+        let mut out = operand(rows * ldo, 6, 0, false);
+        let before = out.clone();
+        matmul_acc(&a[2..], lda, &b, n, rows, &mut out[2..], ldo);
+        let a_win: Vec<f32> = (0..rows)
+            .flat_map(|r| a[r * lda + 2..r * lda + 5].to_vec())
+            .collect();
+        let mut want: Vec<f32> = (0..rows)
+            .flat_map(|r| before[r * ldo + 2..r * ldo + 7].to_vec())
+            .collect();
+        matmul_band_oracle(&a_win, k, &b, n, &mut want);
+        for r in 0..rows {
+            assert_bits_eq(
+                &out[r * ldo..r * ldo + 2],
+                &before[r * ldo..r * ldo + 2],
+                "left of window",
+            );
+            assert_bits_eq(
+                &out[r * ldo + 2..r * ldo + 7],
+                &want[r * n..(r + 1) * n],
+                "window",
+            );
+            assert_bits_eq(
+                &out[r * ldo + 7..(r + 1) * ldo],
+                &before[r * ldo + 7..(r + 1) * ldo],
+                "right of window",
+            );
         }
     }
 
