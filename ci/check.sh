@@ -95,11 +95,23 @@ for threads in 1 4; do
     # release: the benchmark ships release builds, where the tiled loops
     # auto-vectorize, and debug runs never exercise that codegen.
     APTQ_THREADS=$threads cargo test -q -p aptq-tensor --lib parallel::tests
+    APTQ_THREADS=$threads cargo test -q -p aptq-tensor --lib matrix::tests::matmul_tn
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test kernel_diff
     APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib parallel::tests
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib matrix::tests::matmul_tn
     APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test kernel_diff
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --test batch_decode
+    # The causal attention row kernel against the per-head full-matrix
+    # forward it replaced, and the cache-free block halves against the
+    # training forward, bit for bit. The probe and the capture run in
+    # release in the benchmark, where the causal loops auto-vectorize.
+    APTQ_THREADS=$threads cargo test -q -p aptq-lm --lib oracle_
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --lib oracle_
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-core --test determinism
 done
+# The invariant tests check the documented contract in both profiles:
+# a panic in debug, a compiled-out no-op in release.
+cargo test --release -q -p aptq-core --lib
 # The benchmark host runs 2 workers, and the Hessian capture window
 # follows the thread count: 2 is a schedule distinct from 1 and 4.
 echo "    APTQ_THREADS=2"

@@ -57,7 +57,7 @@ struct HeadScales {
 /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
 /// the deterministic threadpool ([`aptq_tensor::parallel`]).
 pub fn effective_input_q(cap: &BlockCapture, wo: &Matrix) -> Matrix {
-    let weights = query_weights(cap, wo);
+    let weights = query_weights(cap, &head_scales(cap, wo));
     reweight_rows(&cap.attn_input, &weights)
 }
 
@@ -69,8 +69,23 @@ pub fn effective_input_q(cap: &BlockCapture, wo: &Matrix) -> Matrix {
 /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
 /// the deterministic threadpool ([`aptq_tensor::parallel`]).
 pub fn effective_input_k(cap: &BlockCapture, wo: &Matrix) -> Matrix {
-    let weights = key_weights(cap, wo);
+    let weights = key_weights(cap, &head_scales(cap, wo));
     reweight_rows(&cap.attn_input, &weights)
+}
+
+/// [`effective_input_q`] and [`effective_input_k`] together, computing
+/// each head's `V_h·W^O_h` scales once for both; each result equals its
+/// single-layer builder's bit for bit.
+/// # Determinism
+///
+/// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+/// the deterministic threadpool ([`aptq_tensor::parallel`]).
+pub fn effective_inputs_qk(cap: &BlockCapture, wo: &Matrix) -> (Matrix, Matrix) {
+    let scales = head_scales(cap, wo);
+    (
+        reweight_rows(&cap.attn_input, &query_weights(cap, &scales)),
+        reweight_rows(&cap.attn_input, &key_weights(cap, &scales)),
+    )
 }
 
 /// Builds the per-head effective inputs for `v_proj` (Eqs. 10–11):
@@ -106,18 +121,14 @@ pub fn effective_input_o(cap: &BlockCapture) -> Matrix {
 /// `w[i] = Σ_h sens_h(i) · downstream_h · kscale_h / d_k` where
 /// `sens_h(i) = Σ_j p_ij(1−p_ij)` is the trace of the softmax Jacobian
 /// at query row `i`.
-/// # Determinism
-///
-/// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-/// the deterministic threadpool ([`aptq_tensor::parallel`]).
-pub fn query_weights(cap: &BlockCapture, wo: &Matrix) -> Vec<f32> {
+fn query_weights(cap: &BlockCapture, scales: &[HeadScales]) -> Vec<f32> {
     let t = cap.attn_input.rows();
     let n_heads = cap.probs.len();
     let d_model = cap.attn_input.cols();
+    // audit:allow(div): a capture always holds at least one attention head
     let d_head = d_model / n_heads;
     let mut w = vec![0.0f32; t];
-    for h in 0..n_heads {
-        let scales = head_scales(cap, wo, h);
+    for (h, scales) in scales.iter().enumerate() {
         let kscale = slice_mean_sq(&cap.k_rot, h, d_head);
         let p = &cap.probs[h];
         for (i, wi) in w.iter_mut().enumerate() {
@@ -130,18 +141,14 @@ pub fn query_weights(cap: &BlockCapture, wo: &Matrix) -> Vec<f32> {
 
 /// Per-key-token weights for the K Hessian: probability-Jacobian mass
 /// arriving at key `j` summed over queries.
-/// # Determinism
-///
-/// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-/// the deterministic threadpool ([`aptq_tensor::parallel`]).
-pub fn key_weights(cap: &BlockCapture, wo: &Matrix) -> Vec<f32> {
+fn key_weights(cap: &BlockCapture, scales: &[HeadScales]) -> Vec<f32> {
     let t = cap.attn_input.rows();
     let n_heads = cap.probs.len();
     let d_model = cap.attn_input.cols();
+    // audit:allow(div): a capture always holds at least one attention head
     let d_head = d_model / n_heads;
     let mut w = vec![0.0f32; t];
-    for h in 0..n_heads {
-        let scales = head_scales(cap, wo, h);
+    for (h, scales) in scales.iter().enumerate() {
         let qscale = slice_mean_sq(&cap.q_rot, h, d_head);
         let p = &cap.probs[h];
         for i in 0..t {
@@ -153,20 +160,25 @@ pub fn key_weights(cap: &BlockCapture, wo: &Matrix) -> Vec<f32> {
     w
 }
 
-fn head_scales(cap: &BlockCapture, wo: &Matrix, h: usize) -> HeadScales {
+/// Every head's [`HeadScales`], in head order.
+fn head_scales(cap: &BlockCapture, wo: &Matrix) -> Vec<HeadScales> {
     let n_heads = cap.probs.len();
     let d_model = cap.attn_input.cols();
     // audit:allow(div): a capture always holds at least one attention head
     let d_head = d_model / n_heads;
     let t = cap.attn_input.rows();
-    let vh = cap.v.slice_cols(h * d_head, (h + 1) * d_head);
-    let wo_h = wo.slice_rows(h * d_head, (h + 1) * d_head);
-    let vo = vh.matmul(&wo_h); // T × d_model
-    HeadScales {
-        downstream: vo.frobenius_norm_sq() / (t * d_model) as f32,
-        // audit:allow(div): d_head ≥ 1 — d_model is a positive multiple of n_heads
-        inv_dk: 1.0 / d_head as f32,
-    }
+    (0..n_heads)
+        .map(|h| {
+            let vh = cap.v.slice_cols(h * d_head, (h + 1) * d_head);
+            let wo_h = wo.slice_rows(h * d_head, (h + 1) * d_head);
+            let vo = vh.matmul(&wo_h); // T × d_model
+            HeadScales {
+                downstream: vo.frobenius_norm_sq() / (t * d_model) as f32,
+                // audit:allow(div): d_head ≥ 1 — d_model is a positive multiple of n_heads
+                inv_dk: 1.0 / d_head as f32,
+            }
+        })
+        .collect()
 }
 
 /// Mean squared entry of one head's slice of a `T × d_model` matrix.
@@ -243,7 +255,7 @@ mod tests {
         // The whole point: tokens are weighted unequally by their softmax
         // sensitivity, unlike GPTQ's uniform weighting.
         let (cap, wo) = capture();
-        let w = query_weights(&cap, &wo);
+        let w = query_weights(&cap, &head_scales(&cap, &wo));
         let (lo, hi) = w
             .iter()
             .fold((f32::INFINITY, 0.0f32), |(l, h), &v| (l.min(v), h.max(v)));
@@ -255,7 +267,7 @@ mod tests {
     fn first_token_has_zero_query_sensitivity() {
         // Token 0 attends only to itself: p = [1, 0, ...] → p(1−p) = 0.
         let (cap, wo) = capture();
-        let w = query_weights(&cap, &wo);
+        let w = query_weights(&cap, &head_scales(&cap, &wo));
         assert!(
             w[0].abs() < 1e-6,
             "one-hot softmax row has zero Jacobian trace"
@@ -267,7 +279,7 @@ mod tests {
     #[test]
     fn key_weights_concentrate_on_attended_tokens() {
         let (cap, wo) = capture();
-        let w = key_weights(&cap, &wo);
+        let w = key_weights(&cap, &head_scales(&cap, &wo));
         // The last key can only be attended by the last query; it should
         // typically carry less routed mass than early keys.
         assert!(w.iter().all(|&v| v >= 0.0));

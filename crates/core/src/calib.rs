@@ -132,9 +132,10 @@ fn block_grams(cap: &BlockCapture, wo: &Matrix, mode: HessianMode) -> BlockGrams
     };
     match mode {
         HessianMode::AttentionAware => {
-            let q = g.push_gram(&attn::effective_input_q(cap, wo));
+            let (xq, xk) = attn::effective_inputs_qk(cap, wo);
+            let q = g.push_gram(&xq);
             g.terms.push((LayerKind::Q, q, 1.0, t));
-            let k = g.push_gram(&attn::effective_input_k(cap, wo));
+            let k = g.push_gram(&xk);
             g.terms.push((LayerKind::K, k, 1.0, t));
             // Per-head terms all describe the same tokens; count them
             // once so the trace normalization stays comparable across

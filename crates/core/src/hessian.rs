@@ -56,6 +56,11 @@ impl HessianAccumulator {
     /// # Panics
     ///
     /// Panics if `x.cols() != dim`.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: the Gram runs on the
+    /// deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn update(&mut self, x: &Matrix) {
         self.update_weighted(x, 1.0);
     }
@@ -65,6 +70,11 @@ impl HessianAccumulator {
     /// # Panics
     ///
     /// Panics if `x.cols() != dim`.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: the Gram runs on the
+    /// deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn update_weighted(&mut self, x: &Matrix, weight: f32) {
         assert_eq!(x.cols(), self.h.rows(), "hessian update: width mismatch");
         self.add_gram(&gram(x), weight, x.rows());
@@ -81,6 +91,11 @@ impl HessianAccumulator {
     /// # Panics
     ///
     /// Panics if `x.cols() != dim`.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: the Gram runs on the
+    /// deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn update_weighted_uncounted(&mut self, x: &Matrix, weight: f32) {
         assert_eq!(x.cols(), self.h.rows(), "hessian update: width mismatch");
         self.add_gram(&gram(x), weight, 0);

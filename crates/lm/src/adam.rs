@@ -90,7 +90,7 @@ impl Adam {
         let cfg = self.cfg;
         let m_buf = &mut self.m;
         let v_buf = &mut self.v;
-        let mut update = |param: &mut [f32], grad: &[f32], offset: usize| {
+        let mut adam_update = |param: &mut [f32], grad: &[f32], offset: usize| {
             assert_eq!(param.len(), grad.len(), "adam: param/grad length mismatch");
             for (i, (p, &g)) in param.iter_mut().zip(grad.iter()).enumerate() {
                 let m = &mut m_buf[offset + i];
@@ -107,7 +107,7 @@ impl Adam {
         {
             let g = grads.embed.as_slice().to_vec();
             let p = model_embed_mut(model);
-            update(p.as_mut_slice(), &g, offset);
+            adam_update(p.as_mut_slice(), &g, offset);
             offset += g.len();
         }
         // Blocks.
@@ -133,19 +133,19 @@ impl Adam {
                     5 => block.ffn.up_mut().weight_mut(),
                     _ => block.ffn.down_mut().weight_mut(),
                 };
-                update(p.as_mut_slice(), &g, offset);
+                adam_update(p.as_mut_slice(), &g, offset);
                 offset += g.len();
             }
             {
                 let g = bg.dnorm1.clone();
                 let p = model.blocks_mut()[bi].norm1.gain_mut();
-                update(p, &g, offset);
+                adam_update(p, &g, offset);
                 offset += g.len();
             }
             {
                 let g = bg.dnorm2.clone();
                 let p = model.blocks_mut()[bi].norm2.gain_mut();
-                update(p, &g, offset);
+                adam_update(p, &g, offset);
                 offset += g.len();
             }
         }
@@ -153,14 +153,14 @@ impl Adam {
         {
             let g = grads.dfinal_norm.clone();
             let p = model_final_norm_mut(model);
-            update(p, &g, offset);
+            adam_update(p, &g, offset);
             offset += g.len();
         }
         // LM head.
         {
             let g = grads.lm_head.as_slice().to_vec();
             let p = model_lm_head_mut(model);
-            update(p.as_mut_slice(), &g, offset);
+            adam_update(p.as_mut_slice(), &g, offset);
             offset += g.len();
         }
         assert_eq!(

@@ -2,7 +2,7 @@
 //! the internal captures APTQ's attention-aware Hessians consume.
 
 use aptq_obs::Recorder;
-use aptq_tensor::activation::{softmax_rows, softmax_vjp_row};
+use aptq_tensor::activation::softmax_vjp_row;
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -148,8 +148,11 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: Q/K/V/score/cache matrices sized by the
-    /// sequence, allocated once per call; inner loops are heap-free.
+    /// Allocation budget: Q/K/V/concat/output matrices sized by the
+    /// sequence, the cache's per-head `T × T` `probs` (upper triangles
+    /// left zero) and one `T`-float score buffer, allocated once per
+    /// call; no per-head score matrix beyond `probs`. Inner loops are
+    /// heap-free.
     ///
     /// # Panics
     ///
@@ -168,10 +171,16 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     /// [`LinearOp::forward_into`] hook (packed operators count their
     /// unpacking work there; fp32 records nothing).
     ///
+    /// Row `i` attends to keys `[0, i]` only, through the same row
+    /// kernel as cached decoding, which writes `probs[h].row(i)[..=i]`.
+    ///
     /// # HotPath
     ///
-    /// Allocation budget: Q/K/V/score/cache matrices sized by the
-    /// sequence, allocated once per call; inner loops are heap-free.
+    /// Allocation budget: Q/K/V/concat/output matrices sized by the
+    /// sequence, the cache's per-head `T × T` `probs` (upper triangles
+    /// left zero) and one `T`-float score buffer, allocated once per
+    /// call; no per-head score matrix beyond `probs`. Inner loops are
+    /// heap-free.
     ///
     /// # Panics
     ///
@@ -189,59 +198,157 @@ impl<L: LinearOp> MultiHeadAttention<L> {
         mut rec: Option<&mut Recorder>,
     ) -> (Matrix, AttentionCache) {
         let t = x.rows();
-        let d_model = self.wq.d_in();
-        assert_eq!(x.cols(), d_model, "attention: input width mismatch");
-
-        let mut q = self.wq.forward_op(x, rec.as_deref_mut());
-        let mut k = self.wk.forward_op(x, rec.as_deref_mut());
-        let v = self.wv.forward_op(x, rec.as_deref_mut());
-
-        // Rotate queries and keys head-by-head.
-        for pos in 0..t {
-            for h in 0..self.n_heads {
-                let lo = h * self.d_head;
-                let hi = lo + self.d_head;
-                rope.apply_row(&mut q.row_mut(pos)[lo..hi], pos);
-                rope.apply_row(&mut k.row_mut(pos)[lo..hi], pos);
-            }
-        }
-
-        // audit:allow(alloc): once-per-call cache of per-head prob matrices
-        let mut probs = Vec::with_capacity(self.n_heads);
-        let mut concat = Matrix::zeros(t, d_model);
-        for h in 0..self.n_heads {
-            let lo = h * self.d_head;
-            let hi = lo + self.d_head;
-            let qh = q.slice_cols(lo, hi);
-            let kh = k.slice_cols(lo, hi);
-            let vh = v.slice_cols(lo, hi);
-            // scores = q kᵀ / √d, causal mask.
-            let mut scores = qh.matmul_nt(&kh);
-            scores.scale_assign(self.scale);
-            for i in 0..t {
-                let row = scores.row_mut(i);
-                for val in row.iter_mut().skip(i + 1) {
-                    *val = f32::NEG_INFINITY;
-                }
-            }
-            softmax_rows(&mut scores);
-            let head = scores.matmul(&vh);
-            concat.set_block(0, lo, &head);
-            // audit:allow(alloc): moves the head's score matrix into the cache
-            probs.push(scores);
-        }
-
+        let mut probs: Vec<Matrix> = (0..self.n_heads).map(|_| Matrix::zeros(t, t)).collect();
+        let (q_rot, k_rot, v, concat) = self.attend(x, rope, Some(&mut probs), rec.as_deref_mut());
         let out = self.wo.forward_op(&concat, rec);
         let cache = AttentionCache {
             // audit:allow(alloc): the cache owns its input copy for backward
             x: x.clone(),
-            q_rot: q,
-            k_rot: k,
+            q_rot,
+            k_rot,
             v,
             probs,
             concat,
         };
         (out, cache)
+    }
+
+    /// Inference-only forward: the output of
+    /// [`forward`](MultiHeadAttention::forward), bit for bit, without
+    /// building an [`AttentionCache`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != d_model` or the sequence exceeds the RoPE
+    /// table.
+    pub(crate) fn forward_infer(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
+        let (_, _, _, concat) = self.attend(x, rope, None, None);
+        self.wo.forward_op(&concat, None)
+    }
+
+    /// Projects `x` to Q/K/V, rotates Q and K, and runs [`attend_row`]
+    /// for every row `i` over keys `[0, i]`. Returns
+    /// `(q_rot, k_rot, v, concat)`; `probs`, when given, receives each
+    /// head's probability rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != d_model` or the sequence exceeds the RoPE
+    /// table.
+    fn attend(
+        &self,
+        x: &Matrix,
+        rope: &RopeTable,
+        mut probs: Option<&mut [Matrix]>,
+        mut rec: Option<&mut Recorder>,
+    ) -> (Matrix, Matrix, Matrix, Matrix) {
+        let t = x.rows();
+        let d_model = self.wq.d_in();
+        assert_eq!(x.cols(), d_model, "attention: input width mismatch");
+
+        let mut q = self.wq.forward_op(x, rec.as_deref_mut());
+        let mut k = self.wk.forward_op(x, rec.as_deref_mut());
+        let v = self.wv.forward_op(x, rec);
+        for pos in 0..t {
+            rope.apply_heads(q.row_mut(pos), pos);
+            rope.apply_heads(k.row_mut(pos), pos);
+        }
+
+        let mut concat = Matrix::zeros(t, d_model);
+        let mut scores = vec![0.0f32; t];
+        for i in 0..t {
+            attend_row(
+                q.row(i),
+                k.as_slice(),
+                v.as_slice(),
+                i + 1,
+                self.d_head,
+                self.scale,
+                &mut scores,
+                probs.as_deref_mut(),
+                concat.row_mut(i),
+            );
+        }
+        (q, k, v, concat)
+    }
+}
+
+/// Causal attention of one rotated query row `q` (heads concatenated,
+/// `d_model` wide) over the first `t` rows of the row-major `keys` and
+/// `values` (`d_model` floats per row), accumulated into the concat
+/// row `out`. `scores` is scratch of at least `t` floats.
+///
+/// Per head: scores `q·k · scale` (each dot product from `0.0`,
+/// coordinates ascending), the `f32::max` fold, `exp(s − max)` with a
+/// running sum, `· (1 / sum)`, then `P·V` with keys ascending, skipping
+/// probabilities that are exactly zero. These are the float operations,
+/// in order, of a full `Q·Kᵀ` → causal `−∞` mask → row softmax → `P·V`
+/// matmul: a masked entry adds `exp(−∞) = 0` to the sum after every
+/// unmasked one and is skipped in `P·V`, so leaving it out changes no
+/// bit for finite scores. A row with a NaN score still comes out NaN.
+///
+/// With `probs` given, head `h`'s probabilities are written to
+/// `probs[h].row(t − 1)[..t]`.
+///
+/// Full-sequence forwards call this once per row `i` with `t = i + 1`;
+/// cached decoding calls it once per row with `t = pos + 1` against the
+/// sequence's KV cache.
+///
+/// # HotPath
+///
+/// Allocation budget: zero allocations.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend_row(
+    q: &[f32],
+    keys: &[f32],
+    values: &[f32],
+    t: usize,
+    d_head: usize,
+    scale: f32,
+    scores: &mut [f32],
+    mut probs: Option<&mut [Matrix]>,
+    out: &mut [f32],
+) {
+    let d_model = q.len();
+    let scores = &mut scores[..t];
+    for (h, (qh, head)) in q
+        .chunks_exact(d_head)
+        .zip(out.chunks_exact_mut(d_head))
+        .enumerate()
+    {
+        let lo = h * d_head;
+        for (s, key) in scores.iter_mut().zip(keys.chunks_exact(d_model)) {
+            let kh = &key[lo..lo + d_head];
+            let mut acc = 0.0f32;
+            for (a, b) in qh.iter().zip(kh) {
+                acc += a * b;
+            }
+            *s = acc * scale;
+        }
+        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for s in scores.iter_mut() {
+            *s = (*s - max).exp();
+            sum += *s;
+        }
+        let inv = 1.0 / sum;
+        for s in scores.iter_mut() {
+            *s *= inv;
+        }
+        for (&p, value) in scores.iter().zip(values.chunks_exact(d_model)) {
+            // Exact-zero skip, as the matmul kernel's. A guard, not an
+            // early `continue`: that form compiled to a slower loop.
+            // audit:allow(fpeq): exact-zero skip; no tolerance intended
+            if p != 0.0 {
+                let vh = &value[lo..lo + d_head];
+                for (o, &b) in head.iter_mut().zip(vh) {
+                    *o += p * b;
+                }
+            }
+        }
+        if let Some(probs) = probs.as_deref_mut() {
+            probs[h].row_mut(t - 1)[..t].copy_from_slice(scores);
+        }
     }
 }
 
@@ -355,6 +462,7 @@ impl MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aptq_tensor::activation::softmax_rows;
     use aptq_tensor::init;
 
     fn setup(
@@ -368,6 +476,125 @@ mod tests {
         let x = init::normal(t, d, 1.0, &mut rng);
         let rope = RopeTable::new(d / heads, 64, 10_000.0);
         (attn, x, rope)
+    }
+
+    /// The per-head full-matrix forward the causal row kernel replaced,
+    /// kept verbatim as its bit-exact oracle.
+    fn forward_oracle(
+        attn: &MultiHeadAttention,
+        x: &Matrix,
+        rope: &RopeTable,
+    ) -> (Matrix, AttentionCache) {
+        let t = x.rows();
+        let d_model = attn.wq.d_in();
+        let mut q = attn.wq.forward_op(x, None);
+        let mut k = attn.wk.forward_op(x, None);
+        let v = attn.wv.forward_op(x, None);
+        for pos in 0..t {
+            for h in 0..attn.n_heads {
+                let lo = h * attn.d_head;
+                let hi = lo + attn.d_head;
+                rope.apply_row(&mut q.row_mut(pos)[lo..hi], pos);
+                rope.apply_row(&mut k.row_mut(pos)[lo..hi], pos);
+            }
+        }
+        let mut probs = Vec::with_capacity(attn.n_heads);
+        let mut concat = Matrix::zeros(t, d_model);
+        for h in 0..attn.n_heads {
+            let lo = h * attn.d_head;
+            let hi = lo + attn.d_head;
+            let qh = q.slice_cols(lo, hi);
+            let kh = k.slice_cols(lo, hi);
+            let vh = v.slice_cols(lo, hi);
+            let mut scores = qh.matmul_nt(&kh);
+            scores.scale_assign(attn.scale);
+            for i in 0..t {
+                let row = scores.row_mut(i);
+                for val in row.iter_mut().skip(i + 1) {
+                    *val = f32::NEG_INFINITY;
+                }
+            }
+            softmax_rows(&mut scores);
+            let head = scores.matmul(&vh);
+            concat.set_block(0, lo, &head);
+            probs.push(scores);
+        }
+        let out = attn.wo.forward_op(&concat, None);
+        let cache = AttentionCache {
+            x: x.clone(),
+            q_rot: q,
+            k_rot: k,
+            v,
+            probs,
+            concat,
+        };
+        (out, cache)
+    }
+
+    fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    /// `forward`'s output and every cache field against the oracle, bit
+    /// for bit, at `T ∈ {1, 2, 3, 17, 64, max_seq_len}`. `amp` scales
+    /// the input (large values drive probabilities to exactly zero) and
+    /// every seventh entry is `+0.0` or `−0.0`. Returns how many
+    /// probabilities inside the causal triangle were exactly zero.
+    fn check_against_oracle(d_model: usize, n_heads: usize, max_seq_len: usize, amp: f32) -> usize {
+        let mut rng = init::rng(d_model as u64 * 31 + n_heads as u64);
+        let attn = MultiHeadAttention::new(d_model, n_heads, &mut rng);
+        let rope = RopeTable::new(d_model / n_heads, max_seq_len.max(64), 10_000.0);
+        let mut exact_zeros = 0;
+        for t in [1usize, 2, 3, 17, 64, max_seq_len] {
+            let mut x = init::normal(t, d_model, amp, &mut rng);
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                if i % 7 == 0 {
+                    *v = if i % 14 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let (y, cache) = attn.forward(&x, &rope);
+            let (want_y, want) = forward_oracle(&attn, &x, &rope);
+            let what = format!("d={d_model} heads={n_heads} T={t} amp={amp}");
+            assert_bits(&y, &want_y, &format!("{what}: output"));
+            assert_bits(&cache.x, &want.x, &format!("{what}: x"));
+            assert_bits(&cache.q_rot, &want.q_rot, &format!("{what}: q_rot"));
+            assert_bits(&cache.k_rot, &want.k_rot, &format!("{what}: k_rot"));
+            assert_bits(&cache.v, &want.v, &format!("{what}: v"));
+            assert_bits(&cache.concat, &want.concat, &format!("{what}: concat"));
+            assert_eq!(cache.probs.len(), want.probs.len());
+            for (h, (p, wp)) in cache.probs.iter().zip(&want.probs).enumerate() {
+                assert_bits(p, wp, &format!("{what}: probs[{h}]"));
+                exact_zeros += (0..t)
+                    .map(|i| p.row(i)[..=i].iter().filter(|&&v| v == 0.0).count())
+                    .sum::<usize>();
+            }
+        }
+        exact_zeros
+    }
+
+    #[test]
+    fn oracle_forward_bits_test_tiny_heads() {
+        let cfg = crate::ModelConfig::test_tiny(16);
+        check_against_oracle(cfg.d_model, cfg.n_heads, cfg.max_seq_len, 1.0);
+        let zeros = check_against_oracle(cfg.d_model, cfg.n_heads, cfg.max_seq_len, 40.0);
+        assert!(
+            zeros > 0,
+            "large inputs must underflow some probabilities to 0"
+        );
+    }
+
+    #[test]
+    fn oracle_forward_bits_tinyllama_m_heads() {
+        let cfg = crate::ModelConfig::tiny_llama_m(134);
+        check_against_oracle(cfg.d_model, cfg.n_heads, cfg.max_seq_len, 1.0);
+        let zeros = check_against_oracle(cfg.d_model, cfg.n_heads, cfg.max_seq_len, 40.0);
+        assert!(
+            zeros > 0,
+            "large inputs must underflow some probabilities to 0"
+        );
     }
 
     #[test]

@@ -126,16 +126,26 @@ impl<L: LinearOp> TransformerBlock<L> {
     ///
     /// Runs the same float ops on the same inputs as
     /// [`forward`](TransformerBlock::forward) up to its post-attention
-    /// residual and keeps no cache, so
+    /// residual, but builds no cache: [`RmsNorm::forward_into`], the
+    /// Q/K/V projections, RoPE and the causal row kernel cached decoding
+    /// uses, then the output projection. So
     /// `ffn_half(&attn_half(x))` equals `forward(x).0` bit for bit.
+    ///
+    /// # HotPath
+    ///
+    /// Allocation budget: the norm, Q/K/V, concat, output and residual
+    /// matrices sized by the input and one `T`-float score buffer; no
+    /// `RmsNormCache`, `AttentionCache` or `T × T` matrix.
     ///
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn attn_half(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
-        let (normed1, _) = self.norm1.forward(x);
-        let (attn_out, _) = self.attn.forward(&normed1, rope);
+        let mut normed = Matrix::zeros(x.rows(), x.cols());
+        self.norm1.forward_into(x, &mut normed);
+        let attn_out = self.attn.forward_infer(&normed, rope);
+        // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut h = x.clone();
         h.add_assign(&attn_out);
         h
@@ -145,13 +155,30 @@ impl<L: LinearOp> TransformerBlock<L> {
     /// `y = h + FFN(RMSNorm(h))`, where `h` is the post-attention
     /// residual [`attn_half`](TransformerBlock::attn_half) returns.
     ///
+    /// Builds no cache: [`RmsNorm::forward_into`], then SwiGLU as gate
+    /// and up, `silu(g)·u` in place, then down — the same pieces the
+    /// decode step runs.
+    ///
+    /// # HotPath
+    ///
+    /// Allocation budget: the norm, gate, up, output and residual
+    /// matrices sized by the input; no `RmsNormCache` or `SwiGluCache`.
+    ///
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn ffn_half(&self, h: &Matrix) -> Matrix {
-        let (normed2, _) = self.norm2.forward(h);
-        let (ffn_out, _) = self.ffn.forward(&normed2);
+        let (t, d_model) = h.shape();
+        let d_ff = self.ffn.gate().d_out();
+        let mut normed = Matrix::zeros(t, d_model);
+        self.norm2.forward_into(h, &mut normed);
+        let mut gate = Matrix::zeros(t, d_ff);
+        let mut up = Matrix::zeros(t, d_ff);
+        let mut ffn_out = Matrix::zeros(t, d_model);
+        self.ffn
+            .forward_into(&normed, &mut gate, &mut up, &mut ffn_out, None);
+        // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut y = h.clone();
         y.add_assign(&ffn_out);
         y
@@ -314,5 +341,32 @@ mod tests {
         assert_eq!(grads.ffn.ddown.shape(), block.ffn.down().weight().shape());
         assert_eq!(grads.dnorm1.len(), 16);
         assert_eq!(grads.dnorm2.len(), 16);
+    }
+
+    #[test]
+    fn oracle_halves_match_forward_on_checkpoint() {
+        // Every block of the committed TinyLlama-M checkpoint, fed its
+        // real input: the cache-free halves equal the training forward
+        // bit for bit.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
+        );
+        let json = std::fs::read_to_string(path).expect("committed TinyLlama-M checkpoint");
+        let model = crate::Model::from_json(&json).expect("checkpoint parses");
+        let vocab = model.config().vocab_size as u32;
+        for t in [1usize, 17, 64] {
+            let tokens: Vec<u32> = (0..t as u32).map(|i| (i * 37 + 5) % vocab).collect();
+            let mut x = model.embed_tokens(&tokens);
+            for (b, block) in model.blocks().iter().enumerate() {
+                let (y, _) = block.forward(&x, model.rope());
+                let halves = block.ffn_half(&block.attn_half(&x, model.rope()));
+                assert_eq!(halves.shape(), y.shape());
+                for (i, (a, w)) in halves.as_slice().iter().zip(y.as_slice()).enumerate() {
+                    assert_eq!(a.to_bits(), w.to_bits(), "T={t} block {b} element {i}");
+                }
+                x = y;
+            }
+        }
     }
 }

@@ -28,9 +28,9 @@
 //! it counts bytes *written into* the cache and must stay linear in T.
 
 use aptq_obs::Recorder;
-use aptq_tensor::activation::silu;
 use aptq_tensor::Matrix;
 
+use crate::attention::attend_row;
 use crate::config::ModelConfig;
 use crate::linear::{Linear, LinearOp};
 use crate::model::ModelOf;
@@ -155,7 +155,6 @@ fn step_rows<L: LinearOp, S: SlotTable>(
     let cfg = model.config();
     let b = tokens.len();
     let d_model = cfg.d_model;
-    let n_heads = cfg.n_heads;
     let d_head = cfg.d_head();
     let rope = model.rope();
 
@@ -198,7 +197,6 @@ fn step_rows<L: LinearOp, S: SlotTable>(
                 attend_cached_row(
                     &mut slot.layers[li],
                     rope,
-                    n_heads,
                     d_head,
                     slot.pos,
                     q.row_mut(r),
@@ -215,15 +213,10 @@ fn step_rows<L: LinearOp, S: SlotTable>(
             .forward_into(&concat, &mut proj, Some(&mut *rec));
         x.add_assign(&proj);
 
-        // SwiGLU: gate and up, then silu(g)·u in place, then down.
         block.norm2.forward_into(&x, &mut normed);
-        let ffn = &block.ffn;
-        ffn.gate().forward_into(&normed, &mut gate, Some(&mut *rec));
-        ffn.up().forward_into(&normed, &mut up, Some(&mut *rec));
-        for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-            *g = silu(*g) * u;
-        }
-        ffn.down().forward_into(&gate, &mut proj, Some(&mut *rec));
+        block
+            .ffn
+            .forward_into(&normed, &mut gate, &mut up, &mut proj, Some(&mut *rec));
         x.add_assign(&proj);
     }
 
@@ -234,19 +227,16 @@ fn step_rows<L: LinearOp, S: SlotTable>(
 /// One sequence's cached-attention step for one layer: rotates the
 /// freshly projected `q`/`k` rows for position `pos`, appends `k`/`v`
 /// in place at cache row `pos`, and accumulates the softmax-weighted
-/// values over rows `[0, pos]` into `out`. `scores` is scratch of at
-/// least `pos + 1` entries.
+/// values over rows `[0, pos]` into `out` through the same row kernel
+/// as the full-sequence forward ([`attend_row`]). `scores` is scratch
+/// of at least `pos + 1` entries.
 ///
 /// Called once per row by [`step_rows`], so a row's float operations and
 /// their order never depend on how many other sequences share the step.
-///
-/// Dot-product order matches `Matrix::matmul_nt`; the softmax mirrors
-/// `aptq_tensor::activation::softmax_rows`.
 #[allow(clippy::too_many_arguments)]
 fn attend_cached_row(
     kv: &mut LayerKv,
     rope: &RopeTable,
-    n_heads: usize,
     d_head: usize,
     pos: usize,
     q: &mut [f32],
@@ -255,50 +245,22 @@ fn attend_cached_row(
     scores: &mut [f32],
     out: &mut [f32],
 ) {
-    for h in 0..n_heads {
-        let lo = h * d_head;
-        let hi = lo + d_head;
-        rope.apply_row(&mut q[lo..hi], pos);
-        rope.apply_row(&mut k[lo..hi], pos);
-    }
+    rope.apply_heads(q, pos);
+    rope.apply_heads(k, pos);
     kv.k_rot.row_mut(pos).copy_from_slice(k);
     kv.v.row_mut(pos).copy_from_slice(v);
-
-    let t = pos + 1;
-    let scores = &mut scores[..t];
     let scale = 1.0 / (d_head as f32).sqrt();
-    for h in 0..n_heads {
-        let lo = h * d_head;
-        let hi = lo + d_head;
-        let qh = &q[lo..hi];
-        // Scores against the cached keys, read in place (no per-token
-        // copy of the cache).
-        for (ti, s) in scores.iter_mut().enumerate() {
-            let kh = &kv.k_rot.row(ti)[lo..hi];
-            let mut acc = 0.0f32;
-            for (a, b) in qh.iter().zip(kh) {
-                acc += a * b;
-            }
-            *s = acc * scale;
-        }
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for s in scores.iter_mut() {
-            *s = (*s - max).exp();
-            sum += *s;
-        }
-        let inv = 1.0 / sum;
-        for s in scores.iter_mut() {
-            *s *= inv;
-        }
-        let head = &mut out[lo..hi];
-        for (ti, &s) in scores.iter().enumerate() {
-            let vh = &kv.v.row(ti)[lo..hi];
-            for (o, b) in head.iter_mut().zip(vh) {
-                *o += s * b;
-            }
-        }
-    }
+    attend_row(
+        q,
+        kv.k_rot.as_slice(),
+        kv.v.as_slice(),
+        pos + 1,
+        d_head,
+        scale,
+        scores,
+        None,
+        out,
+    );
 }
 
 /// An incremental decoding session over one sequence, generic over the

@@ -100,6 +100,37 @@ impl<L: LinearOp> SwiGlu<L> {
         self.forward_opt(x, None)
     }
 
+    /// Inference-only forward into caller buffers: gate and up into
+    /// `gate`/`up` (`T × d_ff`), `silu(g)·u` in place in `gate`, then
+    /// down into `out` (`T × d_model`). `out` equals
+    /// [`forward`](SwiGlu::forward)'s output bit for bit; no
+    /// [`SwiGluCache`] is built.
+    ///
+    /// # HotPath
+    ///
+    /// Allocation budget: zero allocations beyond what the operators'
+    /// [`LinearOp::forward_into`] make.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer's shape does not match `x`'s row count and the
+    /// projection widths.
+    pub(crate) fn forward_into(
+        &self,
+        x: &Matrix,
+        gate: &mut Matrix,
+        up: &mut Matrix,
+        out: &mut Matrix,
+        mut rec: Option<&mut Recorder>,
+    ) {
+        self.gate.forward_into(x, gate, rec.as_deref_mut());
+        self.up.forward_into(x, up, rec.as_deref_mut());
+        for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+            *g = silu(*g) * u;
+        }
+        self.down.forward_into(gate, out, rec);
+    }
+
     /// [`forward`](SwiGlu::forward) with an optional recorder threaded
     /// into every projection's [`LinearOp::forward_into`] hook.
     ///

@@ -134,6 +134,11 @@ impl Linear {
     /// Given the upstream gradient `dy` (`tokens × d_out`) and the cached
     /// input `x`, returns `(dx, dw)` where `dx = dy · Wᵀ` and
     /// `dw = xᵀ · dy`.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, Matrix) {
         let dx = dy.matmul_nt(&self.weight);
         let dw = x.matmul_tn(dy);

@@ -337,10 +337,15 @@ impl<L: LinearOp> ModelOf<L> {
 
     /// Full forward pass returning next-token logits (`T × vocab`).
     ///
+    /// Inference only: every block runs through its cache-free halves
+    /// ([`TransformerBlock::attn_half`], [`TransformerBlock::ffn_half`]),
+    /// bit-identical to the training [`TransformerBlock::forward`].
+    ///
     /// # HotPath
     ///
     /// Allocation budget: per-block activation matrices sized by the
-    /// sequence, allocated once per block; inner loops are heap-free.
+    /// sequence, allocated once per block; no backward cache and no
+    /// `T × T` matrix. Inner loops are heap-free.
     ///
     /// # Panics
     ///
@@ -351,11 +356,17 @@ impl<L: LinearOp> ModelOf<L> {
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn forward(&self, tokens: &[u32]) -> Matrix {
-        let mut x = self.embed_tokens(tokens);
-        for block in &self.blocks {
-            x = block.forward(&x, &self.rope).0;
+        self.logits_from(0, self.embed_tokens(tokens))
+    }
+
+    /// Logits from block `start`'s input `x`: blocks `start..` through
+    /// their inference halves, then the final norm and the LM head.
+    fn logits_from(&self, start: usize, mut x: Matrix) -> Matrix {
+        for block in &self.blocks[start..] {
+            x = block.ffn_half(&block.attn_half(&x, &self.rope));
         }
-        let (normed, _) = self.final_norm.forward(&x);
+        let mut normed = Matrix::zeros(x.rows(), x.cols());
+        self.final_norm.forward_into(&x, &mut normed);
         normed.matmul(&self.lm_head)
     }
 
@@ -500,14 +511,10 @@ impl Model {
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn loss_from(&self, start: usize, mut x: Matrix, tokens: &[u32]) -> f32 {
+    pub fn loss_from(&self, start: usize, x: Matrix, tokens: &[u32]) -> f32 {
         assert!(tokens.len() >= 2, "loss_from: need at least 2 tokens");
         assert_eq!(x.rows(), tokens.len(), "loss_from: one row per token");
-        for block in &self.blocks[start..] {
-            x = block.ffn_half(&block.attn_half(&x, &self.rope));
-        }
-        let (normed, _) = self.final_norm.forward(&x);
-        let logits = normed.matmul(&self.lm_head);
+        let logits = self.logits_from(start, x);
         let mut total = 0.0f64;
         for i in 0..tokens.len() - 1 {
             let row = logits.row(i);

@@ -99,6 +99,18 @@ impl RopeTable {
         }
     }
 
+    /// Rotates every head of a heads-concatenated row (`n · d_head`
+    /// wide) in place for the given position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= max_seq`.
+    pub(crate) fn apply_heads(&self, row: &mut [f32], pos: usize) {
+        for head in row.chunks_exact_mut(self.d_head) {
+            self.apply_row(head, pos);
+        }
+    }
+
     /// Inverse rotation (used by the backward pass): rotates by `−θ`.
     ///
     /// # Panics

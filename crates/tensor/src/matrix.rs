@@ -306,35 +306,26 @@ impl Matrix {
         );
     }
 
-    /// Matrix product `selfᵀ × rhs` without materializing the transpose.
+    /// Matrix product `selfᵀ × rhs`: [`Matrix::matmul`] on the
+    /// transposed left operand, so each output element adds its `t`
+    /// terms in ascending order and skips those whose `self` entry is
+    /// exactly zero.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS`: same kernel as
+    /// [`Matrix::matmul`].
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: row counts differ ({}x{} vs {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        // Aᵀ B: accumulate outer products row by row — sequential memory
-        // access on both inputs.
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for t in 0..self.rows {
-            let a_row = self.row(t);
-            let b_row = rhs.row(t);
-            for (i, &a) in a_row.iter().enumerate() {
-                // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
-                if a == 0.0 {
-                    continue;
-                }
-                let o = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (j, &b) in b_row.iter().enumerate() {
-                    o[j] += a * b;
-                }
-            }
-        }
-        out
+        self.transpose().matmul(rhs)
     }
 
     /// Matrix product `self × rhsᵀ` without materializing the transpose.
@@ -868,6 +859,77 @@ mod tests {
                     "({i},{j}): {} vs {acc}",
                     c[(i, j)]
                 );
+            }
+        }
+    }
+
+    /// The outer-product `matmul_tn` body the kernel replaced, kept
+    /// verbatim as its bit-exact oracle.
+    fn matmul_tn_oracle(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(lhs.cols, rhs.cols);
+        for t in 0..lhs.rows {
+            let a_row = lhs.row(t);
+            let b_row = rhs.row(t);
+            for (i, &a) in a_row.iter().enumerate() {
+                // audit:allow(fpeq): exact-zero sparsity skip; no tolerance intended
+                if a == 0.0 {
+                    continue;
+                }
+                let o = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+                for (j, &b) in b_row.iter().enumerate() {
+                    o[j] += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// Seeded entries with exact ±0.0 every `zero_every`-th entry and,
+    /// when `specials` is set, NaN, ±inf and subnormals mixed in.
+    fn special_operand(rows: usize, cols: usize, salt: usize, specials: bool) -> Matrix {
+        Matrix::from_fn(rows, cols, |i, j| {
+            let idx = i * cols + j;
+            let h = idx.wrapping_mul(2_654_435_761).wrapping_add(salt * 131) % 1013;
+            match h % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ if specials && h.is_multiple_of(41) => {
+                    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -2e-39][h % 5]
+                }
+                _ => (h as f32) * 0.004 - 2.0,
+            }
+        })
+    }
+
+    #[test]
+    fn matmul_tn_is_bit_identical_to_outer_product_oracle() {
+        for (t, m, n) in [
+            (64, 36, 36),
+            (64, 80, 80),
+            (64, 36, 80),
+            (7, 5, 3),
+            (33, 17, 1),
+            (1, 9, 20),
+            (0, 4, 4),
+        ] {
+            for specials in [false, true] {
+                let a = special_operand(t, m, 1, specials);
+                let b = special_operand(t, n, 2, specials);
+                let got = a.matmul_tn(&b);
+                let want = matmul_tn_oracle(&a, &b);
+                assert_eq!(got.shape(), want.shape());
+                for (k, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    // Any two NaNs match: a NaN's sign and payload are
+                    // unspecified after arithmetic.
+                    if x.is_nan() && y.is_nan() {
+                        continue;
+                    }
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{t}x{m}ᵀ·{t}x{n} specials={specials}: element {k}: {x} vs {y}"
+                    );
+                }
             }
         }
     }
