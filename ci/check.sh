@@ -100,10 +100,14 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib parallel::tests
     APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib matrix::tests::matmul_tn
     APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test kernel_diff
+    # The packed chunked forward and prefill against token-by-token
+    # decode, in the profile the benchmark ships.
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test unified_path
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --test batch_decode
     # The causal attention row kernel against the per-head full-matrix
-    # forward it replaced, and the cache-free block halves against the
-    # training forward, bit for bit. The probe and the capture run in
+    # forward it replaced, the cache-free block halves and the chunked
+    # forward against the training forward, and a prefill chunk against
+    # token-by-token feeding, bit for bit. The probe and the capture run in
     # release in the benchmark, where the causal loops auto-vectorize.
     APTQ_THREADS=$threads cargo test -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --lib oracle_

@@ -1,7 +1,8 @@
 //! # aptq-bench
 //!
 //! Experiment harness regenerating every table and figure of the APTQ
-//! paper, plus Criterion micro-benchmarks of the kernels.
+//! paper. Wall-clock timing lives in the standalone `benchmark/`
+//! package, which runs with noise control and archives its results.
 //!
 //! Full-scale regeneration binaries (see `DESIGN.md` §4 for the mapping):
 //!
@@ -55,7 +56,7 @@ impl ExperimentScale {
         }
     }
 
-    /// A smoke-test scale for Criterion benches and CI.
+    /// A smoke-test scale: the binaries' `--smoke` flag, and tests.
     pub fn smoke() -> Self {
         ExperimentScale {
             budget: PretrainBudget::quick(),

@@ -1,7 +1,6 @@
 //! Multi-head causal self-attention with RoPE, full manual backward, and
 //! the internal captures APTQ's attention-aware Hessians consume.
 
-use aptq_obs::Recorder;
 use aptq_tensor::activation::softmax_vjp_row;
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -103,7 +102,6 @@ impl<L: LinearOp> MultiHeadAttention<L> {
         self.d_head
     }
 
-    /// Query projection.
     /// Mutable query projection (optimizer / quantizer /
     /// fault-injection access).
     pub fn wq_mut(&mut self) -> &mut L {
@@ -122,6 +120,7 @@ impl<L: LinearOp> MultiHeadAttention<L> {
         &mut self.wo
     }
 
+    /// Query projection.
     pub fn wq(&self) -> &L {
         &self.wq
     }
@@ -139,10 +138,12 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     }
 
     /// Forward pass over a `(T × d_model)` activation matrix with causal
-    /// masking and RoPE.
+    /// masking and RoPE: the training path, and the capture's.
     ///
     /// Returns `(output, cache)`; the cache feeds both [`backward`] and
-    /// the APTQ attention-Hessian builders.
+    /// the APTQ attention-Hessian builders. Row `i` attends to keys
+    /// `[0, i]` only, through the same row kernel as cached decoding,
+    /// which writes `probs[h].row(i)[..=i]`.
     ///
     /// [`backward`]: MultiHeadAttention::backward
     ///
@@ -163,97 +164,19 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn forward(&self, x: &Matrix, rope: &RopeTable) -> (Matrix, AttentionCache) {
-        self.forward_opt(x, rope, None)
-    }
-
-    /// [`forward`](MultiHeadAttention::forward) with an optional
-    /// recorder threaded into every projection's
-    /// [`LinearOp::forward_into`] hook (packed operators count their
-    /// unpacking work there; fp32 records nothing).
-    ///
-    /// Row `i` attends to keys `[0, i]` only, through the same row
-    /// kernel as cached decoding, which writes `probs[h].row(i)[..=i]`.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: Q/K/V/concat/output matrices sized by the
-    /// sequence, the cache's per-head `T × T` `probs` (upper triangles
-    /// left zero) and one `T`-float score buffer, allocated once per
-    /// call; no per-head score matrix beyond `probs`. Inner loops are
-    /// heap-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_model` or the sequence exceeds the RoPE
-    /// table.
-    /// # Determinism
-    ///
-    /// Outputs *and counters* are bit-identical at any `APTQ_THREADS`
-    /// value: matmuls run on the deterministic threadpool
-    /// ([`aptq_tensor::parallel`]) and counters depend only on shapes.
-    pub fn forward_opt(
-        &self,
-        x: &Matrix,
-        rope: &RopeTable,
-        mut rec: Option<&mut Recorder>,
-    ) -> (Matrix, AttentionCache) {
-        let t = x.rows();
-        let mut probs: Vec<Matrix> = (0..self.n_heads).map(|_| Matrix::zeros(t, t)).collect();
-        let (q_rot, k_rot, v, concat) = self.attend(x, rope, Some(&mut probs), rec.as_deref_mut());
-        let out = self.wo.forward_op(&concat, rec);
-        let cache = AttentionCache {
-            // audit:allow(alloc): the cache owns its input copy for backward
-            x: x.clone(),
-            q_rot,
-            k_rot,
-            v,
-            probs,
-            concat,
-        };
-        (out, cache)
-    }
-
-    /// Inference-only forward: the output of
-    /// [`forward`](MultiHeadAttention::forward), bit for bit, without
-    /// building an [`AttentionCache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_model` or the sequence exceeds the RoPE
-    /// table.
-    pub(crate) fn forward_infer(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
-        let (_, _, _, concat) = self.attend(x, rope, None, None);
-        self.wo.forward_op(&concat, None)
-    }
-
-    /// Projects `x` to Q/K/V, rotates Q and K, and runs [`attend_row`]
-    /// for every row `i` over keys `[0, i]`. Returns
-    /// `(q_rot, k_rot, v, concat)`; `probs`, when given, receives each
-    /// head's probability rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_model` or the sequence exceeds the RoPE
-    /// table.
-    fn attend(
-        &self,
-        x: &Matrix,
-        rope: &RopeTable,
-        mut probs: Option<&mut [Matrix]>,
-        mut rec: Option<&mut Recorder>,
-    ) -> (Matrix, Matrix, Matrix, Matrix) {
         let t = x.rows();
         let d_model = self.wq.d_in();
         assert_eq!(x.cols(), d_model, "attention: input width mismatch");
 
-        let mut q = self.wq.forward_op(x, rec.as_deref_mut());
-        let mut k = self.wk.forward_op(x, rec.as_deref_mut());
-        let v = self.wv.forward_op(x, rec);
+        let mut q = self.wq.forward_op(x, None);
+        let mut k = self.wk.forward_op(x, None);
+        let v = self.wv.forward_op(x, None);
         for pos in 0..t {
             rope.apply_heads(q.row_mut(pos), pos);
             rope.apply_heads(k.row_mut(pos), pos);
         }
 
+        let mut probs: Vec<Matrix> = (0..self.n_heads).map(|_| Matrix::zeros(t, t)).collect();
         let mut concat = Matrix::zeros(t, d_model);
         let mut scores = vec![0.0f32; t];
         for i in 0..t {
@@ -265,11 +188,21 @@ impl<L: LinearOp> MultiHeadAttention<L> {
                 self.d_head,
                 self.scale,
                 &mut scores,
-                probs.as_deref_mut(),
+                Some(&mut probs[..]),
                 concat.row_mut(i),
             );
         }
-        (q, k, v, concat)
+        let out = self.wo.forward_op(&concat, None);
+        let cache = AttentionCache {
+            // audit:allow(alloc): the cache owns its input copy for backward
+            x: x.clone(),
+            q_rot: q,
+            k_rot: k,
+            v,
+            probs,
+            concat,
+        };
+        (out, cache)
     }
 }
 
@@ -290,9 +223,9 @@ impl<L: LinearOp> MultiHeadAttention<L> {
 /// With `probs` given, head `h`'s probabilities are written to
 /// `probs[h].row(t − 1)[..t]`.
 ///
-/// Full-sequence forwards call this once per row `i` with `t = i + 1`;
-/// cached decoding calls it once per row with `t = pos + 1` against the
-/// sequence's KV cache.
+/// The training forward calls this once per row `i` with `t = i + 1`;
+/// every inference forward calls it once per row with `t = pos + 1`
+/// against that row's KV cache.
 ///
 /// # HotPath
 ///

@@ -1,12 +1,14 @@
 //! A transformer block: pre-norm attention and SwiGLU with residuals.
 
 use aptq_obs::Recorder;
+use aptq_tensor::activation::silu;
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::attention::{AttentionCache, AttentionGrads, MultiHeadAttention};
 use crate::config::ModelConfig;
+use crate::decode::{KvRows, LayerKv, Workspace};
 use crate::ffn::{SwiGlu, SwiGluCache, SwiGluGrads};
 use crate::linear::{Linear, LinearOp};
 use crate::model::LayerKind;
@@ -73,17 +75,10 @@ impl<L: LinearOp> TransformerBlock<L> {
         }
     }
 
-    /// Forward pass; returns `(output, cache)`.
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward(&self, x: &Matrix, rope: &RopeTable) -> (Matrix, BlockForwardCache) {
-        self.forward_opt(x, rope, None)
-    }
-
-    /// [`forward`](TransformerBlock::forward) with an optional recorder
-    /// threaded into every projection's [`LinearOp::forward_into`] hook.
+    /// Forward pass; returns `(output, cache)`. The training path, and
+    /// the capture's: inference runs
+    /// [`attn_half`](TransformerBlock::attn_half) and
+    /// [`ffn_half`](TransformerBlock::ffn_half), which build no cache.
     ///
     /// # HotPath
     ///
@@ -92,22 +87,16 @@ impl<L: LinearOp> TransformerBlock<L> {
     ///
     /// # Determinism
     ///
-    /// Outputs *and counters* are bit-identical at any `APTQ_THREADS`
-    /// value: matmuls run on the deterministic threadpool
-    /// ([`aptq_tensor::parallel`]) and counters depend only on shapes.
-    pub fn forward_opt(
-        &self,
-        x: &Matrix,
-        rope: &RopeTable,
-        mut rec: Option<&mut Recorder>,
-    ) -> (Matrix, BlockForwardCache) {
+    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
+    pub fn forward(&self, x: &Matrix, rope: &RopeTable) -> (Matrix, BlockForwardCache) {
         let (normed1, c_norm1) = self.norm1.forward(x);
-        let (attn_out, c_attn) = self.attn.forward_opt(&normed1, rope, rec.as_deref_mut());
+        let (attn_out, c_attn) = self.attn.forward(&normed1, rope);
         // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut h = x.clone();
         h.add_assign(&attn_out);
         let (normed2, c_norm2) = self.norm2.forward(&h);
-        let (ffn_out, c_ffn) = self.ffn.forward_opt(&normed2, rec);
+        let (ffn_out, c_ffn) = self.ffn.forward(&normed2);
         let mut y = h;
         y.add_assign(&ffn_out);
         (
@@ -122,47 +111,53 @@ impl<L: LinearOp> TransformerBlock<L> {
     }
 
     /// The attention half of the block, inference only:
-    /// `h = x + Attn(RMSNorm(x))`.
+    /// `h = x + Attn(RMSNorm(x))`, as one chunk of `T` rows through the
+    /// decode core's attention half over a `T`-row cache for this block
+    /// alone. Row `i` sits at position `i`.
     ///
     /// Runs the same float ops on the same inputs as
     /// [`forward`](TransformerBlock::forward) up to its post-attention
-    /// residual, but builds no cache: [`RmsNorm::forward_into`], the
-    /// Q/K/V projections, RoPE and the causal row kernel cached decoding
-    /// uses, then the output projection. So
+    /// residual, but builds no cache, so
     /// `ffn_half(&attn_half(x))` equals `forward(x).0` bit for bit.
     ///
     /// # HotPath
     ///
-    /// Allocation budget: the norm, Q/K/V, concat, output and residual
-    /// matrices sized by the input and one `T`-float score buffer; no
-    /// `RmsNormCache`, `AttentionCache` or `T × T` matrix.
+    /// Allocation budget: one workspace and one key/value cache sized by
+    /// the rows, and the residual copy of `x`; no `RmsNormCache`,
+    /// `AttentionCache` or `T × T` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `d_model` wide or has more rows than the
+    /// RoPE table.
     ///
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn attn_half(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
-        let mut normed = Matrix::zeros(x.rows(), x.cols());
-        self.norm1.forward_into(x, &mut normed);
-        let attn_out = self.attn.forward_infer(&normed, rope);
+        let (t, d_model) = x.shape();
+        let mut ws = Workspace::for_rows(t, d_model, self.ffn.gate().d_out(), t);
         // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut h = x.clone();
-        h.add_assign(&attn_out);
+        let mut kv = LayerKv::empty(t, d_model);
+        self.attn_rows(0, &mut h, &mut ws, &mut kv, rope, None);
         h
     }
 
     /// The feed-forward half of the block, inference only:
     /// `y = h + FFN(RMSNorm(h))`, where `h` is the post-attention
-    /// residual [`attn_half`](TransformerBlock::attn_half) returns.
-    ///
-    /// Builds no cache: [`RmsNorm::forward_into`], then SwiGLU as gate
-    /// and up, `silu(g)·u` in place, then down — the same pieces the
-    /// decode step runs.
+    /// residual [`attn_half`](TransformerBlock::attn_half) returns,
+    /// through the decode core's feed-forward half.
     ///
     /// # HotPath
     ///
-    /// Allocation budget: the norm, gate, up, output and residual
-    /// matrices sized by the input; no `RmsNormCache` or `SwiGluCache`.
+    /// Allocation budget: one workspace sized by the rows and the
+    /// residual copy of `h`; no `RmsNormCache` or `SwiGluCache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not `d_model` wide.
     ///
     /// # Determinism
     ///
@@ -170,18 +165,76 @@ impl<L: LinearOp> TransformerBlock<L> {
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn ffn_half(&self, h: &Matrix) -> Matrix {
         let (t, d_model) = h.shape();
-        let d_ff = self.ffn.gate().d_out();
-        let mut normed = Matrix::zeros(t, d_model);
-        self.norm2.forward_into(h, &mut normed);
-        let mut gate = Matrix::zeros(t, d_ff);
-        let mut up = Matrix::zeros(t, d_ff);
-        let mut ffn_out = Matrix::zeros(t, d_model);
-        self.ffn
-            .forward_into(&normed, &mut gate, &mut up, &mut ffn_out, None);
+        let mut ws = Workspace::for_rows(t, d_model, self.ffn.gate().d_out(), 0);
         // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut y = h.clone();
-        y.add_assign(&ffn_out);
+        self.ffn_rows(&mut y, &mut ws, None);
         y
+    }
+
+    /// The attention half over a workspace, in place:
+    /// `x += Attn(RMSNorm(x))`. The norm and each projection run once
+    /// over all rows; then, rows in order, each row attends at the cache
+    /// and position `kv` gives it in block `li` ([`LayerKv::attend`]). A
+    /// row `kv` skips gets no attention output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace does not match `x`'s rows, or a row's
+    /// position is past its cache or the RoPE table.
+    pub(crate) fn attn_rows<K: KvRows>(
+        &self,
+        li: usize,
+        x: &mut Matrix,
+        ws: &mut Workspace,
+        kv: &mut K,
+        rope: &RopeTable,
+        mut rec: Option<&mut Recorder>,
+    ) {
+        self.norm1.forward_into(x, &mut ws.normed);
+        let attn = &self.attn;
+        attn.wq()
+            .forward_into(&ws.normed, &mut ws.q, rec.as_deref_mut());
+        attn.wk()
+            .forward_into(&ws.normed, &mut ws.k, rec.as_deref_mut());
+        attn.wv()
+            .forward_into(&ws.normed, &mut ws.v, rec.as_deref_mut());
+        // Attention accumulates into its row; skipped rows stay zero.
+        ws.concat.as_mut_slice().fill(0.0);
+        for r in 0..x.rows() {
+            if let Some((cache, pos)) = kv.kv(li, r) {
+                cache.attend(rope, pos, ws, r);
+            }
+        }
+        attn.wo().forward_into(&ws.concat, &mut ws.proj, rec);
+        x.add_assign(&ws.proj);
+    }
+
+    /// The feed-forward half over a workspace, in place:
+    /// `x += FFN(RMSNorm(x))`: gate and up, `silu(g)·u` in place in the
+    /// gate buffer, then down — [`SwiGlu::forward`]'s float ops without
+    /// its cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace does not match `x`'s rows.
+    pub(crate) fn ffn_rows(
+        &self,
+        x: &mut Matrix,
+        ws: &mut Workspace,
+        mut rec: Option<&mut Recorder>,
+    ) {
+        self.norm2.forward_into(x, &mut ws.normed);
+        let ffn = &self.ffn;
+        ffn.gate()
+            .forward_into(&ws.normed, &mut ws.gate, rec.as_deref_mut());
+        ffn.up()
+            .forward_into(&ws.normed, &mut ws.up, rec.as_deref_mut());
+        for (g, &u) in ws.gate.as_mut_slice().iter_mut().zip(ws.up.as_slice()) {
+            *g = silu(*g) * u;
+        }
+        ffn.down().forward_into(&ws.gate, &mut ws.proj, rec);
+        x.add_assign(&ws.proj);
     }
 }
 

@@ -1,31 +1,38 @@
-//! KV-cache incremental decoding.
+//! KV-cache incremental decoding, and the one inference layer loop.
 //!
 //! The paper motivates APTQ with LLM deployment on edge devices; the
 //! inference loop that actually runs there is autoregressive decoding
 //! with a key/value cache — O(T) attention work per new token instead of
 //! re-running the full O(T²) prefill every step.
 //!
-//! One private step core runs that loop: it stacks B token rows (one
-//! per sequence) into a single B×d matrix, runs every projection once
-//! per layer over the stack, and attends each row against its own
-//! sequence's cache at its own position. Both sessions are thin shells
-//! around it:
+//! One private core runs every inference forward in the workspace. It
+//! stacks hidden rows into one matrix, runs every projection once per
+//! layer over the stack, and attends each row against its own cache at
+//! its own position. What the rows are says which cache and position
+//! each one has:
 //!
-//! - [`DecodeSession`] owns one sequence and feeds one token at a time
-//!   (B = 1), with a sticky non-finite quarantine;
-//! - [`BatchDecodeSession`] owns many sequences that join and leave
-//!   independently (continuous batching), evicting poisoned rows.
+//! - a batch step: one row per sequence, each at its sequence's next
+//!   position ([`BatchDecodeSession::step`]);
+//! - a chunk of one sequence: row `r` at position `pos + r`, attending
+//!   over the rows before it — a prefill ([`DecodeSession::feed_all`],
+//!   of which [`DecodeSession::feed`] is the one-row case);
+//! - a one-layer scratch cache reused by every layer: the full-sequence
+//!   forward ([`ModelOf::forward`], `Model::loss_from` and the block
+//!   halves), whose cache nobody reads afterwards.
 //!
-//! Because both go through the same core, a batched row is bit-identical
-//! to solo decoding, and both are verified (see tests) to produce logits
-//! identical to the full forward pass.
+//! Projections are row-independent under the [`LinearOp`] contract and
+//! each row's attention reads only its own cache rows `[0, pos]`, so a
+//! row's logits never depend on which other rows share the call: a
+//! batched row equals solo decoding, and a chunk equals feeding its
+//! tokens one by one and the full forward, bit for bit (see tests).
 //!
-//! Each sequence's cache is **preallocated** at `max_seq_len` rows per
-//! layer and written in place, one row per token. Growing it with
-//! [`Matrix::vcat`] instead would copy the entire cache on every token —
-//! O(T²) bytes moved over a T-token decode — which is exactly the kind
-//! of regression the `decode/kv_bytes_moved` counter exists to catch:
-//! it counts bytes *written into* the cache and must stay linear in T.
+//! Each session sequence's cache is **preallocated** at `max_seq_len`
+//! rows per layer and written in place, one row per token. Growing it
+//! with [`Matrix::vcat`] instead would copy the entire cache on every
+//! token — O(T²) bytes moved over a T-token decode — which is exactly
+//! the kind of regression the `decode/kv_bytes_moved` counter exists to
+//! catch: it counts bytes *written into* the cache and must stay linear
+//! in T.
 
 use aptq_obs::Recorder;
 use aptq_tensor::Matrix;
@@ -37,14 +44,71 @@ use crate::model::ModelOf;
 use crate::rope::RopeTable;
 use crate::LmError;
 
-/// Per-layer key/value cache: rotated keys and raw values, preallocated
-/// at `max_seq_len × d_model`; rows `[0, pos)` are valid.
+/// One layer's key/value cache: rotated keys and raw values, one
+/// `d_model`-wide row per position.
 #[derive(Debug, Clone)]
-struct LayerKv {
+pub(crate) struct LayerKv {
     /// Rotated keys (heads concatenated).
     k_rot: Matrix,
     /// Values.
     v: Matrix,
+}
+
+impl LayerKv {
+    /// An empty cache of `rows` positions.
+    pub(crate) fn empty(rows: usize, d_model: usize) -> Self {
+        LayerKv {
+            k_rot: Matrix::zeros(rows, d_model),
+            v: Matrix::zeros(rows, d_model),
+        }
+    }
+
+    /// Workspace row `r`'s attention in one layer: rotates its query and
+    /// key for position `pos`, writes its key and value at cache row
+    /// `pos`, and accumulates the attention over cache rows `[0, pos]`
+    /// into its concat row ([`attend_row`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is past the cache, the RoPE table or the
+    /// workspace's score buffer.
+    pub(crate) fn attend(&mut self, rope: &RopeTable, pos: usize, ws: &mut Workspace, r: usize) {
+        let (q, k) = (ws.q.row_mut(r), ws.k.row_mut(r));
+        rope.apply_heads(q, pos);
+        rope.apply_heads(k, pos);
+        self.k_rot.row_mut(pos).copy_from_slice(k);
+        self.v.row_mut(pos).copy_from_slice(ws.v.row(r));
+        let d_head = rope.d_head();
+        let scale = 1.0 / (d_head as f32).sqrt();
+        let (keys, values) = (self.k_rot.as_slice(), self.v.as_slice());
+        let out = ws.concat.row_mut(r);
+        attend_row(
+            q,
+            keys,
+            values,
+            pos + 1,
+            d_head,
+            scale,
+            &mut ws.scores,
+            None,
+            out,
+        );
+    }
+}
+
+/// Which cache and position each row of a [`forward_rows`] call uses.
+pub(crate) trait KvRows {
+    /// Layer `li`'s cache for row `r` and the position row `r` sits at,
+    /// or `None` to skip the row (its attention output stays zero).
+    fn kv(&mut self, li: usize, r: usize) -> Option<(&mut LayerKv, usize)>;
+}
+
+/// A one-layer scratch cache every layer reuses, row `r` at position
+/// `r`: for a forward whose cache nobody reads afterwards.
+impl KvRows for LayerKv {
+    fn kv(&mut self, _li: usize, r: usize) -> Option<(&mut LayerKv, usize)> {
+        Some((self, r))
+    }
 }
 
 /// One sequence's decode state: its private per-layer KV cache and its
@@ -55,35 +119,21 @@ struct SeqSlot {
     pos: usize,
 }
 
+/// A chunk of one sequence: row `r` sits at position `pos + r`.
+impl KvRows for SeqSlot {
+    fn kv(&mut self, li: usize, r: usize) -> Option<(&mut LayerKv, usize)> {
+        Some((&mut self.layers[li], self.pos + r))
+    }
+}
+
 impl SeqSlot {
     /// An empty sequence with its full `max_seq_len`-row cache
     /// preallocated, so stepping never reallocates or copies cached rows.
     fn new(cfg: &ModelConfig) -> Self {
         let layers = (0..cfg.n_layers)
-            .map(|_| LayerKv {
-                k_rot: Matrix::zeros(cfg.max_seq_len, cfg.d_model),
-                v: Matrix::zeros(cfg.max_seq_len, cfg.d_model),
-            })
+            .map(|_| LayerKv::empty(cfg.max_seq_len, cfg.d_model))
             .collect();
         SeqSlot { layers, pos: 0 }
-    }
-
-    /// Whether `token` may be fed next: a vocabulary id, and room left
-    /// in the RoPE table (i.e. `max_seq_len`).
-    fn check_token(&self, token: u32, cfg: &ModelConfig) -> Result<(), LmError> {
-        if token as usize >= cfg.vocab_size {
-            return Err(LmError::TokenOutOfRange {
-                token,
-                vocab: cfg.vocab_size,
-            });
-        }
-        if self.pos >= cfg.max_seq_len {
-            return Err(LmError::SequenceFull {
-                pos: self.pos,
-                max_seq_len: cfg.max_seq_len,
-            });
-        }
-        Ok(())
     }
 
     /// Used cache bytes: written rows only, not preallocated capacity.
@@ -103,164 +153,122 @@ impl SeqSlot {
     }
 }
 
+/// A batch step: row `r` is sequence `tokens[r].0`'s next token, at that
+/// sequence's position. A row whose id names no slot is skipped.
+struct BatchRows<'a> {
+    slots: &'a mut [Option<SeqSlot>],
+    tokens: &'a [(usize, u32)],
+}
+
+impl KvRows for BatchRows<'_> {
+    fn kv(&mut self, li: usize, r: usize) -> Option<(&mut LayerKv, usize)> {
+        let slot = self.slots.get_mut(self.tokens[r].0)?.as_mut()?;
+        Some((&mut slot.layers[li], slot.pos))
+    }
+}
+
+/// Checks that every token of a chunk starting at position `pos` is a
+/// vocabulary id with room left in the RoPE table (i.e. `max_seq_len`).
+///
+/// # Errors
+///
+/// The first failing row's [`LmError::TokenOutOfRange`] or
+/// [`LmError::SequenceFull`].
+pub(crate) fn check_chunk(tokens: &[u32], pos: usize, cfg: &ModelConfig) -> Result<(), LmError> {
+    for (r, &token) in tokens.iter().enumerate() {
+        if token as usize >= cfg.vocab_size {
+            return Err(LmError::TokenOutOfRange {
+                token,
+                vocab: cfg.vocab_size,
+            });
+        }
+        if pos + r >= cfg.max_seq_len {
+            return Err(LmError::SequenceFull {
+                pos: pos + r,
+                max_seq_len: cfg.max_seq_len,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// KV-cache bytes one fed token writes: a key row and a value row of
 /// `d_model` floats in every layer.
 fn kv_token_bytes(cfg: &ModelConfig) -> usize {
     cfg.n_layers * 2 * cfg.d_model * std::mem::size_of::<f32>()
 }
 
-/// Where the step core finds the slot a row's sequence id names.
-trait SlotTable {
-    fn slot_mut(&mut self, seq: usize) -> Option<&mut SeqSlot>;
+/// The buffers every layer of one [`forward_rows`] call writes into,
+/// sized by its rows: their norm, q/k/v, the attention concat, one
+/// `d_model`-wide projection output, the gate and up activations and
+/// one score buffer.
+#[derive(Debug)]
+pub(crate) struct Workspace {
+    pub(crate) normed: Matrix,
+    pub(crate) q: Matrix,
+    pub(crate) k: Matrix,
+    pub(crate) v: Matrix,
+    pub(crate) concat: Matrix,
+    pub(crate) proj: Matrix,
+    pub(crate) gate: Matrix,
+    pub(crate) up: Matrix,
+    pub(crate) scores: Vec<f32>,
 }
 
-/// A solo session's single slot answers every id.
-impl SlotTable for SeqSlot {
-    fn slot_mut(&mut self, _seq: usize) -> Option<&mut SeqSlot> {
-        Some(self)
+impl Workspace {
+    /// Buffers for `rows` rows whose positions stay below `span`.
+    pub(crate) fn for_rows(rows: usize, d_model: usize, d_ff: usize, span: usize) -> Self {
+        Workspace {
+            normed: Matrix::zeros(rows, d_model),
+            q: Matrix::zeros(rows, d_model),
+            k: Matrix::zeros(rows, d_model),
+            v: Matrix::zeros(rows, d_model),
+            concat: Matrix::zeros(rows, d_model),
+            proj: Matrix::zeros(rows, d_model),
+            gate: Matrix::zeros(rows, d_ff),
+            up: Matrix::zeros(rows, d_ff),
+            scores: vec![0.0; span],
+        }
     }
 }
 
-/// A batch session's slots, indexed by sequence id (`None` = retired).
-impl SlotTable for Vec<Option<SeqSlot>> {
-    fn slot_mut(&mut self, seq: usize) -> Option<&mut SeqSlot> {
-        self.get_mut(seq).and_then(Option::as_mut)
-    }
-}
-
-/// The decode core: feeds `tokens[r].1` into the slot named by
-/// `tokens[r].0` for every row `r`, and returns the `B × vocab` logits.
+/// The inference core: runs the hidden rows `x` (block `start`'s input)
+/// through blocks `start..` ([`TransformerBlock::attn_rows`],
+/// [`TransformerBlock::ffn_rows`]), the final norm and the LM head, and
+/// returns the `rows × vocab` logits.
 ///
-/// The rows are stacked into one B×d matrix, so each
-/// [`LinearOp::forward_into`] call runs once per layer over the whole
-/// batch; attention runs per row through [`attend_cached_row`]. Each
-/// slot's cache row at its position is written, but no position
-/// advances: the caller decides from the logits (quarantine, eviction).
-/// Only the operators' recorder hooks write into `rec`.
+/// Row `r` writes its keys and values and attends where `kv` places it.
+/// Rows run in order within each layer, so a chunk row sees the rows
+/// before it. The cache rows are written, but no position advances:
+/// the caller decides from the logits (quarantine, eviction). Only the
+/// operators' recorder hooks write into `rec`.
 ///
-/// Every layer writes into one workspace built per call — the hidden
-/// rows, their norm, q/k/v, the attention concat, a `d_model`-wide
-/// projection output, the gate and up activations and one
-/// `max_seq_len` score buffer — so the step allocates a fixed set of
-/// buffers whatever the layer count, head count or batch size.
+/// Every layer writes into one [`Workspace`] built per call.
 ///
-/// Callers validate first (see [`SeqSlot::check_token`]); a row whose
-/// id names no slot is skipped.
-fn step_rows<L: LinearOp, S: SlotTable>(
+/// [`TransformerBlock::attn_rows`]: crate::block::TransformerBlock::attn_rows
+/// [`TransformerBlock::ffn_rows`]: crate::block::TransformerBlock::ffn_rows
+///
+/// # Panics
+///
+/// Panics if `x` is not `d_model` wide or a row's position is past its
+/// cache or the RoPE table.
+pub(crate) fn forward_rows<L: LinearOp, K: KvRows>(
     model: &ModelOf<L>,
-    slots: &mut S,
-    tokens: &[(usize, u32)],
-    rec: &mut Recorder,
+    start: usize,
+    mut x: Matrix,
+    kv: &mut K,
+    mut rec: Option<&mut Recorder>,
 ) -> Matrix {
     let cfg = model.config();
-    let b = tokens.len();
-    let d_model = cfg.d_model;
-    let d_head = cfg.d_head();
-    let rope = model.rope();
-
-    // Stacked embedding rows, one per listed sequence.
-    let mut x = Matrix::zeros(b, d_model);
-    for (r, &(_, token)) in tokens.iter().enumerate() {
-        x.row_mut(r)
-            .copy_from_slice(model.embed().row(token as usize));
-    }
-    let mut normed = Matrix::zeros(b, d_model);
-    let mut q = Matrix::zeros(b, d_model);
-    let mut k = Matrix::zeros(b, d_model);
-    let mut v = Matrix::zeros(b, d_model);
-    let mut concat = Matrix::zeros(b, d_model);
-    let mut proj = Matrix::zeros(b, d_model);
-    let mut gate = Matrix::zeros(b, cfg.d_ff);
-    let mut up = Matrix::zeros(b, cfg.d_ff);
-    let mut scores = vec![0.0f32; cfg.max_seq_len];
-
-    for (li, block) in model.blocks().iter().enumerate() {
+    let mut ws = Workspace::for_rows(x.rows(), cfg.d_model, cfg.d_ff, cfg.max_seq_len);
+    for (li, block) in model.blocks().iter().enumerate().skip(start) {
         // One projection call covers every row — this is where a packed
-        // operator's unpacking amortizes over the batch.
-        block.norm1.forward_into(&x, &mut normed);
-        block
-            .attn
-            .wq()
-            .forward_into(&normed, &mut q, Some(&mut *rec));
-        block
-            .attn
-            .wk()
-            .forward_into(&normed, &mut k, Some(&mut *rec));
-        block
-            .attn
-            .wv()
-            .forward_into(&normed, &mut v, Some(&mut *rec));
-        // Attention accumulates into its row; skipped rows stay zero.
-        concat.as_mut_slice().fill(0.0);
-        for (r, &(seq, _)) in tokens.iter().enumerate() {
-            if let Some(slot) = slots.slot_mut(seq) {
-                attend_cached_row(
-                    &mut slot.layers[li],
-                    rope,
-                    d_head,
-                    slot.pos,
-                    q.row_mut(r),
-                    k.row_mut(r),
-                    v.row(r),
-                    &mut scores,
-                    concat.row_mut(r),
-                );
-            }
-        }
-        block
-            .attn
-            .wo()
-            .forward_into(&concat, &mut proj, Some(&mut *rec));
-        x.add_assign(&proj);
-
-        block.norm2.forward_into(&x, &mut normed);
-        block
-            .ffn
-            .forward_into(&normed, &mut gate, &mut up, &mut proj, Some(&mut *rec));
-        x.add_assign(&proj);
+        // operator's unpacking amortizes over the batch or chunk.
+        block.attn_rows(li, &mut x, &mut ws, kv, model.rope(), rec.as_deref_mut());
+        block.ffn_rows(&mut x, &mut ws, rec.as_deref_mut());
     }
-
-    model.final_norm().forward_into(&x, &mut normed);
-    normed.matmul(model.lm_head())
-}
-
-/// One sequence's cached-attention step for one layer: rotates the
-/// freshly projected `q`/`k` rows for position `pos`, appends `k`/`v`
-/// in place at cache row `pos`, and accumulates the softmax-weighted
-/// values over rows `[0, pos]` into `out` through the same row kernel
-/// as the full-sequence forward ([`attend_row`]). `scores` is scratch
-/// of at least `pos + 1` entries.
-///
-/// Called once per row by [`step_rows`], so a row's float operations and
-/// their order never depend on how many other sequences share the step.
-#[allow(clippy::too_many_arguments)]
-fn attend_cached_row(
-    kv: &mut LayerKv,
-    rope: &RopeTable,
-    d_head: usize,
-    pos: usize,
-    q: &mut [f32],
-    k: &mut [f32],
-    v: &[f32],
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    rope.apply_heads(q, pos);
-    rope.apply_heads(k, pos);
-    kv.k_rot.row_mut(pos).copy_from_slice(k);
-    kv.v.row_mut(pos).copy_from_slice(v);
-    let scale = 1.0 / (d_head as f32).sqrt();
-    attend_row(
-        q,
-        kv.k_rot.as_slice(),
-        kv.v.as_slice(),
-        pos + 1,
-        d_head,
-        scale,
-        scores,
-        None,
-        out,
-    );
+    model.final_norm().forward_into(&x, &mut ws.normed);
+    ws.normed.matmul(model.lm_head())
 }
 
 /// An incremental decoding session over one sequence, generic over the
@@ -356,7 +364,8 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
         self.slot.poison();
     }
 
-    /// Feeds one token; returns the next-token logits.
+    /// Feeds one token; returns the next-token logits. The one-row case
+    /// of [`DecodeSession::feed_all`].
     ///
     /// # Determinism
     ///
@@ -366,7 +375,7 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one step workspace per token (hidden, norm,
+    /// Allocation budget: one workspace per token (hidden, norm,
     /// projection and FFN rows plus one `max_seq_len` score buffer) and
     /// the logits row — a fixed set whatever the layer or head count;
     /// the KV cache is written in place, never regrown. The non-finite
@@ -381,43 +390,68 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// quarantined (this and all later feeds fail, the position never
     /// advances) and `decode/quarantine/sessions` is recorded.
     pub fn feed(&mut self, token: u32) -> Result<Vec<f32>, LmError> {
-        if let Some(pos) = self.quarantined {
-            return Err(LmError::NonFiniteLogits { pos });
-        }
-        let cfg = self.model.config();
-        self.slot.check_token(token, cfg)?;
-        let logits = step_rows(self.model, &mut self.slot, &[(0, token)], &mut self.metrics);
-        self.metrics
-            .add("decode/kv_bytes_moved", kv_token_bytes(cfg) as u64);
-        let pos = self.slot.pos;
-        if !logits.row(0).iter().all(|v| v.is_finite()) {
-            self.quarantined = Some(pos);
-            self.metrics.incr("decode/quarantine/sessions");
-            return Err(LmError::NonFiniteLogits { pos });
-        }
-        self.slot.pos += 1;
-        self.metrics.incr("decode/tokens");
-        // `logits` is 1 × vocab: moving it out is free, where
-        // `row(0).to_vec()` would copy the row.
-        Ok(logits.into_vec())
+        self.feed_all(std::slice::from_ref(&token))
     }
 
-    /// Feeds a whole prompt, returning the logits after its last token.
+    /// Feeds a whole prompt as one chunk (a prefill), returning the
+    /// logits after its last token.
+    ///
+    /// Row `r` of the chunk sits at position `len() + r` and attends
+    /// over the cache rows before it, so the logits, the session state
+    /// and the `decode/…` counters equal feeding the tokens one by one
+    /// with [`DecodeSession::feed`], bit for bit. Each projection runs
+    /// once per layer over the whole chunk, so a packed operator's
+    /// `qmodel/qlinear/…` counters advance once per chunk, not once per
+    /// token.
     ///
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS`; see [`DecodeSession::feed`].
     ///
+    /// # HotPath
+    ///
+    /// Allocation budget: the chunk's embedded rows, one workspace
+    /// sized by the chunk's rows (plus one `max_seq_len` score buffer)
+    /// and the chunk's logits, whose last row is returned in place; the
+    /// KV cache is written in place, never regrown.
+    ///
     /// # Errors
     ///
-    /// Returns [`LmError::EmptyInput`] for an empty prompt; propagates
-    /// [`DecodeSession::feed`] errors.
+    /// Returns [`LmError::EmptyInput`] for an empty prompt, and
+    /// [`LmError::TokenOutOfRange`] / [`LmError::SequenceFull`] for the
+    /// first token that does not fit; no row is fed unless the whole
+    /// chunk validates. Returns [`LmError::NonFiniteLogits`] at the
+    /// position of the first row whose logits contain NaN/Inf: the rows
+    /// before it are fed, and the session is quarantined there as
+    /// [`DecodeSession::feed`] describes.
     pub fn feed_all(&mut self, tokens: &[u32]) -> Result<Vec<f32>, LmError> {
-        let mut last = None;
-        for &t in tokens {
-            last = Some(self.feed(t)?);
+        if tokens.is_empty() {
+            return Err(LmError::EmptyInput);
         }
-        last.ok_or(LmError::EmptyInput)
+        if let Some(pos) = self.quarantined {
+            return Err(LmError::NonFiniteLogits { pos });
+        }
+        let cfg = self.model.config();
+        check_chunk(tokens, self.slot.pos, cfg)?;
+        let x = self.model.embed_tokens(tokens);
+        let logits = forward_rows(self.model, 0, x, &mut self.slot, Some(&mut self.metrics));
+        for r in 0..tokens.len() {
+            self.metrics
+                .add("decode/kv_bytes_moved", kv_token_bytes(cfg) as u64);
+            if !logits.row(r).iter().all(|v| v.is_finite()) {
+                let pos = self.slot.pos;
+                self.quarantined = Some(pos);
+                self.metrics.incr("decode/quarantine/sessions");
+                return Err(LmError::NonFiniteLogits { pos });
+            }
+            self.slot.pos += 1;
+            self.metrics.incr("decode/tokens");
+        }
+        // Keep the last `vocab` floats: no copy of the row into a new
+        // buffer, and free for a one-token chunk.
+        let mut last = logits.into_vec();
+        last.drain(..(tokens.len() - 1) * cfg.vocab_size);
+        Ok(last)
     }
 }
 
@@ -434,7 +468,7 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
 /// never disturbs other sequences' caches or positions.
 ///
 /// Every sequence's logits are bit-identical to decoding it alone in a
-/// [`DecodeSession`] — both run the same step core, attention runs per
+/// [`DecodeSession`] — both run the same core, attention runs per
 /// row against that sequence's own cache, and the batched projections
 /// are row-independent by the [`LinearOp`] contract.
 ///
@@ -579,7 +613,8 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     pub fn poison_kv_cache(&mut self, seq: usize) -> Result<(), LmError> {
         let slot = self
             .slots
-            .slot_mut(seq)
+            .get_mut(seq)
+            .and_then(Option::as_mut)
             .ok_or(LmError::UnknownSeq { seq })?;
         slot.poison();
         Ok(())
@@ -592,7 +627,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     /// B×d matrix, so each [`LinearOp::forward_into`] call runs once
     /// per layer per step over the whole batch; attention then runs
     /// per row against that sequence's own cache at its own position,
-    /// through the same step core as [`DecodeSession::feed`].
+    /// through the same core as [`DecodeSession::feed`].
     ///
     /// # Determinism
     ///
@@ -618,7 +653,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one step workspace per step (stacked hidden,
+    /// Allocation budget: one workspace per step (stacked hidden,
     /// norm, projection and FFN rows plus one `max_seq_len` score
     /// buffer), the logits and a batch-sized eviction list — a fixed set
     /// whatever the layer count, head count or batch size, and never
@@ -646,11 +681,21 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
             if tokens[..i].iter().any(|&(prev, _)| prev == seq) {
                 return Err(LmError::DuplicateSeq { seq });
             }
-            slot.check_token(token, cfg)?;
+            check_chunk(std::slice::from_ref(&token), slot.pos, cfg)?;
         }
 
         let b = tokens.len();
-        let logits = step_rows(self.model, &mut self.slots, tokens, &mut self.metrics);
+        // Stacked embedding rows, one per listed sequence.
+        let mut x = Matrix::zeros(b, cfg.d_model);
+        for (r, &(_, token)) in tokens.iter().enumerate() {
+            x.row_mut(r)
+                .copy_from_slice(self.model.embed().row(token as usize));
+        }
+        let mut rows = BatchRows {
+            slots: &mut self.slots,
+            tokens,
+        };
+        let logits = forward_rows(self.model, 0, x, &mut rows, Some(&mut self.metrics));
         self.metrics.add(
             "decode/batch/kv_bytes_moved",
             (b * kv_token_bytes(cfg)) as u64,
@@ -671,7 +716,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
         evicted.truncate(n_evicted);
         self.evicted = evicted;
         for &(seq, _) in tokens {
-            if let Some(slot) = self.slots.slot_mut(seq) {
+            if let Some(Some(slot)) = self.slots.get_mut(seq) {
                 slot.pos += 1;
             }
         }
@@ -786,6 +831,106 @@ mod tests {
             s.metrics().get("decode/kv_bytes_moved"),
             s.cache_bytes() as u64
         );
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn oracle_feed_all_chunk_matches_token_by_token_and_forward() {
+        // One chunk, the same tokens fed one by one, and the full
+        // forward: the same logits bit for bit, and the same session
+        // state and counters. Also a chunk resumed after a fed prefix,
+        // whose rows sit at `len() + r`.
+        let cfg = ModelConfig {
+            max_seq_len: 96,
+            ..ModelConfig::test_tiny(16)
+        };
+        let m = Model::new(&cfg, 9);
+        for t in [1usize, 17, 64, cfg.max_seq_len] {
+            let seq: Vec<u32> = (0..t).map(|i| ((i * 7 + 3) % 16) as u32).collect();
+            let full = m.forward(&seq);
+            let mut chunk = DecodeSession::new(&m);
+            let last = chunk.feed_all(&seq).unwrap();
+            let mut solo = DecodeSession::new(&m);
+            for (i, &tok) in seq.iter().enumerate() {
+                let logits = solo.feed(tok).unwrap();
+                assert_bits(&logits, full.row(i), &format!("T={t} token {i}"));
+            }
+            assert_bits(&last, full.row(t - 1), &format!("T={t} chunk"));
+            assert_eq!(chunk.len(), solo.len());
+            assert_eq!(chunk.cache_bytes(), solo.cache_bytes());
+            assert_eq!(chunk.metrics(), solo.metrics(), "T={t} counters");
+
+            let split = t / 2;
+            let mut resumed = DecodeSession::new(&m);
+            for &tok in &seq[..split] {
+                resumed.feed(tok).unwrap();
+            }
+            let last = resumed.feed_all(&seq[split..]).unwrap();
+            assert_bits(&last, full.row(t - 1), &format!("T={t} resumed at {split}"));
+            assert_eq!(resumed.metrics(), solo.metrics(), "T={t} resumed counters");
+        }
+    }
+
+    #[test]
+    fn oracle_feed_all_nan_row_quarantines_like_token_by_token() {
+        // Token 5's embedding is NaN: its row and every row after it go
+        // non-finite. The chunk quarantines at that row's position and
+        // counts exactly what feeding the tokens one by one counts.
+        let mut m = model();
+        m.embed_mut().row_mut(5).fill(f32::NAN);
+        let seq = [1u32, 2, 3, 5, 4, 6];
+        let mut chunk = DecodeSession::new(&m);
+        assert!(matches!(
+            chunk.feed_all(&seq),
+            Err(LmError::NonFiniteLogits { pos: 3 })
+        ));
+        let mut solo = DecodeSession::new(&m);
+        let err = seq.iter().find_map(|&t| solo.feed(t).err());
+        assert!(matches!(err, Some(LmError::NonFiniteLogits { pos: 3 })));
+        assert_eq!(chunk.quarantined(), Some(3));
+        assert_eq!(chunk.quarantined(), solo.quarantined());
+        assert_eq!(chunk.len(), 3);
+        assert_eq!(chunk.len(), solo.len());
+        assert_eq!(chunk.metrics(), solo.metrics());
+        assert_eq!(
+            chunk.metrics().get("decode/kv_bytes_moved"),
+            4 * kv_token_bytes(m.config()) as u64
+        );
+        assert_eq!(chunk.metrics().get("decode/tokens"), 3);
+        assert_eq!(chunk.metrics().get("decode/quarantine/sessions"), 1);
+        // Quarantined: every later chunk fails at the same position.
+        assert!(matches!(
+            chunk.feed_all(&[1, 2]),
+            Err(LmError::NonFiniteLogits { pos: 3 })
+        ));
+    }
+
+    #[test]
+    fn feed_all_validates_the_whole_chunk_first() {
+        // A bad token or an overflowing row rejects the chunk before any
+        // row is fed.
+        let m = model();
+        let mut s = DecodeSession::new(&m);
+        assert!(matches!(
+            s.feed_all(&[1, 2, 99]),
+            Err(LmError::TokenOutOfRange { token: 99, .. })
+        ));
+        s.feed_all(&[1; 30]).unwrap();
+        assert!(matches!(
+            s.feed_all(&[1, 2, 3]),
+            Err(LmError::SequenceFull {
+                pos: 32,
+                max_seq_len: 32
+            })
+        ));
+        assert_eq!(s.len(), 30);
+        assert_eq!(s.cache_bytes(), 30 * kv_token_bytes(m.config()));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! SwiGLU feed-forward network (the LLaMA FFN) with manual backward.
 
-use aptq_obs::Recorder;
 use aptq_tensor::activation::{silu, silu_grad};
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -91,48 +90,9 @@ impl<L: LinearOp> SwiGlu<L> {
         &self.down
     }
 
-    /// Forward pass; returns `(output, cache)`.
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward(&self, x: &Matrix) -> (Matrix, SwiGluCache) {
-        self.forward_opt(x, None)
-    }
-
-    /// Inference-only forward into caller buffers: gate and up into
-    /// `gate`/`up` (`T × d_ff`), `silu(g)·u` in place in `gate`, then
-    /// down into `out` (`T × d_model`). `out` equals
-    /// [`forward`](SwiGlu::forward)'s output bit for bit; no
-    /// [`SwiGluCache`] is built.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: zero allocations beyond what the operators'
-    /// [`LinearOp::forward_into`] make.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a buffer's shape does not match `x`'s row count and the
-    /// projection widths.
-    pub(crate) fn forward_into(
-        &self,
-        x: &Matrix,
-        gate: &mut Matrix,
-        up: &mut Matrix,
-        out: &mut Matrix,
-        mut rec: Option<&mut Recorder>,
-    ) {
-        self.gate.forward_into(x, gate, rec.as_deref_mut());
-        self.up.forward_into(x, up, rec.as_deref_mut());
-        for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-            *g = silu(*g) * u;
-        }
-        self.down.forward_into(gate, out, rec);
-    }
-
-    /// [`forward`](SwiGlu::forward) with an optional recorder threaded
-    /// into every projection's [`LinearOp::forward_into`] hook.
+    /// Forward pass; returns `(output, cache)`. The training path, and
+    /// the capture's; inference runs the block's cache-free
+    /// `ffn_rows`.
     ///
     /// # HotPath
     ///
@@ -142,12 +102,11 @@ impl<L: LinearOp> SwiGlu<L> {
     ///
     /// # Determinism
     ///
-    /// Outputs *and counters* are bit-identical at any `APTQ_THREADS`
-    /// value: matmuls run on the deterministic threadpool
-    /// ([`aptq_tensor::parallel`]) and counters depend only on shapes.
-    pub fn forward_opt(&self, x: &Matrix, mut rec: Option<&mut Recorder>) -> (Matrix, SwiGluCache) {
-        let g = self.gate.forward_op(x, rec.as_deref_mut());
-        let u = self.up.forward_op(x, rec.as_deref_mut());
+    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
+    pub fn forward(&self, x: &Matrix) -> (Matrix, SwiGluCache) {
+        let g = self.gate.forward_op(x, None);
+        let u = self.up.forward_op(x, None);
         let mut hidden = Matrix::zeros(g.rows(), g.cols());
         for (o, (&gv, &uv)) in hidden
             .as_mut_slice()
@@ -156,7 +115,7 @@ impl<L: LinearOp> SwiGlu<L> {
         {
             *o = silu(gv) * uv;
         }
-        let y = self.down.forward_op(&hidden, rec);
+        let y = self.down.forward_op(&hidden, None);
         (
             y,
             SwiGluCache {

@@ -2,9 +2,9 @@
 //!
 //! [`generate`] is the one generation entry point: it drives a
 //! [`BatchDecodeSession`] (O(T) cached steps) over one or more prompts
-//! and picks each new token with a [`Sampler`]. [`generate_greedy`]
-//! remains the uncached O(T²) reference implementation it is tested
-//! against. Both share one contract:
+//! and picks each new token with a [`Sampler`]. Its tests compare it
+//! against an uncached O(T²) reference that re-runs the full forward
+//! per token. Both share one contract:
 //!
 //! - an empty prompt is [`LmError::EmptyInput`];
 //! - a prompt longer than `max_seq_len` is [`LmError::SequenceFull`]
@@ -21,7 +21,6 @@ use rand::Rng;
 
 use crate::decode::BatchDecodeSession;
 use crate::linear::LinearOp;
-use crate::model::ModelOf;
 use crate::LmError;
 
 /// Sampling configuration.
@@ -78,53 +77,6 @@ impl Sampler<'_> {
         };
         next as u32
     }
-}
-
-/// Greedily extends `prompt` by `n_new` tokens, re-running the full
-/// forward pass every step — the O(T²) reference implementation that
-/// [`generate`] is verified against.
-///
-/// Token selection goes through [`aptq_tensor::select::argmax`]: NaN
-/// logits never win and ties break toward the lowest token id.
-///
-/// # Determinism
-///
-/// The forward pass runs on the shared matmul threadpool
-/// ([`aptq_tensor::parallel`]); outputs are bit-identical at any
-/// `APTQ_THREADS` value.
-///
-/// # Errors
-///
-/// Returns [`LmError::EmptyInput`] for an empty prompt,
-/// [`LmError::SequenceFull`] for a prompt longer than `max_seq_len`
-/// (see the module contract), and [`LmError::TokenOutOfRange`] for
-/// invalid prompt tokens.
-pub fn generate_greedy<L: LinearOp>(
-    model: &ModelOf<L>,
-    prompt: &[u32],
-    n_new: usize,
-) -> Result<Vec<u32>, LmError> {
-    if prompt.is_empty() {
-        return Err(LmError::EmptyInput);
-    }
-    let max = model.config().max_seq_len;
-    if prompt.len() > max {
-        return Err(LmError::SequenceFull {
-            pos: max,
-            max_seq_len: max,
-        });
-    }
-    let mut tokens = prompt.to_vec();
-    for _ in 0..n_new {
-        if tokens.len() > max {
-            break;
-        }
-        let logits = model.try_forward(&tokens)?;
-        let last = logits.row(logits.rows() - 1);
-        let next = aptq_tensor::select::argmax(last);
-        tokens.push(next as u32);
-    }
-    Ok(tokens)
 }
 
 /// Extends every prompt by `n_new` tokens through `session`, one
@@ -267,6 +219,39 @@ fn sample_from_cdf(probs: &[f32], r: f32) -> usize {
         }
     }
     aptq_tensor::select::argmax(probs)
+}
+
+/// Greedily extends `prompt` by `n_new` tokens, re-running the full
+/// forward pass every step — the O(T²) reference that [`generate`] and
+/// the decode sessions are tested against. Token selection is
+/// [`aptq_tensor::select::argmax`], as [`Sampler::Greedy`]'s.
+#[cfg(test)]
+pub(crate) fn generate_greedy<L: LinearOp>(
+    model: &crate::model::ModelOf<L>,
+    prompt: &[u32],
+    n_new: usize,
+) -> Result<Vec<u32>, LmError> {
+    if prompt.is_empty() {
+        return Err(LmError::EmptyInput);
+    }
+    let max = model.config().max_seq_len;
+    if prompt.len() > max {
+        return Err(LmError::SequenceFull {
+            pos: max,
+            max_seq_len: max,
+        });
+    }
+    let mut tokens = prompt.to_vec();
+    for _ in 0..n_new {
+        if tokens.len() > max {
+            break;
+        }
+        let logits = model.try_forward(&tokens)?;
+        let last = logits.row(logits.rows() - 1);
+        let next = aptq_tensor::select::argmax(last);
+        tokens.push(next as u32);
+    }
+    Ok(tokens)
 }
 
 #[cfg(test)]

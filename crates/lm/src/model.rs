@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::block::{BlockGrads, TransformerBlock};
 use crate::capture::{BlockCapture, ModelCapture};
 use crate::config::ModelConfig;
+use crate::decode::{check_chunk, forward_rows, LayerKv};
 use crate::linear::{Linear, LinearOp};
 use crate::rmsnorm::RmsNorm;
 use crate::rope::RopeTable;
@@ -337,45 +338,39 @@ impl<L: LinearOp> ModelOf<L> {
 
     /// Full forward pass returning next-token logits (`T × vocab`).
     ///
-    /// Inference only: every block runs through its cache-free halves
-    /// ([`TransformerBlock::attn_half`], [`TransformerBlock::ffn_half`]),
-    /// bit-identical to the training [`TransformerBlock::forward`].
+    /// Inference only: the sequence runs as one chunk through the decode
+    /// core, row `i` at position `i`, over a `T`-row key/value cache
+    /// every block reuses. Bit-identical to the training
+    /// [`TransformerBlock::forward`] stack and to feeding the tokens one
+    /// by one through a [`DecodeSession`](crate::decode::DecodeSession).
     ///
     /// # HotPath
     ///
-    /// Allocation budget: per-block activation matrices sized by the
-    /// sequence, allocated once per block; no backward cache and no
-    /// `T × T` matrix. Inner loops are heap-free.
+    /// Allocation budget: the embedded rows, one workspace and one
+    /// key/value cache sized by the sequence, and the logits; no
+    /// backward cache and no `T × T` matrix. Inner loops are heap-free.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range tokens or sequences longer than
-    /// `max_seq_len`.
+    /// `max_seq_len` (use [`ModelOf::try_forward`] for a fallible path).
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn forward(&self, tokens: &[u32]) -> Matrix {
-        self.logits_from(0, self.embed_tokens(tokens))
-    }
-
-    /// Logits from block `start`'s input `x`: blocks `start..` through
-    /// their inference halves, then the final norm and the LM head.
-    fn logits_from(&self, start: usize, mut x: Matrix) -> Matrix {
-        for block in &self.blocks[start..] {
-            x = block.ffn_half(&block.attn_half(&x, &self.rope));
-        }
-        let mut normed = Matrix::zeros(x.rows(), x.cols());
-        self.final_norm.forward_into(&x, &mut normed);
-        normed.matmul(&self.lm_head)
+        let mut kv = LayerKv::empty(tokens.len(), self.cfg.d_model);
+        forward_rows(self, 0, self.embed_tokens(tokens), &mut kv, None)
     }
 
     /// Fallible forward pass.
     ///
     /// # Errors
     ///
-    /// Returns [`LmError::EmptyInput`] for an empty sequence and
-    /// [`LmError::TokenOutOfRange`] for invalid token ids.
+    /// Returns [`LmError::EmptyInput`] for an empty sequence,
+    /// [`LmError::TokenOutOfRange`] for an invalid token id and
+    /// [`LmError::SequenceFull`] for a sequence longer than
+    /// `max_seq_len`, each for the first row that fails.
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
@@ -384,14 +379,7 @@ impl<L: LinearOp> ModelOf<L> {
         if tokens.is_empty() {
             return Err(LmError::EmptyInput);
         }
-        for &t in tokens {
-            if t as usize >= self.cfg.vocab_size {
-                return Err(LmError::TokenOutOfRange {
-                    token: t,
-                    vocab: self.cfg.vocab_size,
-                });
-            }
-        }
+        check_chunk(tokens, 0, &self.cfg)?;
         Ok(self.forward(tokens))
     }
 }
@@ -494,9 +482,8 @@ impl Model {
 
     /// [`sequence_loss`](Model::sequence_loss) resumed at block `start`
     /// from that block's input `x` (`T × d_model`): runs blocks
-    /// `start..` through their inference halves
-    /// ([`TransformerBlock::attn_half`], [`TransformerBlock::ffn_half`]),
-    /// then the final norm, the LM head and the cross-entropy.
+    /// `start..` as one chunk through the decode core, as
+    /// [`ModelOf::forward`] does, then the cross-entropy.
     ///
     /// With `x` the input the unbroken forward feeds block `start`, the
     /// result equals `sequence_loss(tokens)` bit for bit; `start` equal
@@ -514,7 +501,12 @@ impl Model {
     pub fn loss_from(&self, start: usize, x: Matrix, tokens: &[u32]) -> f32 {
         assert!(tokens.len() >= 2, "loss_from: need at least 2 tokens");
         assert_eq!(x.rows(), tokens.len(), "loss_from: one row per token");
-        let logits = self.logits_from(start, x);
+        assert!(
+            start <= self.blocks.len(),
+            "loss_from: start past the last block"
+        );
+        let mut kv = LayerKv::empty(tokens.len(), self.cfg.d_model);
+        let logits = forward_rows(self, start, x, &mut kv, None);
         let mut total = 0.0f64;
         for i in 0..tokens.len() - 1 {
             let row = logits.row(i);
@@ -711,6 +703,49 @@ mod tests {
             Err(LmError::TokenOutOfRange { token: 99, .. })
         ));
         assert!(m.try_forward(&[1, 2]).is_ok());
+    }
+
+    #[test]
+    fn try_forward_rejects_sequences_past_max_seq_len() {
+        // test_tiny holds 32 positions: the 33rd row is an error, not a
+        // RoPE-table panic.
+        let m = tiny();
+        let tokens: Vec<u32> = (0..33).map(|i| i % 16).collect();
+        assert!(matches!(
+            m.try_forward(&tokens),
+            Err(LmError::SequenceFull {
+                pos: 32,
+                max_seq_len: 32
+            })
+        ));
+        assert!(m.try_forward(&tokens[..32]).is_ok());
+    }
+
+    #[test]
+    fn oracle_chunked_forward_matches_training_path_on_checkpoint() {
+        // The committed TinyLlama-M checkpoint: the chunked inference
+        // forward equals the training stack (embed → block.forward →
+        // final_norm.forward → head) bit for bit.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
+        );
+        let json = std::fs::read_to_string(path).expect("committed TinyLlama-M checkpoint");
+        let model = Model::from_json(&json).expect("checkpoint parses");
+        let vocab = model.config().vocab_size as u32;
+        for t in [1usize, 17, 64, model.config().max_seq_len] {
+            let tokens: Vec<u32> = (0..t as u32).map(|i| (i * 37 + 5) % vocab).collect();
+            let mut x = model.embed_tokens(&tokens);
+            for block in model.blocks() {
+                x = block.forward(&x, model.rope()).0;
+            }
+            let want = model.final_norm().forward(&x).0.matmul(model.lm_head());
+            let got = model.forward(&tokens);
+            assert_eq!(got.shape(), want.shape());
+            for (i, (a, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), w.to_bits(), "T={t} element {i}");
+            }
+        }
     }
 
     #[test]

@@ -183,3 +183,53 @@ fn quantized_zeroshot_identical_to_manual_forward_scoring() {
     assert_eq!(unified.accuracy, manual_acc);
     assert_eq!(unified.n_items, suite.len());
 }
+
+#[test]
+fn oracle_packed_feed_all_chunk_matches_token_by_token_and_forward() {
+    // A packed prompt fed as one chunk, fed token by token, and run
+    // through the full packed forward: the same logits bit for bit. The
+    // decode counters match; the packed operator's work counters advance
+    // once per chunk instead of once per token, with the same MACs.
+    let (model, hs) = long_context_setup();
+    let cfg = GridConfig::default();
+    let q = QuantizedModel::quantize_from(&model, &mixed_plan(&model), &hs, &cfg).unwrap();
+    let one_token = {
+        let mut s = q.decode_session();
+        s.feed(3).unwrap();
+        s.metrics().get("qmodel/qlinear/codes_unpacked")
+    };
+    for t in [1usize, 17, 64, q.config().max_seq_len] {
+        let tokens: Vec<u32> = (0..t).map(|i| ((i * 7 + 3) % 16) as u32).collect();
+        let full = q.forward(&tokens).unwrap();
+        let mut chunk = q.decode_session();
+        let last = chunk.feed_all(&tokens).unwrap();
+        let mut solo = q.decode_session();
+        for (i, &tok) in tokens.iter().enumerate() {
+            let logits = solo.feed(tok).unwrap();
+            for (k, (a, b)) in logits.iter().zip(full.row(i)).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "T={t} token {i} logit {k}");
+            }
+        }
+        for (k, (a, b)) in last.iter().zip(full.row(t - 1)).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "T={t} chunk logit {k}");
+        }
+        assert_eq!(last.len(), full.cols());
+        assert_eq!(chunk.len(), solo.len());
+        for key in [
+            "decode/tokens",
+            "decode/kv_bytes_moved",
+            "qmodel/qlinear/macs",
+        ] {
+            assert_eq!(
+                chunk.metrics().get(key),
+                solo.metrics().get(key),
+                "T={t} {key}"
+            );
+        }
+        assert_eq!(
+            chunk.metrics().get("qmodel/qlinear/codes_unpacked"),
+            one_token,
+            "T={t}: one unpack per chunk"
+        );
+    }
+}

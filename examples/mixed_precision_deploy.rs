@@ -10,7 +10,8 @@
 //! ```
 
 use aptq::eval::zoo::{load_or_train, ModelSize, PretrainBudget};
-use aptq::lm::generate::generate_greedy;
+use aptq::lm::decode::BatchDecodeSession;
+use aptq::lm::generate::{generate, Sampler};
 use aptq::quant::engine::quantize_layer_obq;
 use aptq::quant::grid::{GridConfig, QuantGrid};
 use aptq::quant::mixed::{AllocationPolicy, MixedPrecisionAllocator};
@@ -73,9 +74,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Generation from the quantized model.
     let prompt = stack.tokenizer.encode("<bos> the wild");
-    let fp = generate_greedy(&stack.model, &prompt, 10)?;
-    let q = generate_greedy(&model, &prompt, 10)?;
-    println!("\nfp16 continuation:      {}", stack.tokenizer.decode(&fp));
-    println!("quantized continuation: {}", stack.tokenizer.decode(&q));
+    let greedy = |m| {
+        generate(
+            &mut BatchDecodeSession::new(m),
+            &[&prompt],
+            10,
+            Sampler::Greedy,
+        )
+    };
+    let fp = greedy(&stack.model)?;
+    let q = greedy(&model)?;
+    println!(
+        "\nfp16 continuation:      {}",
+        stack.tokenizer.decode(&fp[0])
+    );
+    println!("quantized continuation: {}", stack.tokenizer.decode(&q[0]));
     Ok(())
 }

@@ -1,6 +1,8 @@
 //! Integration tests for the deployment story: packed storage sizes,
 //! checkpoint round-trips, and cross-crate plumbing.
 
+use aptq::lm::decode::BatchDecodeSession;
+use aptq::lm::generate::{generate, Sampler};
 use aptq::lm::{Model, ModelConfig};
 use aptq::quant::engine::{quantize_layer_obq, quantize_layer_rtn};
 use aptq::quant::grid::{GridConfig, QuantGrid};
@@ -98,8 +100,16 @@ fn quantized_model_checkpoint_roundtrip() {
 
     let json = model.to_json().unwrap();
     let restored = Model::from_json(&json).unwrap();
-    let a = aptq::lm::generate::generate_greedy(&model, &[1, 2], 8).unwrap();
-    let b = aptq::lm::generate::generate_greedy(&restored, &[1, 2], 8).unwrap();
+    let greedy = |m| {
+        generate(
+            &mut BatchDecodeSession::new(m),
+            &[[1, 2]],
+            8,
+            Sampler::Greedy,
+        )
+    };
+    let a = greedy(&model).unwrap();
+    let b = greedy(&restored).unwrap();
     assert_eq!(a, b);
 }
 
