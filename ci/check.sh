@@ -97,6 +97,11 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test -q -p aptq-tensor --lib parallel::tests
     APTQ_THREADS=$threads cargo test -q -p aptq-tensor --lib matrix::tests::matmul_tn
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test kernel_diff
+    # The two-pass SiLU-times-up kernel against `silu(g) * u`, over a
+    # strided sweep of every bit pattern of `g`; its second pass
+    # vectorizes in release only.
+    APTQ_THREADS=$threads cargo test -q -p aptq-tensor --lib activation::tests::oracle_
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib activation::tests::oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib parallel::tests
     APTQ_THREADS=$threads cargo test --release -q -p aptq-tensor --lib matrix::tests::matmul_tn
     APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test kernel_diff
@@ -104,8 +109,9 @@ for threads in 1 4; do
     # decode, in the profile the benchmark ships.
     APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test unified_path
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --test batch_decode
-    # The causal attention row kernel against the per-head full-matrix
-    # forward it replaced, the cache-free block halves and the chunked
+    # The vectorized attention row kernel against the per-head kernel it
+    # replaced, the causal row kernel against the per-head full-matrix
+    # forward, the cache-free block halves and the chunked
     # forward against the training forward, and a prefill chunk against
     # token-by-token feeding, bit for bit. The probe and the capture run in
     # release in the benchmark, where the causal loops auto-vectorize.

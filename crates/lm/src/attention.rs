@@ -150,8 +150,10 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     /// # HotPath
     ///
     /// Allocation budget: Q/K/V/concat/output matrices sized by the
-    /// sequence, the cache's per-head `T × T` `probs` (upper triangles
-    /// left zero) and one `T`-float score buffer, allocated once per
+    /// sequence, one `d_model × T` coordinate-major copy of the rotated
+    /// keys (the row kernel's layout; the cache keeps `k_rot` row-major),
+    /// the cache's per-head `T × T` `probs` (upper triangles left zero)
+    /// and one `n_heads · (T + 1)`-float score buffer, allocated once per
     /// call; no per-head score matrix beyond `probs`. Inner loops are
     /// heap-free.
     ///
@@ -176,18 +178,19 @@ impl<L: LinearOp> MultiHeadAttention<L> {
             rope.apply_heads(k.row_mut(pos), pos);
         }
 
+        let keys = k.transpose();
         let mut probs: Vec<Matrix> = (0..self.n_heads).map(|_| Matrix::zeros(t, t)).collect();
         let mut concat = Matrix::zeros(t, d_model);
-        let mut scores = vec![0.0f32; t];
+        let mut scratch = vec![0.0f32; self.n_heads * (t + 1)];
         for i in 0..t {
             attend_row(
                 q.row(i),
-                k.as_slice(),
-                v.as_slice(),
+                &keys,
+                &v,
                 i + 1,
                 self.d_head,
                 self.scale,
-                &mut scores,
+                &mut scratch,
                 Some(&mut probs[..]),
                 concat.row_mut(i),
             );
@@ -207,9 +210,11 @@ impl<L: LinearOp> MultiHeadAttention<L> {
 }
 
 /// Causal attention of one rotated query row `q` (heads concatenated,
-/// `d_model` wide) over the first `t` rows of the row-major `keys` and
-/// `values` (`d_model` floats per row), accumulated into the concat
-/// row `out`. `scores` is scratch of at least `t` floats.
+/// `d_model` wide) over the first `t` positions of the coordinate-major
+/// `keys` (`d_model × capacity`: coordinate `c` of position `j` at
+/// `(c, j)`) and the row-major `values` (`capacity × d_model`),
+/// accumulated into the concat row `out`. `scratch` holds at least
+/// `n_heads · (t + 1)` floats.
 ///
 /// Per head: scores `q·k · scale` (each dot product from `0.0`,
 /// coordinates ascending), the `f32::max` fold, `exp(s − max)` with a
@@ -219,6 +224,18 @@ impl<L: LinearOp> MultiHeadAttention<L> {
 /// matmul: a masked entry adds `exp(−∞) = 0` to the sum after every
 /// unmasked one and is skipped in `P·V`, so leaving it out changes no
 /// bit for finite scores. A row with a NaN score still comes out NaN.
+///
+/// The loops are arranged so they vectorize without reordering any of
+/// those operations:
+///
+/// - the scores start at `0.0` and take `d_head` passes over the head's
+///   `t` keys, one per coordinate, each reading one contiguous key row
+///   and adding `q_c·k`; the last also scales and folds the maximum lane
+///   by lane ([`last_pass`]);
+/// - `exp` is one libm call per score, the sum running in order;
+/// - `P·V` ([`weigh_values`]) folds `1 / sum` into each probability and
+///   sweeps several heads per pass over the keys, each head with its own
+///   accumulators.
 ///
 /// With `probs` given, head `h`'s probabilities are written to
 /// `probs[h].row(t − 1)[..t]`.
@@ -233,54 +250,169 @@ impl<L: LinearOp> MultiHeadAttention<L> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attend_row(
     q: &[f32],
-    keys: &[f32],
-    values: &[f32],
+    keys: &Matrix,
+    values: &Matrix,
     t: usize,
     d_head: usize,
     scale: f32,
-    scores: &mut [f32],
+    scratch: &mut [f32],
     mut probs: Option<&mut [Matrix]>,
     out: &mut [f32],
 ) {
-    let d_model = q.len();
-    let scores = &mut scores[..t];
-    for (h, (qh, head)) in q
-        .chunks_exact(d_head)
-        .zip(out.chunks_exact_mut(d_head))
+    let n_heads = q.len() / d_head;
+    let (inv, scores) = scratch.split_at_mut(n_heads);
+    let scores = &mut scores[..n_heads * t];
+    let (kt, cap) = (keys.as_slice(), keys.cols());
+    let last = d_head - 1;
+    for (h, (s, qh)) in scores
+        .chunks_exact_mut(t)
+        .zip(q.chunks_exact(d_head))
         .enumerate()
     {
-        let lo = h * d_head;
-        for (s, key) in scores.iter_mut().zip(keys.chunks_exact(d_model)) {
-            let kh = &key[lo..lo + d_head];
-            let mut acc = 0.0f32;
-            for (a, b) in qh.iter().zip(kh) {
-                acc += a * b;
+        let key = |c: usize| &kt[(h * d_head + c) * cap..][..t];
+        s.fill(0.0);
+        for (c, &qc) in qh[..last].iter().enumerate() {
+            for (s, &k) in s.iter_mut().zip(key(c)) {
+                *s += qc * k;
             }
-            *s = acc * scale;
         }
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let max = last_pass(s, key(last), qh[last], scale);
         let mut sum = 0.0f32;
-        for s in scores.iter_mut() {
+        for s in s.iter_mut() {
             *s = (*s - max).exp();
             sum += *s;
         }
-        let inv = 1.0 / sum;
-        for s in scores.iter_mut() {
-            *s *= inv;
-        }
-        for (&p, value) in scores.iter().zip(values.chunks_exact(d_model)) {
-            // Exact-zero skip, as the matmul kernel's. A guard, not an
-            // early `continue`: that form compiled to a slower loop.
-            // audit:allow(fpeq): exact-zero skip; no tolerance intended
-            if p != 0.0 {
-                let vh = &value[lo..lo + d_head];
-                for (o, &b) in head.iter_mut().zip(vh) {
-                    *o += p * b;
-                }
+        inv[h] = 1.0 / sum;
+        if let Some(probs) = probs.as_deref_mut() {
+            for (p, &e) in probs[h].row_mut(t - 1)[..t].iter_mut().zip(s.iter()) {
+                *p = e * inv[h];
             }
         }
-        if let Some(probs) = probs.as_deref_mut() {
-            probs[h].row_mut(t - 1)[..t].copy_from_slice(scores);
+    }
+    let values = values.as_slice();
+    // 6 is TinyLlama-M's head width; otherwise the widest of 8, 4 and 2
+    // that divides `d_head` (at widths 10, 12 and 20 a narrower group
+    // read slower than the per-head kernel this one replaced), and odd
+    // widths one column per group.
+    match d_head {
+        6 => weigh_values::<6>(d_head, scores, inv, t, values, out),
+        d if d % 8 == 0 => weigh_values::<8>(d_head, scores, inv, t, values, out),
+        d if d % 4 == 0 => weigh_values::<4>(d_head, scores, inv, t, values, out),
+        d if d % 2 == 0 => weigh_values::<2>(d_head, scores, inv, t, values, out),
+        _ => weigh_values::<1>(d_head, scores, inv, t, values, out),
+    }
+}
+
+/// Lanes of [`last_pass`]'s running maximum.
+const MAX_LANES: usize = 8;
+
+/// The last score pass: `s = (s + q_c·k) · scale`, returning the
+/// maximum of the scores.
+///
+/// The maximum is folded lane by lane, then across the lanes: any
+/// grouping of `f32::max` picks the same value, since `max` ignores NaN
+/// in every grouping, and it can differ only in the sign of a zero
+/// maximum, which no `exp(s − max)` can see (`s − (±0)` is `s` for
+/// `s ≠ 0`, and `±0` otherwise).
+fn last_pass(s: &mut [f32], k: &[f32], qc: f32, scale: f32) -> f32 {
+    let mut m = [f32::NEG_INFINITY; MAX_LANES];
+    let mut s_lanes = s.chunks_exact_mut(MAX_LANES);
+    let mut k_lanes = k.chunks_exact(MAX_LANES);
+    for (sl, kl) in (&mut s_lanes).zip(&mut k_lanes) {
+        for ((m, s), &k) in m.iter_mut().zip(sl).zip(kl) {
+            *s = (*s + qc * k) * scale;
+            *m = m.max(*s);
+        }
+    }
+    for (s, &k) in s_lanes.into_remainder().iter_mut().zip(k_lanes.remainder()) {
+        *s = (*s + qc * k) * scale;
+        m[0] = m[0].max(*s);
+    }
+    m.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Heads [`weigh_values`] sweeps per pass over the keys.
+const HEAD_GROUP: usize = 4;
+
+/// `out += P·V` for every head: each probability is its head's score
+/// times `inv[h]`, and exact zeros are skipped.
+///
+/// `out` is cut into column groups of `D` floats, `HEAD_GROUP` groups per
+/// pass over the `t` value rows, each with its own accumulators, so a
+/// pass runs `HEAD_GROUP` independent add chains instead of one. `D`
+/// divides `d_head`, so each group lies in one head and reads that
+/// head's probability (a group is the whole head when `D = d_head`).
+/// Each output float adds its terms in key order.
+fn weigh_values<const D: usize>(
+    d_head: usize,
+    scores: &[f32],
+    inv: &[f32],
+    t: usize,
+    values: &[f32],
+    out: &mut [f32],
+) {
+    let d_model = out.len();
+    let cols_per_head = d_head / D;
+    for (gi, o) in out.chunks_mut(HEAD_GROUP * D).enumerate() {
+        let c0 = gi * HEAD_GROUP * D;
+        let mut acc = [[0.0f32; D]; HEAD_GROUP];
+        // Each group's score row offset and `1 / sum`, hoisted out of the
+        // key loop.
+        let mut heads = [(0usize, 0.0f32); HEAD_GROUP];
+        for (i, ((a, o), head)) in acc
+            .iter_mut()
+            .zip(o.chunks_exact(D))
+            .zip(&mut heads)
+            .enumerate()
+        {
+            a.copy_from_slice(o);
+            let h = (gi * HEAD_GROUP + i) / cols_per_head;
+            *head = (h * t, inv[h]);
+        }
+        let n = o.len() / D;
+        // A full group's sweep unrolls over the whole group: with four
+        // full groups per row it read 8–21% faster than one
+        // `sweep_keys(n, ..)` call at head widths 8 to 128.
+        if n == HEAD_GROUP {
+            sweep_keys(HEAD_GROUP, &heads, scores, t, values, d_model, c0, &mut acc);
+        } else {
+            sweep_keys(n, &heads, scores, t, values, d_model, c0, &mut acc);
+        }
+        for (a, o) in acc.iter().zip(o.chunks_exact_mut(D)) {
+            o.copy_from_slice(a);
+        }
+    }
+}
+
+/// One pass of [`weigh_values`] over the keys for the first `n` column
+/// groups of `acc`, which start at column `c0`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn sweep_keys<const D: usize>(
+    n: usize,
+    heads: &[(usize, f32); HEAD_GROUP],
+    scores: &[f32],
+    t: usize,
+    values: &[f32],
+    d_model: usize,
+    c0: usize,
+    acc: &mut [[f32; D]; HEAD_GROUP],
+) {
+    for (j, row) in values.chunks_exact(d_model).take(t).enumerate() {
+        let row = &row[c0..c0 + n * D];
+        for ((a, v), &(base, inv)) in acc[..n]
+            .iter_mut()
+            .zip(row.chunks_exact(D))
+            .zip(&heads[..n])
+        {
+            let p = scores[base + j] * inv;
+            // Exact-zero skip, as the matmul kernel's.
+            // audit:allow(fpeq): exact-zero skip; no tolerance intended
+            if p != 0.0 {
+                for (a, &v) in a.iter_mut().zip(v) {
+                    *a += p * v;
+                }
+            }
         }
     }
 }
@@ -462,6 +594,206 @@ mod tests {
             concat,
         };
         (out, cache)
+    }
+
+    /// The per-head row kernel the vectorized [`attend_row`] replaced,
+    /// kept verbatim (row-major keys) as its bit-exact oracle.
+    #[allow(clippy::too_many_arguments)]
+    fn attend_row_oracle(
+        q: &[f32],
+        keys: &[f32],
+        values: &[f32],
+        t: usize,
+        d_head: usize,
+        scale: f32,
+        scores: &mut [f32],
+        mut probs: Option<&mut [Matrix]>,
+        out: &mut [f32],
+    ) {
+        let d_model = q.len();
+        let scores = &mut scores[..t];
+        for (h, (qh, head)) in q
+            .chunks_exact(d_head)
+            .zip(out.chunks_exact_mut(d_head))
+            .enumerate()
+        {
+            let lo = h * d_head;
+            for (s, key) in scores.iter_mut().zip(keys.chunks_exact(d_model)) {
+                let kh = &key[lo..lo + d_head];
+                let mut acc = 0.0f32;
+                for (a, b) in qh.iter().zip(kh) {
+                    acc += a * b;
+                }
+                *s = acc * scale;
+            }
+            let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for s in scores.iter_mut() {
+                *s = (*s - max).exp();
+                sum += *s;
+            }
+            let inv = 1.0 / sum;
+            for s in scores.iter_mut() {
+                *s *= inv;
+            }
+            for (&p, value) in scores.iter().zip(values.chunks_exact(d_model)) {
+                if p != 0.0 {
+                    let vh = &value[lo..lo + d_head];
+                    for (o, &b) in head.iter_mut().zip(vh) {
+                        *o += p * b;
+                    }
+                }
+            }
+            if let Some(probs) = probs.as_deref_mut() {
+                probs[h].row_mut(t - 1)[..t].copy_from_slice(scores);
+            }
+        }
+    }
+
+    /// Floats that stress the kernel's float ops: signed zeros,
+    /// subnormals, infinities and NaN.
+    const SPECIALS: [f32; 8] = [
+        0.0,
+        -0.0,
+        1.0e-40,
+        -3.0e-41,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+
+    /// Equal bits, or both NaN: Rust leaves the payload and sign of a NaN
+    /// an operation returns unspecified.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// One `attend_row` call against the oracle on the same inputs, with
+    /// and without `probs`, compared bit for bit (see [`same_bits`]): the
+    /// concat row and, with `probs`, every head's probability row.
+    /// Returns how many of those probabilities are exactly zero.
+    #[allow(clippy::too_many_arguments)]
+    fn check_row(
+        q: &[f32],
+        keys: &Matrix,
+        values: &Matrix,
+        t: usize,
+        d_head: usize,
+        out0: &[f32],
+        what: &str,
+    ) -> usize {
+        let (cap, d_model) = keys.shape();
+        let n_heads = d_model / d_head;
+        let scale = 1.0 / (d_head as f32).sqrt();
+        let keys_t = keys.transpose();
+        let mut scratch = vec![f32::NAN; n_heads * (cap + 1)];
+        let mut want = out0.to_vec();
+        let mut want_p: Vec<Matrix> = (0..n_heads).map(|_| Matrix::zeros(t, t)).collect();
+        attend_row_oracle(
+            q,
+            keys.as_slice(),
+            values.as_slice(),
+            t,
+            d_head,
+            scale,
+            &mut scratch,
+            Some(&mut want_p[..]),
+            &mut want,
+        );
+        let mut zeros = 0;
+        for with_probs in [true, false] {
+            let mut got = out0.to_vec();
+            let mut got_p: Vec<Matrix> = (0..n_heads).map(|_| Matrix::zeros(t, t)).collect();
+            let probs = with_probs.then_some(&mut got_p[..]);
+            attend_row(
+                q,
+                &keys_t,
+                values,
+                t,
+                d_head,
+                scale,
+                &mut scratch,
+                probs,
+                &mut got,
+            );
+            for (i, (&a, &b)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    same_bits(a, b),
+                    "{what} probs={with_probs}: out[{i}] {a} vs {b}"
+                );
+            }
+            if with_probs {
+                for (h, (p, wp)) in got_p.iter().zip(&want_p).enumerate() {
+                    for (j, (&a, &b)) in p.row(t - 1).iter().zip(wp.row(t - 1)).enumerate() {
+                        assert!(same_bits(a, b), "{what}: probs[{h}][{j}] {a} vs {b}");
+                    }
+                    zeros += p.row(t - 1).iter().filter(|&&v| v == 0.0).count();
+                }
+            }
+        }
+        zeros
+    }
+
+    #[test]
+    fn oracle_attend_row_matches_per_head_kernel() {
+        // Every dispatch arm: 6, multiples of 8 (16 at two groups per
+        // head), 4, 2 and odd widths (1, 3); five heads, so one full
+        // group of whole heads and a partial one;
+        // a cache three positions larger than `t`; a nonzero starting
+        // concat row, since the kernel accumulates into it.
+        let mut rng = init::rng(2024);
+        let mut zeros = 0;
+        for d_head in [1usize, 2, 3, 4, 6, 8, 16] {
+            let d_model = 5 * d_head;
+            for t in [1usize, 2, 7, 8, 9, 17, 61, 64, 128] {
+                let cap = t + 3;
+                let what = format!("d_head={d_head} t={t}");
+                let q = init::normal(1, d_model, 1.0, &mut rng);
+                let keys = init::normal(cap, d_model, 1.0, &mut rng);
+                let values = init::normal(cap, d_model, 1.0, &mut rng);
+                let out0 = init::normal(1, d_model, 0.5, &mut rng);
+                check_row(q.row(0), &keys, &values, t, d_head, out0.row(0), &what);
+
+                // Amplified scores: most probabilities underflow to 0.
+                let big_q = q.scale(40.0);
+                let big_k = keys.scale(40.0);
+                zeros += check_row(
+                    big_q.row(0),
+                    &big_k,
+                    &values,
+                    t,
+                    d_head,
+                    out0.row(0),
+                    &format!("{what} amplified"),
+                );
+
+                // Specials in q, k and v, one seeded pattern per kind.
+                for (si, &special) in SPECIALS.iter().enumerate() {
+                    let (mut q, mut keys, mut values) = (q.clone(), keys.clone(), values.clone());
+                    let stride = 3 + si;
+                    for m in [&mut keys, &mut values] {
+                        for v in m.as_mut_slice().iter_mut().skip(si).step_by(stride * 7) {
+                            *v = special;
+                        }
+                    }
+                    q.as_mut_slice()[si % d_model] = special;
+                    check_row(
+                        q.row(0),
+                        &keys,
+                        &values,
+                        t,
+                        d_head,
+                        out0.row(0),
+                        &format!("{what} special {special:e}"),
+                    );
+                }
+            }
+        }
+        assert!(
+            zeros > 0,
+            "amplified scores must underflow some probabilities to 0"
+        );
     }
 
     fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {

@@ -1,7 +1,7 @@
 //! A transformer block: pre-norm attention and SwiGLU with residuals.
 
 use aptq_obs::Recorder;
-use aptq_tensor::activation::silu;
+use aptq_tensor::activation::silu_mul_into;
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -122,9 +122,10 @@ impl<L: LinearOp> TransformerBlock<L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one workspace and one key/value cache sized by
-    /// the rows, and the residual copy of `x`; no `RmsNormCache`,
-    /// `AttentionCache` or `T × T` matrix.
+    /// Allocation budget: the attention half's workspace buffers and one
+    /// key/value cache, sized by the rows, and the residual copy of `x`;
+    /// no feed-forward buffers, `RmsNormCache`, `AttentionCache` or
+    /// `T × T` matrix.
     ///
     /// # Panics
     ///
@@ -137,7 +138,7 @@ impl<L: LinearOp> TransformerBlock<L> {
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn attn_half(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
         let (t, d_model) = x.shape();
-        let mut ws = Workspace::for_rows(t, d_model, self.ffn.gate().d_out(), t);
+        let mut ws = Workspace::for_attn(t, d_model, self.attn.n_heads(), t);
         // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut h = x.clone();
         let mut kv = LayerKv::empty(t, d_model);
@@ -152,8 +153,9 @@ impl<L: LinearOp> TransformerBlock<L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one workspace sized by the rows and the
-    /// residual copy of `h`; no `RmsNormCache` or `SwiGluCache`.
+    /// Allocation budget: the feed-forward half's workspace buffers,
+    /// sized by the rows, and the residual copy of `h`; no attention
+    /// buffers, `RmsNormCache` or `SwiGluCache`.
     ///
     /// # Panics
     ///
@@ -165,7 +167,7 @@ impl<L: LinearOp> TransformerBlock<L> {
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn ffn_half(&self, h: &Matrix) -> Matrix {
         let (t, d_model) = h.shape();
-        let mut ws = Workspace::for_rows(t, d_model, self.ffn.gate().d_out(), 0);
+        let mut ws = Workspace::for_ffn(t, d_model, self.ffn.gate().d_out());
         // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut y = h.clone();
         self.ffn_rows(&mut y, &mut ws, None);
@@ -212,8 +214,8 @@ impl<L: LinearOp> TransformerBlock<L> {
 
     /// The feed-forward half over a workspace, in place:
     /// `x += FFN(RMSNorm(x))`: gate and up, `silu(g)·u` in place in the
-    /// gate buffer, then down — [`SwiGlu::forward`]'s float ops without
-    /// its cache.
+    /// gate buffer ([`silu_mul_into`]), then down — [`SwiGlu::forward`]'s
+    /// float ops without its cache.
     ///
     /// # Panics
     ///
@@ -230,9 +232,7 @@ impl<L: LinearOp> TransformerBlock<L> {
             .forward_into(&ws.normed, &mut ws.gate, rec.as_deref_mut());
         ffn.up()
             .forward_into(&ws.normed, &mut ws.up, rec.as_deref_mut());
-        for (g, &u) in ws.gate.as_mut_slice().iter_mut().zip(ws.up.as_slice()) {
-            *g = silu(*g) * u;
-        }
+        silu_mul_into(ws.gate.as_mut_slice(), ws.up.as_slice());
         ffn.down().forward_into(&ws.gate, &mut ws.proj, rec);
         x.add_assign(&ws.proj);
     }

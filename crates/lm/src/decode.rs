@@ -21,18 +21,23 @@
 //!   halves), whose cache nobody reads afterwards.
 //!
 //! Projections are row-independent under the [`LinearOp`] contract and
-//! each row's attention reads only its own cache rows `[0, pos]`, so a
+//! each row's attention reads only its own cache positions `[0, pos]`, so a
 //! row's logits never depend on which other rows share the call: a
 //! batched row equals solo decoding, and a chunk equals feeding its
 //! tokens one by one and the full forward, bit for bit (see tests).
 //!
+//! Each layer's cache holds the rotated keys coordinate-major
+//! (`d_model × max_seq_len`, one column per position, so each head
+//! coordinate is a contiguous row for the attention kernel's score
+//! passes) and the values row-major (one row per position).
+//!
 //! Each session sequence's cache is **preallocated** at `max_seq_len`
-//! rows per layer and written in place, one row per token. Growing it
-//! with [`Matrix::vcat`] instead would copy the entire cache on every
-//! token — O(T²) bytes moved over a T-token decode — which is exactly
-//! the kind of regression the `decode/kv_bytes_moved` counter exists to
-//! catch: it counts bytes *written into* the cache and must stay linear
-//! in T.
+//! positions per layer and written in place, one key column and one
+//! value row per token. Growing it with [`Matrix::vcat`] instead would
+//! copy the entire cache on every token — O(T²) bytes moved over a
+//! T-token decode — which is exactly the kind of regression the
+//! `decode/kv_bytes_moved` counter exists to catch: it counts bytes
+//! *written into* the cache and must stay linear in T.
 
 use aptq_obs::Recorder;
 use aptq_tensor::Matrix;
@@ -44,13 +49,16 @@ use crate::model::ModelOf;
 use crate::rope::RopeTable;
 use crate::LmError;
 
-/// One layer's key/value cache: rotated keys and raw values, one
-/// `d_model`-wide row per position.
+/// One layer's key/value cache: rotated keys coordinate-major
+/// (`d_model × capacity`, position `p`'s key in column `p`, so each head
+/// coordinate is one contiguous row for the score passes of
+/// [`attend_row`]), and raw values row-major (`capacity × d_model`, one
+/// row per position).
 #[derive(Debug, Clone)]
 pub(crate) struct LayerKv {
-    /// Rotated keys (heads concatenated).
-    k_rot: Matrix,
-    /// Values.
+    /// Rotated keys (heads concatenated), one column per position.
+    keys: Matrix,
+    /// Values, one row per position.
     v: Matrix,
 }
 
@@ -58,15 +66,15 @@ impl LayerKv {
     /// An empty cache of `rows` positions.
     pub(crate) fn empty(rows: usize, d_model: usize) -> Self {
         LayerKv {
-            k_rot: Matrix::zeros(rows, d_model),
+            keys: Matrix::zeros(d_model, rows),
             v: Matrix::zeros(rows, d_model),
         }
     }
 
     /// Workspace row `r`'s attention in one layer: rotates its query and
-    /// key for position `pos`, writes its key and value at cache row
-    /// `pos`, and accumulates the attention over cache rows `[0, pos]`
-    /// into its concat row ([`attend_row`]).
+    /// key for position `pos`, writes its key into cache column `pos`
+    /// and its value into cache row `pos`, and accumulates the attention
+    /// over positions `[0, pos]` into its concat row ([`attend_row`]).
     ///
     /// # Panics
     ///
@@ -76,16 +84,19 @@ impl LayerKv {
         let (q, k) = (ws.q.row_mut(r), ws.k.row_mut(r));
         rope.apply_heads(q, pos);
         rope.apply_heads(k, pos);
-        self.k_rot.row_mut(pos).copy_from_slice(k);
+        let cap = self.keys.cols();
+        assert!(pos < cap, "attend: position {pos} past the cache");
+        for (coord, &kc) in self.keys.as_mut_slice().chunks_exact_mut(cap).zip(k.iter()) {
+            coord[pos] = kc;
+        }
         self.v.row_mut(pos).copy_from_slice(ws.v.row(r));
         let d_head = rope.d_head();
         let scale = 1.0 / (d_head as f32).sqrt();
-        let (keys, values) = (self.k_rot.as_slice(), self.v.as_slice());
         let out = ws.concat.row_mut(r);
         attend_row(
             q,
-            keys,
-            values,
+            &self.keys,
+            &self.v,
             pos + 1,
             d_head,
             scale,
@@ -141,14 +152,17 @@ impl SeqSlot {
         self.pos * kv_token_bytes(cfg)
     }
 
-    /// Overwrites the most recently written layer-0 key-cache row with
-    /// NaN. No-op before the first token (no row has been written yet).
+    /// Overwrites the most recently written layer-0 key (every
+    /// coordinate of column `pos − 1`) with NaN. No-op before the first
+    /// token (no key has been written yet).
     fn poison(&mut self) {
         if self.pos == 0 || self.layers.is_empty() {
             return;
         }
-        for v in self.layers[0].k_rot.row_mut(self.pos - 1) {
-            *v = f32::NAN;
+        let keys = &mut self.layers[0].keys;
+        let cap = keys.cols();
+        for coord in keys.as_mut_slice().chunks_exact_mut(cap) {
+            coord[self.pos - 1] = f32::NAN;
         }
     }
 }
@@ -199,35 +213,62 @@ fn kv_token_bytes(cfg: &ModelConfig) -> usize {
 }
 
 /// The buffers every layer of one [`forward_rows`] call writes into,
-/// sized by its rows: their norm, q/k/v, the attention concat, one
-/// `d_model`-wide projection output, the gate and up activations and
-/// one score buffer.
+/// sized by its rows: their norm and one `d_model`-wide projection
+/// output, shared by both halves; the attention half's q/k/v, concat and
+/// score scratch; the feed-forward half's gate and up activations.
+///
+/// A workspace for one half alone leaves the other half's buffers
+/// empty (zero columns, no allocation).
 #[derive(Debug)]
 pub(crate) struct Workspace {
     pub(crate) normed: Matrix,
+    pub(crate) proj: Matrix,
     pub(crate) q: Matrix,
     pub(crate) k: Matrix,
     pub(crate) v: Matrix,
     pub(crate) concat: Matrix,
-    pub(crate) proj: Matrix,
+    pub(crate) scores: Vec<f32>,
     pub(crate) gate: Matrix,
     pub(crate) up: Matrix,
-    pub(crate) scores: Vec<f32>,
 }
 
 impl Workspace {
-    /// Buffers for `rows` rows whose positions stay below `span`.
-    pub(crate) fn for_rows(rows: usize, d_model: usize, d_ff: usize, span: usize) -> Self {
+    /// Both halves' buffers for `rows` rows of a model shaped like `cfg`
+    /// whose positions stay below `span`.
+    pub(crate) fn for_rows(rows: usize, cfg: &ModelConfig, span: usize) -> Self {
         Workspace {
-            normed: Matrix::zeros(rows, d_model),
+            gate: Matrix::zeros(rows, cfg.d_ff),
+            up: Matrix::zeros(rows, cfg.d_ff),
+            ..Workspace::for_attn(rows, cfg.d_model, cfg.n_heads, span)
+        }
+    }
+
+    /// The attention half's buffers alone, for `rows` rows of `n_heads`
+    /// heads whose positions stay below `span`.
+    pub(crate) fn for_attn(rows: usize, d_model: usize, n_heads: usize, span: usize) -> Self {
+        Workspace {
             q: Matrix::zeros(rows, d_model),
             k: Matrix::zeros(rows, d_model),
             v: Matrix::zeros(rows, d_model),
             concat: Matrix::zeros(rows, d_model),
+            // Per head: `span` scores and one `1 / sum` (see `attend_row`).
+            scores: vec![0.0; n_heads * (span + 1)],
+            ..Workspace::for_ffn(rows, d_model, 0)
+        }
+    }
+
+    /// The feed-forward half's buffers alone, for `rows` rows.
+    pub(crate) fn for_ffn(rows: usize, d_model: usize, d_ff: usize) -> Self {
+        Workspace {
+            normed: Matrix::zeros(rows, d_model),
             proj: Matrix::zeros(rows, d_model),
+            q: Matrix::zeros(rows, 0),
+            k: Matrix::zeros(rows, 0),
+            v: Matrix::zeros(rows, 0),
+            concat: Matrix::zeros(rows, 0),
+            scores: vec![],
             gate: Matrix::zeros(rows, d_ff),
             up: Matrix::zeros(rows, d_ff),
-            scores: vec![0.0; span],
         }
     }
 }
@@ -260,7 +301,7 @@ pub(crate) fn forward_rows<L: LinearOp, K: KvRows>(
     mut rec: Option<&mut Recorder>,
 ) -> Matrix {
     let cfg = model.config();
-    let mut ws = Workspace::for_rows(x.rows(), cfg.d_model, cfg.d_ff, cfg.max_seq_len);
+    let mut ws = Workspace::for_rows(x.rows(), cfg, cfg.max_seq_len);
     for (li, block) in model.blocks().iter().enumerate().skip(start) {
         // One projection call covers every row — this is where a packed
         // operator's unpacking amortizes over the batch or chunk.
@@ -376,10 +417,11 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// # HotPath
     ///
     /// Allocation budget: one workspace per token (hidden, norm,
-    /// projection and FFN rows plus one `max_seq_len` score buffer) and
-    /// the logits row — a fixed set whatever the layer or head count;
-    /// the KV cache is written in place, never regrown. The non-finite
-    /// quarantine scan reads the logits row in place.
+    /// projection and FFN rows plus one `n_heads · (max_seq_len + 1)`
+    /// score buffer) and the logits row — a fixed set whatever the
+    /// layer or head count; the KV cache is written in place, never
+    /// regrown. The non-finite quarantine scan reads the logits row in
+    /// place.
     ///
     /// # Errors
     ///
@@ -411,9 +453,9 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// # HotPath
     ///
     /// Allocation budget: the chunk's embedded rows, one workspace
-    /// sized by the chunk's rows (plus one `max_seq_len` score buffer)
-    /// and the chunk's logits, whose last row is returned in place; the
-    /// KV cache is written in place, never regrown.
+    /// sized by the chunk's rows (plus one `n_heads · (max_seq_len + 1)`
+    /// score buffer) and the chunk's logits, whose last row is returned
+    /// in place; the KV cache is written in place, never regrown.
     ///
     /// # Errors
     ///
@@ -654,10 +696,11 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     /// # HotPath
     ///
     /// Allocation budget: one workspace per step (stacked hidden,
-    /// norm, projection and FFN rows plus one `max_seq_len` score
-    /// buffer), the logits and a batch-sized eviction list — a fixed set
-    /// whatever the layer count, head count or batch size, and never
-    /// sized by sequence length; per-sequence KV caches are
+    /// norm, projection and FFN rows plus one
+    /// `n_heads · (max_seq_len + 1)` score buffer), the logits and a
+    /// batch-sized eviction list — a fixed set whatever the layer count,
+    /// head count or batch size, and never sized by sequence length;
+    /// per-sequence KV caches are
     /// preallocated at [`BatchDecodeSession::join`] and written in
     /// place, never regrown.
     ///
@@ -931,6 +974,38 @@ mod tests {
         ));
         assert_eq!(s.len(), 30);
         assert_eq!(s.cache_bytes(), 30 * kv_token_bytes(m.config()));
+    }
+
+    #[test]
+    fn poison_writes_nan_to_the_last_key_column_only() {
+        // The keys are coordinate-major: poisoning after three tokens
+        // turns every coordinate of position 2's layer-0 key to NaN and
+        // nothing else, in any layer's keys or values.
+        let m = model();
+        let mut s = DecodeSession::new(&m);
+        s.poison_kv_cache();
+        s.feed_all(&[1, 2, 3]).unwrap();
+        let before = s.slot.layers.clone();
+        s.poison_kv_cache();
+        let (d_model, cap) = (m.config().d_model, m.config().max_seq_len);
+        for (li, (layer, old)) in s.slot.layers.iter().zip(&before).enumerate() {
+            assert_eq!(layer.keys.shape(), (d_model, cap));
+            for c in 0..d_model {
+                for p in 0..cap {
+                    let (got, was) = (layer.keys[(c, p)], old.keys[(c, p)]);
+                    if li == 0 && p == 2 {
+                        assert!(got.is_nan(), "layer 0 ({c}, {p}) not poisoned");
+                    } else {
+                        assert_eq!(got.to_bits(), was.to_bits(), "layer {li} ({c}, {p})");
+                    }
+                }
+            }
+            assert_eq!(layer.v, old.v, "layer {li} values");
+        }
+        assert!(matches!(
+            s.feed(4),
+            Err(LmError::NonFiniteLogits { pos: 3 })
+        ));
     }
 
     #[test]

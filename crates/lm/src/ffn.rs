@@ -1,6 +1,6 @@
 //! SwiGLU feed-forward network (the LLaMA FFN) with manual backward.
 
-use aptq_tensor::activation::{silu, silu_grad};
+use aptq_tensor::activation::{silu, silu_grad, silu_mul_into};
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -107,14 +107,9 @@ impl<L: LinearOp> SwiGlu<L> {
     pub fn forward(&self, x: &Matrix) -> (Matrix, SwiGluCache) {
         let g = self.gate.forward_op(x, None);
         let u = self.up.forward_op(x, None);
-        let mut hidden = Matrix::zeros(g.rows(), g.cols());
-        for (o, (&gv, &uv)) in hidden
-            .as_mut_slice()
-            .iter_mut()
-            .zip(g.as_slice().iter().zip(u.as_slice()))
-        {
-            *o = silu(gv) * uv;
-        }
+        // audit:allow(alloc): the cache keeps `g`; `hidden` is its own buffer
+        let mut hidden = g.clone();
+        silu_mul_into(hidden.as_mut_slice(), u.as_slice());
         let y = self.down.forward_op(&hidden, None);
         (
             y,

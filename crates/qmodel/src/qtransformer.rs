@@ -283,9 +283,13 @@ impl QuantizedModel {
         }
     }
 
-    /// Validates tokens against the vocabulary and sequence capacity.
+    /// Validates tokens: at least one, within the vocabulary and the
+    /// sequence capacity.
     fn check_tokens(&self, tokens: &[u32]) -> Result<(), QModelError> {
         let cfg = self.inner.config();
+        if tokens.is_empty() {
+            return Err(QModelError::EmptyInput);
+        }
         if tokens.len() > cfg.max_seq_len {
             return Err(QModelError::SequenceTooLong {
                 len: tokens.len(),
@@ -333,7 +337,8 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::TokenOutOfRange`] /
+    /// Returns [`QModelError::EmptyInput`] for an empty sequence, and
+    /// [`QModelError::TokenOutOfRange`] /
     /// [`QModelError::SequenceTooLong`] on invalid input.
     pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, QModelError> {
         self.check_tokens(tokens)?;
@@ -495,6 +500,18 @@ mod tests {
         let b = q.generate_greedy(&[1, 2], 6).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 8);
+    }
+
+    #[test]
+    fn forward_rejects_empty_input() {
+        // An empty sequence is an error, as `ModelOf::try_forward`
+        // reports it, not a `0 × vocab` matrix.
+        let (model, _, hs) = setup();
+        let cfg = GridConfig::default();
+        let q = QuantizedModel::quantize_from(&model, &QuantPlan::uniform(&model, 4), &hs, &cfg)
+            .unwrap();
+        assert!(matches!(q.forward(&[]), Err(QModelError::EmptyInput)));
+        assert_eq!(q.forward(&[1, 2]).unwrap().rows(), 2);
     }
 
     #[test]
