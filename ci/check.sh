@@ -80,6 +80,14 @@ cargo build --workspace --release
 phase "cargo test"
 cargo test --workspace -q
 
+phase "benchmark package tests"
+# `benchmark/` is its own package (its own `[workspace]`), so the steps
+# above never compile it, yet it drives the public decode API
+# (`batch_decode_session`, `join`, `step`, `leave`, `metrics`,
+# `LinearOp::forward_into`). Its serve tests check batched output
+# against solo references.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 phase "determinism suite (scheduler thread-count invariance)"
 for threads in 1 4; do
     echo "    APTQ_THREADS=$threads"

@@ -290,15 +290,12 @@ pub(crate) fn attend_row(
         }
     }
     let values = values.as_slice();
-    // 6 is TinyLlama-M's head width; otherwise the widest of 8, 4 and 2
-    // that divides `d_head` (at widths 10, 12 and 20 a narrower group
-    // read slower than the per-head kernel this one replaced), and odd
-    // widths one column per group.
+    // The shipped head widths are 6 (TinyLlama-M) and 8 (TinyLlama-S).
+    // Any other width runs one column per group: the same sums in the
+    // same order, only slower.
     match d_head {
         6 => weigh_values::<6>(d_head, scores, inv, t, values, out),
         d if d % 8 == 0 => weigh_values::<8>(d_head, scores, inv, t, values, out),
-        d if d % 4 == 0 => weigh_values::<4>(d_head, scores, inv, t, values, out),
-        d if d % 2 == 0 => weigh_values::<2>(d_head, scores, inv, t, values, out),
         _ => weigh_values::<1>(d_head, scores, inv, t, values, out),
     }
 }

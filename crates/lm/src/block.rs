@@ -177,8 +177,7 @@ impl<L: LinearOp> TransformerBlock<L> {
     /// The attention half over a workspace, in place:
     /// `x += Attn(RMSNorm(x))`. The norm and each projection run once
     /// over all rows; then, rows in order, each row attends at the cache
-    /// and position `kv` gives it in block `li` ([`LayerKv::attend`]). A
-    /// row `kv` skips gets no attention output.
+    /// and position `kv` gives it in block `li` ([`LayerKv::attend`]).
     ///
     /// # Panics
     ///
@@ -201,12 +200,11 @@ impl<L: LinearOp> TransformerBlock<L> {
             .forward_into(&ws.normed, &mut ws.k, rec.as_deref_mut());
         attn.wv()
             .forward_into(&ws.normed, &mut ws.v, rec.as_deref_mut());
-        // Attention accumulates into its row; skipped rows stay zero.
+        // Attention accumulates into its row.
         ws.concat.as_mut_slice().fill(0.0);
         for r in 0..x.rows() {
-            if let Some((cache, pos)) = kv.kv(li, r) {
-                cache.attend(rope, pos, ws, r);
-            }
+            let (cache, pos) = kv.kv(li, r);
+            cache.attend(rope, pos, ws, r);
         }
         attn.wo().forward_into(&ws.concat, &mut ws.proj, rec);
         x.add_assign(&ws.proj);

@@ -11,11 +11,11 @@
 //! its own position. What the rows are says which cache and position
 //! each one has:
 //!
-//! - a batch step: one row per sequence, each at its sequence's next
-//!   position ([`BatchDecodeSession::step`]);
-//! - a chunk of one sequence: row `r` at position `pos + r`, attending
-//!   over the rows before it — a prefill ([`DecodeSession::feed_all`],
-//!   of which [`DecodeSession::feed`] is the one-row case);
+//! - a session's row table, each row a `(slot, position)`: one row per
+//!   sequence in a batch step ([`BatchDecodeSession::step`]), or a chunk
+//!   of one sequence, row `r` at position `pos + r` — a prefill
+//!   ([`DecodeSession::feed_all`], of which [`DecodeSession::feed`] is
+//!   the one-row case);
 //! - a one-layer scratch cache reused by every layer: the full-sequence
 //!   forward ([`ModelOf::forward`], `Model::loss_from` and the block
 //!   halves), whose cache nobody reads afterwards.
@@ -25,6 +25,11 @@
 //! row's logits never depend on which other rows share the call: a
 //! batched row equals solo decoding, and a chunk equals feeding its
 //! tokens one by one and the full forward, bit for bit (see tests).
+//!
+//! Both sessions run one private engine, which owns the slots, a
+//! workspace grown to the largest call, validation and the non-finite
+//! scan. [`DecodeSession`] is its one-slot case and keeps a faulted slot
+//! (quarantine); [`BatchDecodeSession`] evicts it.
 //!
 //! Each layer's cache holds the rotated keys coordinate-major
 //! (`d_model × max_seq_len`, one column per position, so each head
@@ -109,99 +114,68 @@ impl LayerKv {
 
 /// Which cache and position each row of a [`forward_rows`] call uses.
 pub(crate) trait KvRows {
-    /// Layer `li`'s cache for row `r` and the position row `r` sits at,
-    /// or `None` to skip the row (its attention output stays zero).
-    fn kv(&mut self, li: usize, r: usize) -> Option<(&mut LayerKv, usize)>;
+    /// Layer `li`'s cache for row `r` and the position row `r` sits at.
+    fn kv(&mut self, li: usize, r: usize) -> (&mut LayerKv, usize);
 }
 
 /// A one-layer scratch cache every layer reuses, row `r` at position
 /// `r`: for a forward whose cache nobody reads afterwards.
 impl KvRows for LayerKv {
-    fn kv(&mut self, _li: usize, r: usize) -> Option<(&mut LayerKv, usize)> {
-        Some((self, r))
+    fn kv(&mut self, _li: usize, r: usize) -> (&mut LayerKv, usize) {
+        (self, r)
     }
 }
 
-/// One sequence's decode state: its private per-layer KV cache and its
-/// own position counter.
+/// One sequence slot: its per-layer KV cache, preallocated at
+/// `max_seq_len` positions, and its state.
 #[derive(Debug)]
 struct SeqSlot {
     layers: Vec<LayerKv>,
+    /// Tokens consumed so far.
     pos: usize,
+    /// Whether a sequence holds the slot. A retired slot keeps its cache
+    /// for the next sequence, which attends only over positions it wrote.
+    live: bool,
+    /// The position whose logits first went non-finite; a faulted slot
+    /// takes no further row.
+    fault: Option<usize>,
 }
 
-/// A chunk of one sequence: row `r` sits at position `pos + r`.
-impl KvRows for SeqSlot {
-    fn kv(&mut self, li: usize, r: usize) -> Option<(&mut LayerKv, usize)> {
-        Some((&mut self.layers[li], self.pos + r))
+/// A row of an engine call: the slot it feeds, its position and token.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    slot: usize,
+    pos: usize,
+    token: u32,
+}
+
+/// An engine call's slots and row table: row `r` attends in its slot's
+/// cache at its position.
+impl KvRows for (&mut [SeqSlot], &[Row]) {
+    fn kv(&mut self, li: usize, r: usize) -> (&mut LayerKv, usize) {
+        let row = self.1[r];
+        (&mut self.0[row.slot].layers[li], row.pos)
     }
 }
 
-impl SeqSlot {
-    /// An empty sequence with its full `max_seq_len`-row cache
-    /// preallocated, so stepping never reallocates or copies cached rows.
-    fn new(cfg: &ModelConfig) -> Self {
-        let layers = (0..cfg.n_layers)
-            .map(|_| LayerKv::empty(cfg.max_seq_len, cfg.d_model))
-            .collect();
-        SeqSlot { layers, pos: 0 }
-    }
-
-    /// Used cache bytes: written rows only, not preallocated capacity.
-    fn cache_bytes(&self, cfg: &ModelConfig) -> usize {
-        self.pos * kv_token_bytes(cfg)
-    }
-
-    /// Overwrites the most recently written layer-0 key (every
-    /// coordinate of column `pos − 1`) with NaN. No-op before the first
-    /// token (no key has been written yet).
-    fn poison(&mut self) {
-        if self.pos == 0 || self.layers.is_empty() {
-            return;
-        }
-        let keys = &mut self.layers[0].keys;
-        let cap = keys.cols();
-        for coord in keys.as_mut_slice().chunks_exact_mut(cap) {
-            coord[self.pos - 1] = f32::NAN;
-        }
-    }
-}
-
-/// A batch step: row `r` is sequence `tokens[r].0`'s next token, at that
-/// sequence's position. A row whose id names no slot is skipped.
-struct BatchRows<'a> {
-    slots: &'a mut [Option<SeqSlot>],
-    tokens: &'a [(usize, u32)],
-}
-
-impl KvRows for BatchRows<'_> {
-    fn kv(&mut self, li: usize, r: usize) -> Option<(&mut LayerKv, usize)> {
-        let slot = self.slots.get_mut(self.tokens[r].0)?.as_mut()?;
-        Some((&mut slot.layers[li], slot.pos))
-    }
-}
-
-/// Checks that every token of a chunk starting at position `pos` is a
-/// vocabulary id with room left in the RoPE table (i.e. `max_seq_len`).
+/// Checks that `token` is a vocabulary id and that position `pos` has
+/// room in the RoPE table (i.e. `max_seq_len`).
 ///
 /// # Errors
 ///
-/// The first failing row's [`LmError::TokenOutOfRange`] or
-/// [`LmError::SequenceFull`].
-pub(crate) fn check_chunk(tokens: &[u32], pos: usize, cfg: &ModelConfig) -> Result<(), LmError> {
-    for (r, &token) in tokens.iter().enumerate() {
-        if token as usize >= cfg.vocab_size {
-            return Err(LmError::TokenOutOfRange {
-                token,
-                vocab: cfg.vocab_size,
-            });
-        }
-        if pos + r >= cfg.max_seq_len {
-            return Err(LmError::SequenceFull {
-                pos: pos + r,
-                max_seq_len: cfg.max_seq_len,
-            });
-        }
+/// [`LmError::TokenOutOfRange`], then [`LmError::SequenceFull`].
+pub(crate) fn check_row(token: u32, pos: usize, cfg: &ModelConfig) -> Result<(), LmError> {
+    if token as usize >= cfg.vocab_size {
+        return Err(LmError::TokenOutOfRange {
+            token,
+            vocab: cfg.vocab_size,
+        });
+    }
+    if pos >= cfg.max_seq_len {
+        return Err(LmError::SequenceFull {
+            pos,
+            max_seq_len: cfg.max_seq_len,
+        });
     }
     Ok(())
 }
@@ -233,13 +207,12 @@ pub(crate) struct Workspace {
 }
 
 impl Workspace {
-    /// Both halves' buffers for `rows` rows of a model shaped like `cfg`
-    /// whose positions stay below `span`.
-    pub(crate) fn for_rows(rows: usize, cfg: &ModelConfig, span: usize) -> Self {
+    /// Both halves' buffers for `rows` rows of a model shaped like `cfg`.
+    pub(crate) fn for_rows(rows: usize, cfg: &ModelConfig) -> Self {
         Workspace {
             gate: Matrix::zeros(rows, cfg.d_ff),
             up: Matrix::zeros(rows, cfg.d_ff),
-            ..Workspace::for_attn(rows, cfg.d_model, cfg.n_heads, span)
+            ..Workspace::for_attn(rows, cfg.d_model, cfg.n_heads, cfg.max_seq_len)
         }
     }
 
@@ -271,10 +244,33 @@ impl Workspace {
             up: Matrix::zeros(rows, d_ff),
         }
     }
+
+    /// Re-shapes the hidden rows `x` and every buffer to `rows` rows of
+    /// its width, in its own allocation, which grows only past the most
+    /// rows it has held. Stale values are never read: each buffer is
+    /// written first (concat per layer).
+    fn fit(&mut self, x: &mut Matrix, rows: usize) {
+        for m in [
+            x,
+            &mut self.normed,
+            &mut self.proj,
+            &mut self.q,
+            &mut self.k,
+            &mut self.v,
+            &mut self.concat,
+            &mut self.gate,
+            &mut self.up,
+        ] {
+            let cols = m.cols();
+            let mut data = std::mem::take(m).into_vec();
+            data.resize(rows * cols, 0.0);
+            *m = Matrix::from_vec(rows, cols, data);
+        }
+    }
 }
 
 /// The inference core: runs the hidden rows `x` (block `start`'s input)
-/// through blocks `start..` ([`TransformerBlock::attn_rows`],
+/// in place through blocks `start..` ([`TransformerBlock::attn_rows`],
 /// [`TransformerBlock::ffn_rows`]), the final norm and the LM head, and
 /// returns the `rows × vocab` logits.
 ///
@@ -284,32 +280,174 @@ impl Workspace {
 /// the caller decides from the logits (quarantine, eviction). Only the
 /// operators' recorder hooks write into `rec`.
 ///
-/// Every layer writes into one [`Workspace`] built per call.
+/// Every layer writes into `ws`, which must be sized for `x`'s rows.
 ///
 /// [`TransformerBlock::attn_rows`]: crate::block::TransformerBlock::attn_rows
 /// [`TransformerBlock::ffn_rows`]: crate::block::TransformerBlock::ffn_rows
 ///
 /// # Panics
 ///
-/// Panics if `x` is not `d_model` wide or a row's position is past its
-/// cache or the RoPE table.
+/// Panics if `x` is not `d_model` wide, `ws` does not match its rows, or
+/// a row's position is past its cache or the RoPE table.
 pub(crate) fn forward_rows<L: LinearOp, K: KvRows>(
     model: &ModelOf<L>,
     start: usize,
-    mut x: Matrix,
+    x: &mut Matrix,
+    ws: &mut Workspace,
     kv: &mut K,
     mut rec: Option<&mut Recorder>,
 ) -> Matrix {
-    let cfg = model.config();
-    let mut ws = Workspace::for_rows(x.rows(), cfg, cfg.max_seq_len);
     for (li, block) in model.blocks().iter().enumerate().skip(start) {
         // One projection call covers every row — this is where a packed
         // operator's unpacking amortizes over the batch or chunk.
-        block.attn_rows(li, &mut x, &mut ws, kv, model.rope(), rec.as_deref_mut());
-        block.ffn_rows(&mut x, &mut ws, rec.as_deref_mut());
+        block.attn_rows(li, x, ws, kv, model.rope(), rec.as_deref_mut());
+        block.ffn_rows(x, ws, rec.as_deref_mut());
     }
-    model.final_norm().forward_into(&x, &mut ws.normed);
+    model.final_norm().forward_into(x, &mut ws.normed);
     ws.normed.matmul(model.lm_head())
+}
+
+/// The decode engine both sessions run: the sequence slots, the row
+/// table, the hidden rows and a workspace, each grown to the largest
+/// call and reused after that.
+#[derive(Debug)]
+struct Engine<'m, L> {
+    model: &'m ModelOf<L>,
+    slots: Vec<SeqSlot>,
+    rows: Vec<Row>,
+    x: Matrix,
+    ws: Workspace,
+}
+
+impl<'m, L: LinearOp> Engine<'m, L> {
+    /// An engine with no slots.
+    fn new(model: &'m ModelOf<L>) -> Self {
+        let cfg = model.config();
+        Engine {
+            model,
+            slots: Vec::new(),
+            rows: Vec::new(),
+            x: Matrix::zeros(0, cfg.d_model),
+            ws: Workspace::for_rows(0, cfg),
+        }
+    }
+
+    /// The live slot `seq`, or [`LmError::UnknownSeq`].
+    fn slot(&self, seq: usize) -> Result<&SeqSlot, LmError> {
+        let slot = self.slots.get(seq).filter(|s| s.live);
+        slot.ok_or(LmError::UnknownSeq { seq })
+    }
+
+    /// Gives a new sequence the lowest retired slot, or else a new slot
+    /// with its cache preallocated; returns the slot's index.
+    fn join(&mut self) -> usize {
+        if let Some(i) = self.slots.iter().position(|s| !s.live) {
+            let slot = &mut self.slots[i];
+            (slot.pos, slot.live, slot.fault) = (0, true, None);
+            return i;
+        }
+        let cfg = self.model.config();
+        let layers = (0..cfg.n_layers)
+            .map(|_| LayerKv::empty(cfg.max_seq_len, cfg.d_model))
+            .collect();
+        self.slots.push(SeqSlot {
+            layers,
+            pos: 0,
+            live: true,
+            fault: None,
+        });
+        self.slots.len() - 1
+    }
+
+    /// [`Engine::slot`], to change.
+    fn slot_mut(&mut self, seq: usize) -> Result<&mut SeqSlot, LmError> {
+        let slot = self.slots.get_mut(seq).filter(|s| s.live);
+        slot.ok_or(LmError::UnknownSeq { seq })
+    }
+
+    /// Overwrites live slot `seq`'s most recently written layer-0 key
+    /// (every coordinate of key column `pos − 1`) with NaN, or returns
+    /// [`LmError::UnknownSeq`]. No-op before the slot's first token.
+    fn poison(&mut self, seq: usize) -> Result<(), LmError> {
+        let slot = self.slot_mut(seq)?;
+        if let (Some(last), Some(layer)) = (slot.pos.checked_sub(1), slot.layers.first_mut()) {
+            let cap = layer.keys.cols();
+            for coord in layer.keys.as_mut_slice().chunks_exact_mut(cap) {
+                coord[last] = f32::NAN;
+            }
+        }
+        Ok(())
+    }
+
+    /// Used cache bytes, written rows only, summed over live slots.
+    fn cache_bytes(&self) -> usize {
+        let live = self.slots.iter().filter(|s| s.live);
+        live.map(|s| s.pos).sum::<usize>() * kv_token_bytes(self.model.config())
+    }
+
+    /// Runs one call's rows, each `(slot, token)`, and returns their
+    /// logits. With `chunks`, consecutive rows of a slot are a chunk at
+    /// positions `pos, pos + 1, …`; without, a slot listed twice is an
+    /// error. No slot changes unless every row validates; then each slot
+    /// advances up to its first row with non-finite logits, whose
+    /// position becomes the slot's fault.
+    ///
+    /// # Errors
+    ///
+    /// [`LmError::EmptyInput`] for no rows, else the first failing row's
+    /// [`LmError::UnknownSeq`], [`LmError::NonFiniteLogits`] (a faulted
+    /// slot), [`LmError::DuplicateSeq`], [`LmError::TokenOutOfRange`] or
+    /// [`LmError::SequenceFull`], checked in that order.
+    fn feed_rows(
+        &mut self,
+        rows: impl IntoIterator<Item = (usize, u32)>,
+        chunks: bool,
+        rec: &mut Recorder,
+    ) -> Result<Matrix, LmError> {
+        self.rows.clear();
+        self.rows.extend(rows.into_iter().map(|(slot, token)| Row {
+            slot,
+            pos: 0,
+            token,
+        }));
+        if self.rows.is_empty() {
+            return Err(LmError::EmptyInput);
+        }
+        let (model, n) = (self.model, self.rows.len());
+        self.ws.fit(&mut self.x, n);
+        for r in 0..n {
+            let (seq, token) = (self.rows[r].slot, self.rows[r].token);
+            let slot = self.slot(seq)?;
+            if let Some(pos) = slot.fault {
+                return Err(LmError::NonFiniteLogits { pos });
+            }
+            let earlier = &self.rows[..r];
+            let pos = match earlier.last() {
+                Some(prev) if chunks && prev.slot == seq => prev.pos + 1,
+                _ if earlier.iter().any(|row| row.slot == seq) => {
+                    return Err(LmError::DuplicateSeq { seq });
+                }
+                _ => slot.pos,
+            };
+            check_row(token, pos, model.config())?;
+            self.rows[r].pos = pos;
+            let embedded = model.embed().row(token as usize);
+            self.x.row_mut(r).copy_from_slice(embedded);
+        }
+        let mut table = (&mut self.slots[..], &self.rows[..]);
+        let logits = forward_rows(model, 0, &mut self.x, &mut self.ws, &mut table, Some(rec));
+        for (r, row) in self.rows.iter().enumerate() {
+            let slot = &mut self.slots[row.slot];
+            if slot.fault.is_none() {
+                if logits.row(r).iter().all(|v| v.is_finite()) {
+                    slot.pos = row.pos + 1;
+                } else {
+                    slot.fault = Some(row.pos);
+                }
+            }
+        }
+        Ok(logits)
+    }
 }
 
 /// An incremental decoding session over one sequence, generic over the
@@ -335,11 +473,8 @@ pub(crate) fn forward_rows<L: LinearOp, K: KvRows>(
 /// ```
 #[derive(Debug)]
 pub struct DecodeSession<'m, L = Linear> {
-    model: &'m ModelOf<L>,
-    slot: SeqSlot,
-    /// Position at which non-finite logits first appeared, if ever.
-    /// A quarantined session refuses all further tokens.
-    quarantined: Option<usize>,
+    /// The one-slot engine; slot 0 is this session's sequence.
+    engine: Engine<'m, L>,
     metrics: Recorder,
 }
 
@@ -348,22 +483,22 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// `max_seq_len`-row KV cache so [`DecodeSession::feed`] never
     /// reallocates or copies previously cached rows.
     pub fn new(model: &'m ModelOf<L>) -> Self {
+        let mut engine = Engine::new(model);
+        engine.join();
         DecodeSession {
-            model,
-            slot: SeqSlot::new(model.config()),
-            quarantined: None,
+            engine,
             metrics: Recorder::new(),
         }
     }
 
     /// Number of tokens consumed so far.
     pub fn len(&self) -> usize {
-        self.slot.pos
+        self.engine.slots[0].pos
     }
 
     /// Whether no tokens have been consumed.
     pub fn is_empty(&self) -> bool {
-        self.slot.pos == 0
+        self.len() == 0
     }
 
     /// Cache memory in **used** bytes (the edge-deployment statistic:
@@ -371,7 +506,7 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// not-yet-written rows are capacity, not usage, so this grows
     /// linearly with the number of tokens fed.
     pub fn cache_bytes(&self) -> usize {
-        self.slot.cache_bytes(self.model.config())
+        self.engine.cache_bytes()
     }
 
     /// Telemetry recorded so far: `decode/tokens`,
@@ -393,16 +528,18 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// further [`DecodeSession::feed`] with
     /// [`LmError::NonFiniteLogits`].
     pub fn quarantined(&self) -> Option<usize> {
-        self.quarantined
+        self.engine.slots[0].fault
     }
 
     /// Fault-injection hook (chaos suite): overwrites the most
-    /// recently written layer-0 key-cache row with NaN, so the next
-    /// [`DecodeSession::feed`] attends over poisoned state and must
-    /// detect the resulting non-finite logits. No-op before the first
-    /// fed token (no cache row has been written yet).
+    /// recently written layer-0 key (every coordinate of key column
+    /// `len() − 1`) with NaN, so the next [`DecodeSession::feed`]
+    /// attends over poisoned state and must detect the resulting
+    /// non-finite logits. No-op before the first fed token (no key has
+    /// been written yet).
     pub fn poison_kv_cache(&mut self) {
-        self.slot.poison();
+        // Slot 0 is always live, so this cannot fail.
+        let _ = self.engine.poison(0);
     }
 
     /// Feeds one token; returns the next-token logits. The one-row case
@@ -416,12 +553,12 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one workspace per token (hidden, norm,
-    /// projection and FFN rows plus one `n_heads · (max_seq_len + 1)`
-    /// score buffer) and the logits row — a fixed set whatever the
-    /// layer or head count; the KV cache is written in place, never
-    /// regrown. The non-finite quarantine scan reads the logits row in
-    /// place.
+    /// Allocation budget: the logits row. The session's workspace, hidden
+    /// rows and row table hold their buffers from earlier calls (the
+    /// first call sizes them; the score buffer is sized once, at
+    /// `n_heads · (max_seq_len + 1)`), and the KV cache is written in
+    /// place, never regrown. The non-finite quarantine scan reads the
+    /// logits row in place.
     ///
     /// # Errors
     ///
@@ -452,10 +589,10 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: the chunk's embedded rows, one workspace
-    /// sized by the chunk's rows (plus one `n_heads · (max_seq_len + 1)`
-    /// score buffer) and the chunk's logits, whose last row is returned
-    /// in place; the KV cache is written in place, never regrown.
+    /// Allocation budget: the chunk's logits, whose last row is returned
+    /// in place. The session's workspace, hidden rows and row table grow
+    /// only when a chunk is longer than any before it; the KV cache is
+    /// written in place, never regrown.
     ///
     /// # Errors
     ///
@@ -467,27 +604,23 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// before it are fed, and the session is quarantined there as
     /// [`DecodeSession::feed`] describes.
     pub fn feed_all(&mut self, tokens: &[u32]) -> Result<Vec<f32>, LmError> {
-        if tokens.is_empty() {
-            return Err(LmError::EmptyInput);
+        let before = self.len();
+        let rows = tokens.iter().map(|&token| (0, token));
+        let logits = self.engine.feed_rows(rows, true, &mut self.metrics)?;
+        let cfg = self.engine.model.config();
+        let (fed, fault) = (self.len() - before, self.quarantined());
+        // The faulted row wrote its cache row too.
+        let written = fed + usize::from(fault.is_some());
+        self.metrics.add(
+            "decode/kv_bytes_moved",
+            (written * kv_token_bytes(cfg)) as u64,
+        );
+        if fed > 0 {
+            self.metrics.add("decode/tokens", fed as u64);
         }
-        if let Some(pos) = self.quarantined {
+        if let Some(pos) = fault {
+            self.metrics.incr("decode/quarantine/sessions");
             return Err(LmError::NonFiniteLogits { pos });
-        }
-        let cfg = self.model.config();
-        check_chunk(tokens, self.slot.pos, cfg)?;
-        let x = self.model.embed_tokens(tokens);
-        let logits = forward_rows(self.model, 0, x, &mut self.slot, Some(&mut self.metrics));
-        for r in 0..tokens.len() {
-            self.metrics
-                .add("decode/kv_bytes_moved", kv_token_bytes(cfg) as u64);
-            if !logits.row(r).iter().all(|v| v.is_finite()) {
-                let pos = self.slot.pos;
-                self.quarantined = Some(pos);
-                self.metrics.incr("decode/quarantine/sessions");
-                return Err(LmError::NonFiniteLogits { pos });
-            }
-            self.slot.pos += 1;
-            self.metrics.incr("decode/tokens");
         }
         // Keep the last `vocab` floats: no copy of the row into a new
         // buffer, and free for a one-token chunk.
@@ -510,7 +643,7 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
 /// never disturbs other sequences' caches or positions.
 ///
 /// Every sequence's logits are bit-identical to decoding it alone in a
-/// [`DecodeSession`] — both run the same core, attention runs per
+/// [`DecodeSession`] — both run the same engine, attention runs per
 /// row against that sequence's own cache, and the batched projections
 /// are row-independent by the [`LinearOp`] contract.
 ///
@@ -534,8 +667,8 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
 /// ```
 #[derive(Debug)]
 pub struct BatchDecodeSession<'m, L = Linear> {
-    model: &'m ModelOf<L>,
-    slots: Vec<Option<SeqSlot>>,
+    /// The engine; a sequence id is its slot index.
+    engine: Engine<'m, L>,
     /// Sequence ids evicted by the most recent
     /// [`BatchDecodeSession::step`] for non-finite logits.
     evicted: Vec<usize>,
@@ -546,8 +679,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     /// Starts a session with no active sequences.
     pub fn new(model: &'m ModelOf<L>) -> Self {
         BatchDecodeSession {
-            model,
-            slots: Vec::new(),
+            engine: Engine::new(model),
             evicted: Vec::new(),
             metrics: Recorder::new(),
         }
@@ -555,24 +687,17 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
 
     /// The model this session decodes.
     pub fn model(&self) -> &'m ModelOf<L> {
-        self.model
+        self.engine.model
     }
 
     /// Admits a new sequence and returns its id (used with
     /// [`BatchDecodeSession::step`] / [`BatchDecodeSession::leave`]).
-    /// The lowest retired slot is reused if one exists; its
-    /// `max_seq_len`-row KV cache is preallocated here so stepping
-    /// never regrows it.
+    /// The lowest retired slot is reused if one exists, with the
+    /// `max_seq_len`-row KV cache it already holds; a new slot's cache
+    /// is preallocated here, so stepping never regrows it.
     pub fn join(&mut self) -> usize {
-        let fresh = SeqSlot::new(self.model.config());
         self.metrics.incr("decode/batch/joins");
-        if let Some(i) = self.slots.iter().position(|s| s.is_none()) {
-            self.slots[i] = Some(fresh);
-            i
-        } else {
-            self.slots.push(Some(fresh));
-            self.slots.len() - 1
-        }
+        self.engine.join()
     }
 
     /// Retires sequence `seq`, freeing its slot for a later
@@ -582,42 +707,31 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     ///
     /// Returns [`LmError::UnknownSeq`] if `seq` is not active.
     pub fn leave(&mut self, seq: usize) -> Result<(), LmError> {
-        if !self.is_active(seq) {
-            return Err(LmError::UnknownSeq { seq });
-        }
-        self.slots[seq] = None;
+        self.engine.slot_mut(seq)?.live = false;
         self.metrics.incr("decode/batch/leaves");
         Ok(())
     }
 
     /// Number of currently active sequences.
     pub fn active(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.engine.slots.iter().filter(|s| s.live).count()
     }
 
     /// Whether sequence `seq` is active.
     pub fn is_active(&self, seq: usize) -> bool {
-        matches!(self.slots.get(seq), Some(Some(_)))
+        self.engine.slot(seq).is_ok()
     }
 
     /// Tokens consumed so far by sequence `seq` (`None` if inactive).
     pub fn seq_len(&self, seq: usize) -> Option<usize> {
-        match self.slots.get(seq) {
-            Some(Some(slot)) => Some(slot.pos),
-            _ => None,
-        }
+        self.engine.slot(seq).ok().map(|s| s.pos)
     }
 
     /// Cache memory in **used** bytes, summed over active sequences
     /// (same statistic as [`DecodeSession::cache_bytes`]). A sequence
     /// that leaves stops counting immediately.
     pub fn cache_bytes(&self) -> usize {
-        let cfg = self.model.config();
-        self.slots
-            .iter()
-            .flatten()
-            .map(|slot| slot.cache_bytes(cfg))
-            .sum()
+        self.engine.cache_bytes()
     }
 
     /// Telemetry recorded so far: `decode/batch/steps`,
@@ -645,21 +759,16 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     }
 
     /// Fault-injection hook (chaos suite): overwrites sequence `seq`'s
-    /// most recently written layer-0 key-cache row with NaN, so its
-    /// next step attends over poisoned state and must be quarantined.
-    /// No-op if the sequence has not consumed any token yet.
+    /// most recently written layer-0 key (every coordinate of key
+    /// column `seq_len − 1`) with NaN, so its next step attends over
+    /// poisoned state and must be quarantined. No-op if the sequence
+    /// has not consumed any token yet.
     ///
     /// # Errors
     ///
     /// Returns [`LmError::UnknownSeq`] if `seq` is not active.
     pub fn poison_kv_cache(&mut self, seq: usize) -> Result<(), LmError> {
-        let slot = self
-            .slots
-            .get_mut(seq)
-            .and_then(Option::as_mut)
-            .ok_or(LmError::UnknownSeq { seq })?;
-        slot.poison();
-        Ok(())
+        self.engine.poison(seq)
     }
 
     /// Feeds one token per listed sequence; returns the batch logits
@@ -669,7 +778,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     /// B×d matrix, so each [`LinearOp::forward_into`] call runs once
     /// per layer per step over the whole batch; attention then runs
     /// per row against that sequence's own cache at its own position,
-    /// through the same core as [`DecodeSession::feed`].
+    /// through the same engine as [`DecodeSession::feed`].
     ///
     /// # Determinism
     ///
@@ -695,14 +804,14 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: one workspace per step (stacked hidden,
-    /// norm, projection and FFN rows plus one
-    /// `n_heads · (max_seq_len + 1)` score buffer), the logits and a
-    /// batch-sized eviction list — a fixed set whatever the layer count,
-    /// head count or batch size, and never sized by sequence length;
-    /// per-sequence KV caches are
-    /// preallocated at [`BatchDecodeSession::join`] and written in
-    /// place, never regrown.
+    /// Allocation budget: the returned logits. The session's workspace,
+    /// stacked hidden rows, row table and eviction list hold their
+    /// buffers from earlier steps and grow only when a step lists more
+    /// sequences than any before it (the score buffer is sized once, at
+    /// `n_heads · (max_seq_len + 1)`); nothing is sized by sequence
+    /// length. Per-sequence KV caches are preallocated at
+    /// [`BatchDecodeSession::join`] and written in place, never
+    /// regrown.
     ///
     /// # Errors
     ///
@@ -713,55 +822,23 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     /// sequence as in [`DecodeSession::feed`]. No cache row or
     /// position advances unless the whole batch validates.
     pub fn step(&mut self, tokens: &[(usize, u32)]) -> Result<Matrix, LmError> {
-        if tokens.is_empty() {
-            return Err(LmError::EmptyInput);
-        }
-        let cfg = self.model.config();
-        for (i, &(seq, token)) in tokens.iter().enumerate() {
-            let Some(Some(slot)) = self.slots.get(seq) else {
-                return Err(LmError::UnknownSeq { seq });
-            };
-            if tokens[..i].iter().any(|&(prev, _)| prev == seq) {
-                return Err(LmError::DuplicateSeq { seq });
-            }
-            check_chunk(std::slice::from_ref(&token), slot.pos, cfg)?;
-        }
-
+        let logits = self
+            .engine
+            .feed_rows(tokens.iter().copied(), false, &mut self.metrics)?;
         let b = tokens.len();
-        // Stacked embedding rows, one per listed sequence.
-        let mut x = Matrix::zeros(b, cfg.d_model);
-        for (r, &(_, token)) in tokens.iter().enumerate() {
-            x.row_mut(r)
-                .copy_from_slice(self.model.embed().row(token as usize));
-        }
-        let mut rows = BatchRows {
-            slots: &mut self.slots,
-            tokens,
-        };
-        let logits = forward_rows(self.model, 0, x, &mut rows, Some(&mut self.metrics));
+        let cfg = self.engine.model.config();
         self.metrics.add(
             "decode/batch/kv_bytes_moved",
             (b * kv_token_bytes(cfg)) as u64,
         );
         let occupancy = self.active() as u64;
-        // Non-finite quarantine: evict poisoned rows before positions
-        // advance. Batch-sized one-shot scratch, filled by index.
-        let mut evicted = vec![usize::MAX; b];
-        let mut n_evicted = 0usize;
-        for (r, &(seq, _)) in tokens.iter().enumerate() {
-            if !logits.row(r).iter().all(|v| v.is_finite()) {
-                evicted[n_evicted] = seq;
-                n_evicted += 1;
-                self.slots[seq] = None;
-                self.metrics.incr("decode/quarantine/evictions");
-            }
-        }
-        evicted.truncate(n_evicted);
-        self.evicted = evicted;
-        for &(seq, _) in tokens {
-            if let Some(Some(slot)) = self.slots.get_mut(seq) {
-                slot.pos += 1;
-            }
+        // Non-finite quarantine: evict every faulted sequence.
+        self.evicted.clear();
+        let faulted = |&(seq, _): &(usize, u32)| self.engine.slot(seq).ok()?.fault.map(|_| seq);
+        self.evicted.extend(tokens.iter().filter_map(faulted));
+        for &seq in &self.evicted {
+            self.engine.slot_mut(seq)?.live = false;
+            self.metrics.incr("decode/quarantine/evictions");
         }
         self.metrics.incr("decode/batch/steps");
         self.metrics.add("decode/batch/tokens", b as u64);
@@ -985,10 +1062,10 @@ mod tests {
         let mut s = DecodeSession::new(&m);
         s.poison_kv_cache();
         s.feed_all(&[1, 2, 3]).unwrap();
-        let before = s.slot.layers.clone();
+        let before = s.engine.slots[0].layers.clone();
         s.poison_kv_cache();
         let (d_model, cap) = (m.config().d_model, m.config().max_seq_len);
-        for (li, (layer, old)) in s.slot.layers.iter().zip(&before).enumerate() {
+        for (li, (layer, old)) in s.engine.slots[0].layers.iter().zip(&before).enumerate() {
             assert_eq!(layer.keys.shape(), (d_model, cap));
             for c in 0..d_model {
                 for p in 0..cap {
@@ -1017,5 +1094,68 @@ mod tests {
         assert_eq!(logits, full.row(2));
         let mut empty = DecodeSession::new(&m);
         assert!(matches!(empty.feed_all(&[]), Err(LmError::EmptyInput)));
+    }
+
+    #[test]
+    fn oracle_mixed_rows_match_rows_fed_separately() {
+        // One engine call mixes a 3-row chunk of slot 0 with single rows
+        // of slots 1 and 2, each slot resuming its own prefix. It equals
+        // the same rows fed one call each, bit for bit: logits,
+        // positions and every cache value.
+        let m = model();
+        let prefixes: [&[u32]; 3] = [&[1, 2], &[3], &[4, 5, 6, 7]];
+        let start = || {
+            let mut engine = Engine::new(&m);
+            for prefix in prefixes {
+                let seq = engine.join();
+                let rows = prefix.iter().map(|&t| (seq, t));
+                engine.feed_rows(rows, true, &mut Recorder::new()).unwrap();
+            }
+            engine
+        };
+        let rows = [(0, 8), (0, 9), (0, 10), (1, 11), (2, 12)];
+        let (mut mixed, mut apart) = (start(), start());
+        let logits = mixed.feed_rows(rows, true, &mut Recorder::new()).unwrap();
+        for (r, &row) in rows.iter().enumerate() {
+            let one = apart.feed_rows([row], true, &mut Recorder::new()).unwrap();
+            assert_bits(logits.row(r), one.row(0), &format!("row {r}"));
+        }
+        for (i, (a, b)) in mixed.slots.iter().zip(&apart.slots).enumerate() {
+            assert_eq!(a.pos, prefixes[i].len() + if i == 0 { 3 } else { 1 });
+            assert_eq!((a.pos, a.fault), (b.pos, b.fault), "slot {i}");
+            for (la, lb) in a.layers.iter().zip(&b.layers) {
+                assert_bits(la.keys.as_slice(), lb.keys.as_slice(), "keys");
+                assert_bits(la.v.as_slice(), lb.v.as_slice(), "values");
+            }
+        }
+        // Only consecutive rows form a chunk.
+        assert!(matches!(
+            mixed.feed_rows([(0, 1), (1, 2), (0, 3)], true, &mut Recorder::new()),
+            Err(LmError::DuplicateSeq { seq: 0 })
+        ));
+    }
+
+    #[test]
+    fn join_into_an_evicted_slot_decodes_like_a_fresh_session() {
+        // The evicted slot keeps its cache, poisoned key column included;
+        // the sequence that rejoins it overwrites each position before
+        // attending over it.
+        let m = model();
+        let mut batch = BatchDecodeSession::new(&m);
+        let (a, b) = (batch.join(), batch.join());
+        batch.step(&[(a, 1), (b, 2)]).unwrap();
+        batch.step(&[(a, 3), (b, 4)]).unwrap();
+        batch.poison_kv_cache(a).unwrap();
+        batch.step(&[(a, 5), (b, 6)]).unwrap();
+        assert_eq!(batch.evicted_last_step(), [a]);
+        let c = batch.join();
+        assert_eq!(c, a, "the evicted slot is reused");
+        let mut fresh = DecodeSession::new(&m);
+        for (i, t) in [7u32, 8, 9, 10].into_iter().enumerate() {
+            let got = batch.step(&[(c, t)]).unwrap();
+            assert_bits(got.row(0), &fresh.feed(t).unwrap(), &format!("token {i}"));
+        }
+        assert_eq!(batch.seq_len(c), Some(fresh.len()));
+        assert_eq!(batch.cache_bytes(), 7 * kv_token_bytes(m.config()));
     }
 }

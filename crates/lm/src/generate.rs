@@ -19,7 +19,7 @@ use aptq_tensor::activation::softmax;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::decode::BatchDecodeSession;
+use crate::decode::{check_row, BatchDecodeSession};
 use crate::linear::LinearOp;
 use crate::LmError;
 
@@ -130,13 +130,9 @@ pub fn generate<L: LinearOp, P: AsRef<[u32]>>(
             max_seq_len: max,
         });
     }
+    // Every prompt fits, so only a token can fail `check_row` here.
     for &token in prompts.iter().flat_map(|p| p.as_ref()) {
-        if token as usize >= cfg.vocab_size {
-            return Err(LmError::TokenOutOfRange {
-                token,
-                vocab: cfg.vocab_size,
-            });
-        }
+        check_row(token, 0, cfg)?;
     }
     let slots: Vec<usize> = prompts.iter().map(|_| session.join()).collect();
     let mut outs: Vec<Vec<u32>> = prompts.iter().map(|p| p.as_ref().to_vec()).collect();

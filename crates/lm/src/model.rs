@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::block::{BlockGrads, TransformerBlock};
 use crate::capture::{BlockCapture, ModelCapture};
 use crate::config::ModelConfig;
-use crate::decode::{check_chunk, forward_rows, LayerKv};
+use crate::decode::{check_row, forward_rows, LayerKv, Workspace};
 use crate::linear::{Linear, LinearOp};
 use crate::rmsnorm::RmsNorm;
 use crate::rope::RopeTable;
@@ -359,8 +359,16 @@ impl<L: LinearOp> ModelOf<L> {
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn forward(&self, tokens: &[u32]) -> Matrix {
-        let mut kv = LayerKv::empty(tokens.len(), self.cfg.d_model);
-        forward_rows(self, 0, self.embed_tokens(tokens), &mut kv, None)
+        self.forward_scratch(0, self.embed_tokens(tokens))
+    }
+
+    /// Runs the rows `x` from block `start` through the decode core over
+    /// a workspace and a one-layer key/value cache sized by the rows.
+    fn forward_scratch(&self, start: usize, mut x: Matrix) -> Matrix {
+        let t = x.rows();
+        let mut ws = Workspace::for_rows(t, &self.cfg);
+        let mut kv = LayerKv::empty(t, self.cfg.d_model);
+        forward_rows(self, start, &mut x, &mut ws, &mut kv, None)
     }
 
     /// Fallible forward pass.
@@ -379,7 +387,9 @@ impl<L: LinearOp> ModelOf<L> {
         if tokens.is_empty() {
             return Err(LmError::EmptyInput);
         }
-        check_chunk(tokens, 0, &self.cfg)?;
+        for (pos, &token) in tokens.iter().enumerate() {
+            check_row(token, pos, &self.cfg)?;
+        }
         Ok(self.forward(tokens))
     }
 }
@@ -505,8 +515,7 @@ impl Model {
             start <= self.blocks.len(),
             "loss_from: start past the last block"
         );
-        let mut kv = LayerKv::empty(tokens.len(), self.cfg.d_model);
-        let logits = forward_rows(self, start, x, &mut kv, None);
+        let logits = self.forward_scratch(start, x);
         let mut total = 0.0f64;
         for i in 0..tokens.len() - 1 {
             let row = logits.row(i);

@@ -39,28 +39,9 @@ pub enum QModelError {
     Quant(aptq_core::QuantError),
     /// A plan/Hessian entry was missing for a layer.
     MissingLayer(String),
-    /// Token id outside the vocabulary.
-    TokenOutOfRange {
-        /// Offending token.
-        token: u32,
-        /// Vocabulary size.
-        vocab: usize,
-    },
-    /// Empty prompt (or no prompts): there is no last-logits row to
-    /// extend.
-    EmptyInput,
-    /// Sequence longer than the RoPE table.
-    SequenceTooLong {
-        /// Requested length.
-        len: usize,
-        /// Maximum supported length.
-        max: usize,
-    },
-    /// Decode produced non-finite logits; the session is quarantined.
-    NonFinite {
-        /// Decode position at which the logits went non-finite.
-        pos: usize,
-    },
+    /// Inference failed: empty, out-of-range or too-long input, or
+    /// non-finite logits (see [`aptq_lm::LmError`]).
+    Lm(aptq_lm::LmError),
     /// Artifact integrity failure: envelope malformed or a packed
     /// layer's checksum no longer matches its stored fingerprint.
     Integrity(aptq_artifact::ArtifactError),
@@ -71,21 +52,7 @@ impl std::fmt::Display for QModelError {
         match self {
             QModelError::Quant(e) => write!(f, "layer quantization failed: {e}"),
             QModelError::MissingLayer(l) => write!(f, "no plan/hessian entry for layer {l}"),
-            QModelError::TokenOutOfRange { token, vocab } => {
-                write!(f, "token {token} out of range for vocab {vocab}")
-            }
-            QModelError::EmptyInput => {
-                write!(f, "input sequence must contain at least one token")
-            }
-            QModelError::SequenceTooLong { len, max } => {
-                write!(f, "sequence of {len} tokens exceeds max length {max}")
-            }
-            QModelError::NonFinite { pos } => {
-                write!(
-                    f,
-                    "non-finite logits at decode position {pos}: sequence quarantined"
-                )
-            }
+            QModelError::Lm(e) => write!(f, "{e}"),
             QModelError::Integrity(e) => write!(f, "packed-model integrity failure: {e}"),
         }
     }
@@ -96,6 +63,7 @@ impl std::error::Error for QModelError {
         match self {
             QModelError::Quant(e) => Some(e),
             QModelError::Integrity(e) => Some(e),
+            QModelError::Lm(e) => Some(e),
             _ => None,
         }
     }
@@ -104,6 +72,12 @@ impl std::error::Error for QModelError {
 impl From<aptq_core::QuantError> for QModelError {
     fn from(e: aptq_core::QuantError) -> Self {
         QModelError::Quant(e)
+    }
+}
+
+impl From<aptq_lm::LmError> for QModelError {
+    fn from(e: aptq_lm::LmError) -> Self {
+        QModelError::Lm(e)
     }
 }
 
@@ -116,22 +90,25 @@ impl From<aptq_artifact::ArtifactError> for QModelError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aptq_lm::LmError;
 
     #[test]
     fn errors_format() {
         assert!(QModelError::MissingLayer("x".into())
             .to_string()
             .contains('x'));
-        assert!(QModelError::TokenOutOfRange { token: 5, vocab: 2 }
-            .to_string()
-            .contains('5'));
-        assert!(QModelError::SequenceTooLong { len: 9, max: 4 }
-            .to_string()
-            .contains('9'));
+        let lm = |e| QModelError::Lm(e).to_string();
+        assert!(lm(LmError::TokenOutOfRange { token: 5, vocab: 2 }).contains('5'));
+        assert!(lm(LmError::SequenceFull {
+            pos: 9,
+            max_seq_len: 4
+        })
+        .contains('9'));
         let e = QModelError::Quant(aptq_core::QuantError::EmptyCalibration);
         assert!(std::error::Error::source(&e).is_some());
-        assert!(QModelError::NonFinite { pos: 3 }.to_string().contains('3'));
-        assert!(QModelError::EmptyInput.to_string().contains("token"));
+        assert!(lm(LmError::NonFiniteLogits { pos: 3 }).contains('3'));
+        assert!(lm(LmError::EmptyInput).contains("token"));
+        assert!(std::error::Error::source(&QModelError::Lm(LmError::EmptyInput)).is_some());
         let i = QModelError::Integrity(aptq_artifact::ArtifactError::ChecksumMismatch {
             section: "layers.0.self_attn.q_proj".into(),
             expected: 1,

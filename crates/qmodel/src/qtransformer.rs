@@ -4,9 +4,10 @@
 //! wraps [`ModelOf<QuantizedLinear>`] — the *same* generic transformer
 //! stack the fp32 [`Model`] instantiates — so the packed path reuses
 //! attention, FFN, block, model and KV-cache decode code verbatim and
-//! can never drift from the reference. This module only (a) quantizes
-//! and installs the weights, (b) validates inputs into
-//! [`QModelError`]s, and (c) reports the deployable memory footprint.
+//! can never drift from the reference. This module only quantizes and
+//! installs the weights, checks their integrity, and reports the
+//! deployable memory footprint; inference errors are the generic
+//! stack's, wrapped as [`QModelError::Lm`].
 
 use std::collections::BTreeMap;
 
@@ -20,7 +21,7 @@ use aptq_lm::block::TransformerBlock;
 use aptq_lm::decode::{BatchDecodeSession, DecodeSession};
 use aptq_lm::ffn::SwiGlu;
 use aptq_lm::generate::{generate, Sampler};
-use aptq_lm::{LayerKind, LayerRef, LmError, Model, ModelConfig, ModelOf};
+use aptq_lm::{LayerKind, LayerRef, Model, ModelConfig, ModelOf};
 use aptq_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -283,49 +284,6 @@ impl QuantizedModel {
         }
     }
 
-    /// Validates tokens: at least one, within the vocabulary and the
-    /// sequence capacity.
-    fn check_tokens(&self, tokens: &[u32]) -> Result<(), QModelError> {
-        let cfg = self.inner.config();
-        if tokens.is_empty() {
-            return Err(QModelError::EmptyInput);
-        }
-        if tokens.len() > cfg.max_seq_len {
-            return Err(QModelError::SequenceTooLong {
-                len: tokens.len(),
-                max: cfg.max_seq_len,
-            });
-        }
-        for &tok in tokens {
-            if tok as usize >= cfg.vocab_size {
-                return Err(QModelError::TokenOutOfRange {
-                    token: tok,
-                    vocab: cfg.vocab_size,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Maps decode-session errors surfaced through the generic stack
-    /// onto this crate's error type. Inputs are pre-validated, so only
-    /// the variants a running session can produce are expected.
-    fn lift(&self, e: LmError) -> QModelError {
-        match e {
-            LmError::TokenOutOfRange { token, vocab } => {
-                QModelError::TokenOutOfRange { token, vocab }
-            }
-            LmError::SequenceFull { pos, max_seq_len } => QModelError::SequenceTooLong {
-                len: pos + 1,
-                max: max_seq_len,
-            },
-            LmError::NonFiniteLogits { pos } => QModelError::NonFinite { pos },
-            LmError::EmptyInput => QModelError::EmptyInput,
-            // audit:allow(panic): inputs pre-validated by check_tokens; other variants cannot occur
-            other => unreachable!("validated quantized path returned {other}"),
-        }
-    }
-
     /// Full forward pass from packed storage; returns `T × vocab`
     /// logits via the generic [`ModelOf`] path.
     ///
@@ -337,12 +295,12 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::EmptyInput`] for an empty sequence, and
-    /// [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on invalid input.
+    /// Returns [`QModelError::Lm`] with [`ModelOf::try_forward`]'s error
+    /// for the first row that fails: [`aptq_lm::LmError::EmptyInput`] for an
+    /// empty sequence, [`aptq_lm::LmError::TokenOutOfRange`] or
+    /// [`aptq_lm::LmError::SequenceFull`].
     pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, QModelError> {
-        self.check_tokens(tokens)?;
-        Ok(self.inner.forward(tokens))
+        Ok(self.inner.try_forward(tokens)?)
     }
 
     /// Greedy generation from packed storage through
@@ -360,11 +318,7 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::EmptyInput`] for an empty prompt,
-    /// [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on an invalid one, and
-    /// [`QModelError::NonFinite`] if the packed decode produces NaN/Inf
-    /// logits.
+    /// As [`QuantizedModel::generate_greedy_batched`].
     pub fn generate_greedy(&self, prompt: &[u32], n_new: usize) -> Result<Vec<u32>, QModelError> {
         let mut outs = self.generate_greedy_batched(&[prompt], n_new)?;
         Ok(outs.swap_remove(0))
@@ -384,26 +338,18 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::EmptyInput`] if `prompts` is empty or any
-    /// prompt is empty, [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on an invalid prompt, and
-    /// [`QModelError::NonFinite`] if any sequence's logits go NaN/Inf
-    /// (see [`aptq_lm::generate::generate`]).
+    /// Returns [`QModelError::Lm`] with [`aptq_lm::generate::generate`]'s
+    /// error: [`aptq_lm::LmError::EmptyInput`] if `prompts` is empty or any
+    /// prompt is empty, [`aptq_lm::LmError::SequenceFull`] /
+    /// [`aptq_lm::LmError::TokenOutOfRange`] on an invalid prompt, and
+    /// [`aptq_lm::LmError::NonFiniteLogits`] if any sequence's logits go NaN/Inf.
     pub fn generate_greedy_batched<P: AsRef<[u32]>>(
         &self,
         prompts: &[P],
         n_new: usize,
     ) -> Result<Vec<Vec<u32>>, QModelError> {
-        for p in prompts {
-            self.check_tokens(p.as_ref())?;
-        }
-        generate(
-            &mut self.batch_decode_session(),
-            prompts,
-            n_new,
-            Sampler::Greedy,
-        )
-        .map_err(|e| self.lift(e))
+        let mut session = self.batch_decode_session();
+        Ok(generate(&mut session, prompts, n_new, Sampler::Greedy)?)
     }
 }
 
@@ -411,6 +357,7 @@ impl QuantizedModel {
 mod tests {
     use super::*;
     use aptq_core::hessian::HessianMode;
+    use aptq_lm::LmError;
 
     fn setup() -> (Model, Vec<Vec<u32>>, BTreeMap<LayerRef, LayerHessian>) {
         let model = Model::new(&ModelConfig::test_tiny(16), 51);
@@ -481,12 +428,12 @@ mod tests {
             .unwrap();
         assert!(matches!(
             q.forward(&[99]),
-            Err(QModelError::TokenOutOfRange { .. })
+            Err(QModelError::Lm(LmError::TokenOutOfRange { .. }))
         ));
         let long: Vec<u32> = (0..40).map(|i| (i % 16) as u32).collect();
         assert!(matches!(
             q.forward(&long),
-            Err(QModelError::SequenceTooLong { .. })
+            Err(QModelError::Lm(LmError::SequenceFull { .. }))
         ));
     }
 
@@ -510,7 +457,10 @@ mod tests {
         let cfg = GridConfig::default();
         let q = QuantizedModel::quantize_from(&model, &QuantPlan::uniform(&model, 4), &hs, &cfg)
             .unwrap();
-        assert!(matches!(q.forward(&[]), Err(QModelError::EmptyInput)));
+        assert!(matches!(
+            q.forward(&[]),
+            Err(QModelError::Lm(LmError::EmptyInput))
+        ));
         assert_eq!(q.forward(&[1, 2]).unwrap().rows(), 2);
     }
 
@@ -522,16 +472,16 @@ mod tests {
             .unwrap();
         assert!(matches!(
             q.generate_greedy(&[], 3),
-            Err(QModelError::EmptyInput)
+            Err(QModelError::Lm(LmError::EmptyInput))
         ));
         let none: &[Vec<u32>] = &[];
         assert!(matches!(
             q.generate_greedy_batched(none, 3),
-            Err(QModelError::EmptyInput)
+            Err(QModelError::Lm(LmError::EmptyInput))
         ));
         assert!(matches!(
             q.generate_greedy_batched(&[vec![1], vec![]], 3),
-            Err(QModelError::EmptyInput)
+            Err(QModelError::Lm(LmError::EmptyInput))
         ));
     }
 
@@ -547,11 +497,11 @@ mod tests {
             .unwrap();
         assert!(matches!(
             q.generate_greedy(&[1, 5], 3),
-            Err(QModelError::NonFinite { pos: 1 })
+            Err(QModelError::Lm(LmError::NonFiniteLogits { pos: 1 }))
         ));
         assert!(matches!(
             q.generate_greedy_batched(&[vec![1, 2], vec![5]], 3),
-            Err(QModelError::NonFinite { pos: 0 })
+            Err(QModelError::Lm(LmError::NonFiniteLogits { pos: 0 }))
         ));
     }
 

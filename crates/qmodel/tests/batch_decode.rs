@@ -209,12 +209,12 @@ fn batched_generation_validates_inputs() {
     let q = quantize(&model, &hs, &QuantPlan::uniform(&model, 4));
     assert!(matches!(
         q.generate_greedy_batched(&[vec![1], vec![99]], 4),
-        Err(QModelError::TokenOutOfRange { .. })
+        Err(QModelError::Lm(aptq_lm::LmError::TokenOutOfRange { .. }))
     ));
     let long: Vec<u32> = (0..65).map(|i| (i % 16) as u32).collect();
     assert!(matches!(
         q.generate_greedy_batched(&[vec![1], long], 4),
-        Err(QModelError::SequenceTooLong { .. })
+        Err(QModelError::Lm(aptq_lm::LmError::SequenceFull { .. }))
     ));
 }
 
