@@ -130,6 +130,9 @@ done
 # The invariant tests check the documented contract in both profiles:
 # a panic in debug, a compiled-out no-op in release.
 cargo test --release -q -p aptq-core --lib
+# The JSON number fast path against the parser it replaced, bit for bit,
+# in the profile the benchmark and the CLI ship.
+cargo test --release -q -p serde_json
 # The benchmark host runs 2 workers, and the Hessian capture window
 # follows the thread count: 2 is a schedule distinct from 1 and 4.
 echo "    APTQ_THREADS=2"

@@ -119,6 +119,12 @@ fn raw_checkpoint_load_never_panics() {
 
 #[test]
 fn garbage_inputs_are_rejected_not_panicked() {
+    // Nesting deep enough to overflow a recursive parser's stack: the
+    // JSON reader must stop at its depth limit, for a raw checkpoint and
+    // for an envelope header line alike.
+    let deep_arrays = "[".repeat(200_000);
+    let deep_objects = "{\"a\":".repeat(100_000);
+    let deep_header = format!("{deep_arrays}\n{{}}");
     for junk in [
         "",
         "\n",
@@ -129,14 +135,17 @@ fn garbage_inputs_are_rejected_not_panicked() {
         "null",
         "[1,2,3]",
         "{\"embed\":null}",
+        &deep_arrays,
+        &deep_objects,
+        &deep_header,
     ] {
         assert!(
             matches!(Model::from_envelope_json(junk), Err(LmError::Checkpoint(_))),
-            "envelope: {junk:?}"
+            "envelope: {junk:.40?}"
         );
         assert!(
             matches!(Model::from_json(junk), Err(LmError::Checkpoint(_))),
-            "raw: {junk:?}"
+            "raw: {junk:.40?}"
         );
     }
 }
