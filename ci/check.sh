@@ -97,6 +97,10 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test -q -p aptq-lm --test batch_decode
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test unified_path
     APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test batch_decode
+    # `quantize_from` and OWQ through the one plan solver against the
+    # sequential loops they replaced, bit for bit (debug and release).
+    APTQ_THREADS=$threads cargo test -q -p aptq-qmodel --test plan_solver_oracle
+    APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test plan_solver_oracle
     APTQ_THREADS=$threads cargo test -q -p aptq-textgen --test determinism
     # The shared matmul kernel against its oracle, and the packed
     # forward against the dequantized matmul, bit for bit. Again in

@@ -21,11 +21,13 @@ use aptq_core::grid::GridConfig;
 use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use aptq_core::trace::{hutchinson_trace, SensitivityMetric, SensitivityReport};
-use aptq_core::HessianMode;
+use aptq_core::{HessianMode, QuantSession};
 use aptq_eval::perplexity;
-use aptq_eval::pipeline::{quantize_clone, quantize_clone_session, Method};
+use aptq_eval::pipeline::{quantize_clone, Method};
 use aptq_eval::zoo::ModelSize;
 use aptq_lm::Model;
+use aptq_obs::Recorder;
+use aptq_tensor::parallel::thread_count;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--smoke") {
@@ -56,8 +58,8 @@ fn main() {
 }
 
 fn ppl_with(exp: &mut Experiment, method: Method, cfg: &GridConfig) -> f32 {
-    let (model, _) = quantize_clone_session(&exp.stack.model, method, &mut exp.session, cfg)
-        .expect("quantization");
+    let (model, _) =
+        quantize_clone(&exp.stack.model, method, &mut exp.session, cfg).expect("quantization");
     perplexity(&model, &exp.eval_c4).expect("ppl")
 }
 
@@ -103,7 +105,7 @@ fn calibration_size_ablation(exp: &Experiment) -> String {
         let (model, _) = quantize_clone(
             &exp.stack.model,
             Method::AptqUniform { bits: 2 },
-            calib,
+            &mut QuantSession::new(calib.to_vec()),
             &exp.grid,
         )
         .expect("quantization");
@@ -149,7 +151,16 @@ fn sensitivity_metric_ablation(exp: &mut Experiment) -> String {
     let run = |label: &str, sensitivity: &SensitivityReport, policy: AllocationPolicy| {
         let plan = allocator.allocate(model, sensitivity, policy);
         let mut m = model.clone();
-        apply_plan_obq(label, &mut m, &plan, &hessians, &exp.grid).expect("apply plan");
+        apply_plan_obq(
+            label,
+            &mut m,
+            &plan,
+            &hessians,
+            &exp.grid,
+            thread_count(),
+            &mut Recorder::new(),
+        )
+        .expect("apply plan");
         let p = perplexity(&m, &exp.eval_c4).expect("ppl");
         eprintln!("[ablations] signal={label}: {p:.3}");
         format!("| {label} | {p:.3} |\n")

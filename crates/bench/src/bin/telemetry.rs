@@ -20,7 +20,7 @@ use aptq_core::engine::quantize_layer_rtn;
 use aptq_core::grid::{GridConfig, QuantGrid};
 use aptq_core::QuantSession;
 use aptq_eval::perplexity_recorded;
-use aptq_eval::pipeline::{quantize_clone_session, Method};
+use aptq_eval::pipeline::{quantize_clone, Method};
 use aptq_lm::decode::DecodeSession;
 use aptq_lm::{LinearOp, Model, ModelConfig};
 use aptq_obs::Recorder;
@@ -50,8 +50,8 @@ fn main() {
     ];
     let mut quantized = None;
     for method in rows {
-        let (m, _) = quantize_clone_session(&model, method, &mut session, &grid)
-            .expect("method row must quantize");
+        let (m, _) =
+            quantize_clone(&model, method, &mut session, &grid).expect("method row must quantize");
         quantized = Some(m);
     }
     rec.merge(&session.take_metrics());

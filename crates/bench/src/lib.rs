@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use aptq_core::grid::GridConfig;
 use aptq_core::QuantSession;
-use aptq_eval::pipeline::{quantize_clone_session, EvalOutcome, Method};
+use aptq_eval::pipeline::{quantize_clone, EvalOutcome, Method};
 use aptq_eval::zoo::{load_or_train, ModelSize, PretrainBudget, TrainedStack};
 use aptq_eval::{evaluate_suites, perplexity, EvalError};
 use aptq_textgen::corpus::{CorpusGenerator, CorpusStyle};
@@ -156,7 +156,7 @@ impl Experiment {
     /// ([`aptq_tensor::parallel`]) from fixed seeds.
     pub fn perplexity_row(&mut self, method: Method) -> Result<EvalOutcome, EvalError> {
         let (model, measured) =
-            quantize_clone_session(&self.stack.model, method, &mut self.session, &self.grid)?;
+            quantize_clone(&self.stack.model, method, &mut self.session, &self.grid)?;
         let c4 = perplexity(&model, &self.eval_c4)?;
         let wiki = perplexity(&model, &self.eval_wiki)?;
         Ok(EvalOutcome {
@@ -181,7 +181,7 @@ impl Experiment {
     /// ([`aptq_tensor::parallel`]) from fixed seeds.
     pub fn zeroshot_row(&mut self, method: Method) -> Result<EvalOutcome, EvalError> {
         let (model, measured) =
-            quantize_clone_session(&self.stack.model, method, &mut self.session, &self.grid)?;
+            quantize_clone(&self.stack.model, method, &mut self.session, &self.grid)?;
         let results = evaluate_suites(&model, &self.suites)?;
         Ok(EvalOutcome {
             method: method.label(),

@@ -10,10 +10,11 @@
 //! [`quantize_mixed`] with `ratio = R`.
 
 use aptq_lm::Model;
+use aptq_tensor::parallel::thread_count;
 
 use crate::grid::GridConfig;
 use crate::hessian::HessianMode;
-use crate::methods::apply_plan_obq_recorded;
+use crate::methods::apply_plan_obq;
 use crate::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use crate::plan::QuantPlan;
 use crate::report::QuantReport;
@@ -22,27 +23,7 @@ use crate::trace::SensitivityReport;
 use crate::QuantError;
 
 /// Uniform-precision APTQ (the "APTQ / 4.0 bit" table rows): GPTQ's
-/// machinery under attention-aware Hessians.
-///
-/// # Errors
-///
-/// Propagates calibration and engine errors.
-///
-/// # Determinism
-///
-/// Bit-identical at any `APTQ_THREADS` — the layer fan-out is
-/// index-ordered (see [`crate::methods::apply_plan_obq`]).
-pub fn quantize_uniform(
-    model: &mut Model,
-    calibration: &[Vec<u32>],
-    bits: u8,
-    cfg: &GridConfig,
-) -> Result<QuantReport, QuantError> {
-    let mut session = QuantSession::new(calibration.to_vec());
-    quantize_uniform_session(model, &mut session, bits, cfg)
-}
-
-/// [`quantize_uniform`] drawing Hessians from a shared [`QuantSession`].
+/// machinery under attention-aware Hessians drawn from `session`.
 ///
 /// # Errors
 ///
@@ -51,8 +32,9 @@ pub fn quantize_uniform(
 /// # Determinism
 ///
 /// Bit-identical at any `APTQ_THREADS`, and independent of what the
-/// session has already cached.
-pub fn quantize_uniform_session(
+/// session has already cached — the layer fan-out is index-ordered
+/// (see [`crate::methods::solve_plan`]).
+pub fn quantize_uniform(
     model: &mut Model,
     session: &mut QuantSession,
     bits: u8,
@@ -60,47 +42,26 @@ pub fn quantize_uniform_session(
 ) -> Result<QuantReport, QuantError> {
     let hessians = session.hessians(model, HessianMode::AttentionAware)?;
     let plan = QuantPlan::uniform(model, bits);
-    apply_plan_obq_recorded(
+    apply_plan_obq(
         &format!("APTQ-{bits}bit"),
         model,
         &plan,
         &hessians,
         cfg,
+        thread_count(),
         session.metrics_mut(),
     )
 }
 
 /// Mixed-precision APTQ (`APTQ-R%`): 2/4-bit allocation by Hessian
-/// trace (or the manual block-wise ablation policy).
+/// trace (or the manual block-wise ablation policy), drawing Hessians
+/// and the sensitivity ranking from `session`, so repeated mixed rows
+/// (different ratios, both policies) reuse one capture pass and one
+/// probe.
 ///
 /// Returns the report and the sensitivity ranking that produced the
 /// allocation (exposed for the Figure 1 sensitivity panel and the
 /// ablation analysis).
-///
-/// # Errors
-///
-/// Returns [`QuantError::InvalidRatio`] for `ratio ∉ [0,1]`, otherwise
-/// propagates calibration and engine errors.
-///
-/// # Determinism
-///
-/// Bit-identical at any `APTQ_THREADS` — allocation ranks by a total
-/// order (score, then layer index) and the layer fan-out is
-/// index-ordered.
-pub fn quantize_mixed(
-    model: &mut Model,
-    calibration: &[Vec<u32>],
-    ratio: f32,
-    policy: AllocationPolicy,
-    cfg: &GridConfig,
-) -> Result<(QuantReport, SensitivityReport), QuantError> {
-    let mut session = QuantSession::new(calibration.to_vec());
-    quantize_mixed_session(model, &mut session, ratio, policy, cfg)
-}
-
-/// [`quantize_mixed`] drawing Hessians and the sensitivity ranking from
-/// a shared [`QuantSession`], so repeated mixed rows (different ratios,
-/// both policies) reuse one capture pass and one probe.
 ///
 /// # Errors
 ///
@@ -112,8 +73,9 @@ pub fn quantize_mixed(
 /// # Determinism
 ///
 /// Bit-identical at any `APTQ_THREADS`, and independent of what the
-/// session has already cached.
-pub fn quantize_mixed_session(
+/// session has already cached — allocation ranks by a total order
+/// (score, then layer index) and the layer fan-out is index-ordered.
+pub fn quantize_mixed(
     model: &mut Model,
     session: &mut QuantSession,
     ratio: f32,
@@ -135,8 +97,15 @@ pub fn quantize_mixed_session(
             format!("ManualBlockwise-{:.0}%", ratio * 100.0)
         }
     };
-    let report =
-        apply_plan_obq_recorded(&name, model, &plan, &hessians, cfg, session.metrics_mut())?;
+    let report = apply_plan_obq(
+        &name,
+        model,
+        &plan,
+        &hessians,
+        cfg,
+        thread_count(),
+        session.metrics_mut(),
+    )?;
     Ok((report, (*sensitivity).clone()))
 }
 
@@ -155,7 +124,13 @@ mod tests {
     #[test]
     fn uniform_aptq_runs() {
         let mut model = Model::new(&ModelConfig::test_tiny(16), 12);
-        let report = quantize_uniform(&mut model, &calib(), 4, &GridConfig::default()).unwrap();
+        let report = quantize_uniform(
+            &mut model,
+            &mut QuantSession::new(calib()),
+            4,
+            &GridConfig::default(),
+        )
+        .unwrap();
         assert_eq!(report.avg_bits, 4.0);
         assert!(report.method.contains("APTQ"));
         assert!(model.forward(&[1, 2, 3]).all_finite());
@@ -167,7 +142,7 @@ mod tests {
             let mut model = Model::new(&ModelConfig::test_tiny(16), 13);
             let (report, sens) = quantize_mixed(
                 &mut model,
-                &calib(),
+                &mut QuantSession::new(calib()),
                 r,
                 AllocationPolicy::HessianTrace,
                 &GridConfig::default(),
@@ -195,7 +170,7 @@ mod tests {
                 matches!(
                     quantize_mixed(
                         &mut model,
-                        &calibration,
+                        &mut QuantSession::new(calibration.clone()),
                         0.5,
                         AllocationPolicy::HessianTrace,
                         &GridConfig::default()
@@ -213,7 +188,7 @@ mod tests {
         assert!(matches!(
             quantize_mixed(
                 &mut model,
-                &calib(),
+                &mut QuantSession::new(calib()),
                 2.0,
                 AllocationPolicy::HessianTrace,
                 &GridConfig::default()
@@ -232,7 +207,14 @@ mod tests {
         let ref_logits = base.forward(&probe);
         let drift = |policy: AllocationPolicy| {
             let mut m = base.clone();
-            quantize_mixed(&mut m, &calib(), 0.5, policy, &GridConfig::default()).unwrap();
+            quantize_mixed(
+                &mut m,
+                &mut QuantSession::new(calib()),
+                0.5,
+                policy,
+                &GridConfig::default(),
+            )
+            .unwrap();
             m.forward(&probe).sub(&ref_logits).frobenius_norm()
         };
         let d_trace = drift(AllocationPolicy::HessianTrace);

@@ -4,16 +4,19 @@
 //! at a uniform bit-width.
 
 use aptq_lm::Model;
+use aptq_tensor::parallel::thread_count;
 
 use crate::grid::GridConfig;
 use crate::hessian::HessianMode;
-use crate::methods::apply_plan_obq_recorded;
+use crate::methods::apply_plan_obq;
 use crate::plan::QuantPlan;
 use crate::report::QuantReport;
 use crate::session::QuantSession;
 use crate::QuantError;
 
-/// Quantizes the model with GPTQ at a uniform bit-width.
+/// Quantizes the model with GPTQ at a uniform bit-width, drawing the
+/// layer-input Hessians from `session` and recording the scheduler's
+/// `quant/obq/…` counters into its metrics.
 ///
 /// # Errors
 ///
@@ -26,38 +29,19 @@ use crate::QuantError;
 /// floating-point accumulation order.
 pub fn quantize(
     model: &mut Model,
-    calibration: &[Vec<u32>],
-    bits: u8,
-    cfg: &GridConfig,
-) -> Result<QuantReport, QuantError> {
-    let mut session = QuantSession::new(calibration.to_vec());
-    quantize_session(model, &mut session, bits, cfg)
-}
-
-/// [`quantize`] drawing Hessians from a shared [`QuantSession`].
-///
-/// # Errors
-///
-/// Propagates calibration and engine errors.
-///
-/// # Determinism
-///
-/// Same contract as [`quantize`]: bit-identical at every
-/// `APTQ_THREADS`.
-pub fn quantize_session(
-    model: &mut Model,
     session: &mut QuantSession,
     bits: u8,
     cfg: &GridConfig,
 ) -> Result<QuantReport, QuantError> {
     let hessians = session.hessians(model, HessianMode::LayerInput)?;
     let plan = QuantPlan::uniform(model, bits);
-    apply_plan_obq_recorded(
+    apply_plan_obq(
         &format!("GPTQ-{bits}bit"),
         model,
         &plan,
         &hessians,
         cfg,
+        thread_count(),
         session.metrics_mut(),
     )
 }
@@ -76,7 +60,13 @@ mod tests {
     #[test]
     fn gptq_runs_and_reports() {
         let mut model = Model::new(&ModelConfig::test_tiny(16), 10);
-        let report = quantize(&mut model, calib().as_slice(), 4, &GridConfig::default()).unwrap();
+        let report = quantize(
+            &mut model,
+            &mut QuantSession::new(calib()),
+            4,
+            &GridConfig::default(),
+        )
+        .unwrap();
         assert_eq!(report.avg_bits, 4.0);
         assert!(report.method.contains("GPTQ"));
         assert!(model.forward(&[1, 2, 3]).all_finite());
@@ -86,7 +76,12 @@ mod tests {
     fn gptq_empty_calibration_fails() {
         let mut model = Model::new(&ModelConfig::test_tiny(16), 10);
         assert!(matches!(
-            quantize(&mut model, &[], 4, &GridConfig::default()),
+            quantize(
+                &mut model,
+                &mut QuantSession::new(Vec::new()),
+                4,
+                &GridConfig::default()
+            ),
             Err(QuantError::EmptyCalibration)
         ));
     }
@@ -104,7 +99,7 @@ mod tests {
             ..GridConfig::default()
         };
         let mut gptq_model = base.clone();
-        quantize(&mut gptq_model, calib().as_slice(), 3, &cfg).unwrap();
+        quantize(&mut gptq_model, &mut QuantSession::new(calib()), 3, &cfg).unwrap();
         let mut rtn_model = base.clone();
         crate::methods::rtn::quantize(&mut rtn_model, 3, &cfg).unwrap();
 

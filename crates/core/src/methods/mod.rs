@@ -33,149 +33,88 @@ use crate::plan::QuantPlan;
 use crate::report::{LayerOutcome, QuantReport};
 use crate::QuantError;
 
-/// Worker threads for the layer-job scheduler. Thread configuration is
-/// centralized in [`aptq_tensor::parallel::thread_count`] (the
-/// `APTQ_THREADS` override with a hardware-cap fallback); this is a
-/// thin alias kept for call-site readability.
+/// Solves every layer of `plan` with the OBQ engine under the given
+/// Hessians, returning one result per plan entry in plan order. The
+/// model is only read.
+///
+/// This is the one place a plan is solved: GPTQ and APTQ install the
+/// results ([`apply_plan_obq`]), OWQ exempts its outlier rows around
+/// them, and `QuantizedModel::quantize_from` packs them. The methods
+/// differ only in the Hessians, the plan and (for OWQ) which rows are
+/// restored afterwards.
 ///
 /// # Determinism
 ///
-/// The count varies with the environment, but every scheduler fed by it
-/// is bit-identical across thread counts.
-pub fn scheduler_threads() -> usize {
-    aptq_tensor::parallel::thread_count()
-}
-
-/// Quantizes every layer of `plan` with the OBQ engine under the given
-/// Hessians, installing dequantized weights into the model in place.
-///
-/// This is the shared backbone of GPTQ, APTQ and OWQ; they differ only
-/// in the Hessians, the plan, and (for OWQ) which rows are exempted.
-/// Per-layer solves run on [`scheduler_threads`] worker threads.
-///
-/// # Determinism
-///
-/// Bit-identical for every `APTQ_THREADS` value; see
-/// [`apply_plan_obq_threads`] for the contract.
+/// Every plan entry is validated before any solve starts. Each layer's
+/// OBQ solve depends only on its own weight and Hessian, so the solves
+/// fan out across `threads` workers
+/// ([`aptq_tensor::parallel::run_indexed`]) and land in plan order.
+/// Results are bit-identical for every `threads` value, including 1,
+/// and on failure the error of the earliest plan entry is returned,
+/// independent of thread count.
 ///
 /// # Errors
 ///
-/// Propagates engine failures; returns [`QuantError::UnknownLayer`] if
-/// the Hessian map is missing a planned layer.
+/// Returns [`QuantError::UnknownLayer`] if the Hessian map is missing a
+/// planned layer and [`QuantError::UnsupportedBits`] for a width the
+/// integer grid cannot hold (both checked for every entry before any
+/// solve); otherwise propagates engine failures.
+pub fn solve_plan(
+    model: &Model,
+    plan: &QuantPlan,
+    hessians: &BTreeMap<LayerRef, LayerHessian>,
+    cfg: &GridConfig,
+    threads: usize,
+) -> Result<Vec<LayerQuantResult>, QuantError> {
+    let mut jobs = Vec::with_capacity(plan.len());
+    for (layer, bits) in plan.iter() {
+        let Some(lh) = hessians.get(&layer) else {
+            return Err(QuantError::UnknownLayer {
+                layer: layer.to_string(),
+            });
+        };
+        jobs.push((layer, lh, QuantGrid::try_int(bits, cfg.asymmetric)?));
+    }
+    aptq_tensor::parallel::run_indexed(jobs.len(), threads, |i| {
+        let (layer, lh, grid) = jobs[i];
+        engine::quantize_layer_obq(&layer.to_string(), model.layer_weight(layer), lh, grid, cfg)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Quantizes every layer of `plan` with [`solve_plan`] on `threads`
+/// workers and installs the dequantized weights into the model in
+/// place. This is GPTQ and APTQ; the two differ only in the Hessians
+/// and the plan.
+///
+/// Scheduler work is recorded into `rec` under `quant/obq/…`: layer
+/// solves, column updates (one per input dimension of each solved
+/// layer), quantized weights and packed storage bytes.
+///
+/// # Determinism
+///
+/// Weights are installed, and counters accumulated, sequentially in
+/// plan order after the solves return, so the recorder never crosses a
+/// thread boundary. Reports, installed weights and counters are
+/// bit-identical for every `threads` value (see [`solve_plan`]).
+///
+/// # Errors
+///
+/// As [`solve_plan`]. On failure the model and `rec` are left
+/// unmodified.
 pub fn apply_plan_obq(
     method: &str,
     model: &mut Model,
     plan: &QuantPlan,
     hessians: &BTreeMap<LayerRef, LayerHessian>,
     cfg: &GridConfig,
-) -> Result<QuantReport, QuantError> {
-    apply_plan_obq_threads(method, model, plan, hessians, cfg, scheduler_threads())
-}
-
-/// [`apply_plan_obq`] recording scheduler work into `rec` under
-/// `quant/obq/…`: layer solves, column updates (one per input
-/// dimension of each solved layer), quantized weights and packed
-/// storage bytes. Counters are accumulated in canonical plan order
-/// during the sequential install phase, so the recorder never crosses
-/// a thread boundary.
-///
-/// # Determinism
-///
-/// Bit-identical reports, installed weights *and counters* at any
-/// `APTQ_THREADS` value; see [`apply_plan_obq_threads`].
-///
-/// # Errors
-///
-/// Propagates engine failures; returns [`QuantError::UnknownLayer`] if
-/// the Hessian map is missing a planned layer. On failure `rec` is
-/// left untouched.
-pub fn apply_plan_obq_recorded(
-    method: &str,
-    model: &mut Model,
-    plan: &QuantPlan,
-    hessians: &BTreeMap<LayerRef, LayerHessian>,
-    cfg: &GridConfig,
-    rec: &mut Recorder,
-) -> Result<QuantReport, QuantError> {
-    apply_plan_obq_threads_recorded(method, model, plan, hessians, cfg, scheduler_threads(), rec)
-}
-
-/// [`apply_plan_obq`] with an explicit worker-thread count.
-///
-/// # Determinism
-///
-/// Each layer's OBQ solve depends only on its own (pre-quantization)
-/// weight and Hessian, so the solves fan out across scoped threads while
-/// the model is borrowed immutably; dequantized weights are then
-/// installed sequentially in canonical plan order. Reports and installed
-/// weights are bit-identical for every `threads` value, including 1.
-///
-/// On failure the model is left unmodified and the error of the earliest
-/// plan entry is returned, independent of thread count.
-///
-/// # Errors
-///
-/// Propagates engine failures; returns [`QuantError::UnknownLayer`] if
-/// the Hessian map is missing a planned layer.
-pub fn apply_plan_obq_threads(
-    method: &str,
-    model: &mut Model,
-    plan: &QuantPlan,
-    hessians: &BTreeMap<LayerRef, LayerHessian>,
-    cfg: &GridConfig,
-    threads: usize,
-) -> Result<QuantReport, QuantError> {
-    let mut scratch = Recorder::new();
-    apply_plan_obq_threads_recorded(method, model, plan, hessians, cfg, threads, &mut scratch)
-}
-
-/// [`apply_plan_obq_threads`] recording into `rec` (see
-/// [`apply_plan_obq_recorded`] for the counter set).
-///
-/// # Determinism
-///
-/// Each layer's OBQ solve depends only on its own (pre-quantization)
-/// weight and Hessian, so the solves fan out across scoped threads
-/// while the model is borrowed immutably; dequantized weights are then
-/// installed — and counters accumulated — sequentially in canonical
-/// plan order. Reports, installed weights and counters are
-/// bit-identical for every `threads` value, including 1.
-///
-/// On failure the model and `rec` are left unmodified and the error of
-/// the earliest plan entry is returned, independent of thread count.
-///
-/// # Errors
-///
-/// Propagates engine failures; returns [`QuantError::UnknownLayer`] if
-/// the Hessian map is missing a planned layer.
-pub fn apply_plan_obq_threads_recorded(
-    method: &str,
-    model: &mut Model,
-    plan: &QuantPlan,
-    hessians: &BTreeMap<LayerRef, LayerHessian>,
-    cfg: &GridConfig,
     threads: usize,
     rec: &mut Recorder,
 ) -> Result<QuantReport, QuantError> {
-    // Validate every job up front so errors are deterministic.
-    let mut jobs = Vec::with_capacity(plan.len());
-    for (layer, bits) in plan.iter() {
-        if !hessians.contains_key(&layer) {
-            return Err(QuantError::UnknownLayer {
-                layer: layer.to_string(),
-            });
-        }
-        jobs.push((layer, bits, QuantGrid::try_int(bits, cfg.asymmetric)?));
-    }
-
-    let solved = solve_jobs(model, &jobs, hessians, cfg, threads);
-    let mut results = Vec::with_capacity(jobs.len());
-    for res in solved {
-        results.push(res?);
-    }
-
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (&(layer, bits, _), res) in jobs.iter().zip(results) {
+    let results = solve_plan(model, plan, hessians, cfg, threads)?;
+    let mut outcomes = Vec::with_capacity(results.len());
+    for ((layer, bits), res) in plan.iter().zip(results) {
         let storage = res.packed.storage_bytes();
         let (d_in, d_out) = (res.packed.d_in, res.packed.d_out);
         rec.incr("quant/obq/layers_solved");
@@ -193,26 +132,6 @@ pub fn apply_plan_obq_threads_recorded(
     Ok(QuantReport::new(method, model, outcomes))
 }
 
-/// Runs the read-only per-layer solves, returning results in job order.
-fn solve_jobs(
-    model: &Model,
-    jobs: &[(LayerRef, u8, QuantGrid)],
-    hessians: &BTreeMap<LayerRef, LayerHessian>,
-    cfg: &GridConfig,
-    threads: usize,
-) -> Vec<Result<LayerQuantResult, QuantError>> {
-    let solve = |&(layer, _, grid): &(LayerRef, u8, QuantGrid)| {
-        engine::quantize_layer_obq(
-            &layer.to_string(),
-            model.layer_weight(layer),
-            &hessians[&layer],
-            grid,
-            cfg,
-        )
-    };
-    aptq_tensor::parallel::run_indexed(jobs.len(), threads, |i| solve(&jobs[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,8 +145,16 @@ mod tests {
         let hs = crate::collect_hessians(&model, &segs, HessianMode::LayerInput).unwrap();
         let plan = QuantPlan::uniform(&model, 4);
         let before = model.layer_weight(model.layer_refs()[0]).clone();
-        let report =
-            apply_plan_obq("GPTQ", &mut model, &plan, &hs, &GridConfig::default()).unwrap();
+        let report = apply_plan_obq(
+            "GPTQ",
+            &mut model,
+            &plan,
+            &hs,
+            &GridConfig::default(),
+            aptq_tensor::parallel::thread_count(),
+            &mut Recorder::new(),
+        )
+        .unwrap();
         let after = model.layer_weight(model.layer_refs()[0]).clone();
         assert_ne!(before, after, "weights must change");
         assert_eq!(report.avg_bits, 4.0);
@@ -240,7 +167,15 @@ mod tests {
         let plan = QuantPlan::uniform(&model, 4);
         let empty = BTreeMap::new();
         assert!(matches!(
-            apply_plan_obq("x", &mut model, &plan, &empty, &GridConfig::default()),
+            apply_plan_obq(
+                "x",
+                &mut model,
+                &plan,
+                &empty,
+                &GridConfig::default(),
+                aptq_tensor::parallel::thread_count(),
+                &mut Recorder::new(),
+            ),
             Err(QuantError::UnknownLayer { .. })
         ));
     }

@@ -9,16 +9,25 @@
 use std::collections::BTreeMap;
 
 use aptq_lm::{LayerRef, Model};
+use aptq_tensor::parallel::thread_count;
 
-use crate::engine;
-use crate::grid::{GridConfig, QuantGrid};
+use crate::grid::GridConfig;
 use crate::hessian::{HessianMode, LayerHessian};
+use crate::methods::solve_plan;
+use crate::plan::QuantPlan;
 use crate::report::{LayerOutcome, QuantReport};
 use crate::session::QuantSession;
 use crate::QuantError;
 
 /// Quantizes the model OWQ-style: `outlier_dims` input dimensions per
-/// layer stay fp16, the rest get GPTQ at `bits`.
+/// layer stay fp16, the rest get GPTQ at `bits` under the layer-input
+/// Hessians drawn from `session`.
+///
+/// The outlier rows are picked from the pre-quantization weights, the
+/// whole model is solved by [`crate::methods::solve_plan`], and the
+/// rows are then restored to their original values. (Restoring after
+/// the solve keeps the error-compensation of the quantized rows intact;
+/// the outlier rows contribute no quantization error to compensate.)
 ///
 /// # Errors
 ///
@@ -28,29 +37,8 @@ use crate::QuantError;
 ///
 /// Bit-identical across `APTQ_THREADS`: outlier selection is a
 /// deterministic sort over scores computed via `aptq_tensor::parallel`'s
-/// order-preserving kernels.
+/// order-preserving kernels, and the solves are index-ordered.
 pub fn quantize(
-    model: &mut Model,
-    calibration: &[Vec<u32>],
-    bits: u8,
-    outlier_dims: usize,
-    cfg: &GridConfig,
-) -> Result<QuantReport, QuantError> {
-    let mut session = QuantSession::new(calibration.to_vec());
-    quantize_session(model, &mut session, bits, outlier_dims, cfg)
-}
-
-/// [`quantize`] drawing Hessians from a shared [`QuantSession`].
-///
-/// # Errors
-///
-/// Propagates calibration and engine errors.
-///
-/// # Determinism
-///
-/// Same contract as [`quantize`]: bit-identical at every
-/// `APTQ_THREADS`.
-pub fn quantize_session(
     model: &mut Model,
     session: &mut QuantSession,
     bits: u8,
@@ -58,25 +46,16 @@ pub fn quantize_session(
     cfg: &GridConfig,
 ) -> Result<QuantReport, QuantError> {
     let hessians = session.hessians(model, HessianMode::LayerInput)?;
-    let grid = QuantGrid::try_int(bits, cfg.asymmetric)?;
-    let mut outcomes = Vec::new();
-
-    for layer in model.layer_refs() {
-        let w = model.layer_weight(layer).clone();
+    let plan = QuantPlan::uniform(model, bits);
+    let results = solve_plan(model, &plan, &hessians, cfg, thread_count())?;
+    let mut outcomes = Vec::with_capacity(results.len());
+    for ((layer, _), res) in plan.iter().zip(results) {
+        let w = model.layer_weight(layer);
         let (d_in, d_out) = w.shape();
-        let lh = &hessians[&layer];
-        let keep = outlier_rows(&w, lh, outlier_dims.min(d_in));
-
-        // Quantize with the OBQ engine, then restore the outlier rows to
-        // their original fp16 values. (Restoring after the engine run
-        // keeps the error-compensation of the quantized rows intact; the
-        // outlier rows contribute no quantization error to compensate.)
-        let res = engine::quantize_layer_obq(&layer.to_string(), &w, lh, grid, cfg)?;
+        let keep = outlier_rows(w, &hessians[&layer], outlier_dims.min(d_in));
         let mut deq = res.dequantized;
         for &r in &keep {
-            for c in 0..d_out {
-                deq[(r, c)] = w[(r, c)];
-            }
+            deq.row_mut(r).copy_from_slice(w.row(r));
         }
         let storage = res.packed.storage_bytes() + keep.len() * d_out * 2;
         session.metrics_mut().incr("quant/owq/layers_solved");
@@ -171,7 +150,14 @@ mod tests {
     #[test]
     fn owq_runs_and_costs_slightly_more_than_base() {
         let mut model = Model::new(&ModelConfig::test_tiny(16), 18);
-        let report = quantize(&mut model, &calib(), 4, 1, &GridConfig::default()).unwrap();
+        let report = quantize(
+            &mut model,
+            &mut QuantSession::new(calib()),
+            4,
+            1,
+            &GridConfig::default(),
+        )
+        .unwrap();
         assert!(
             report.avg_bits > 4.0,
             "outlier rows add storage: {}",
@@ -190,9 +176,9 @@ mod tests {
         let base = Model::new(&ModelConfig::test_tiny(16), 19);
         let cfg = GridConfig::default();
         let mut a = base.clone();
-        quantize(&mut a, &calib(), 4, 0, &cfg).unwrap();
+        quantize(&mut a, &mut QuantSession::new(calib()), 4, 0, &cfg).unwrap();
         let mut b = base.clone();
-        crate::methods::gptq::quantize(&mut b, &calib(), 4, &cfg).unwrap();
+        crate::methods::gptq::quantize(&mut b, &mut QuantSession::new(calib()), 4, &cfg).unwrap();
         let r = base.layer_refs()[0];
         assert_eq!(a.layer_weight(r), b.layer_weight(r));
     }
@@ -230,7 +216,14 @@ mod tests {
         let ref_logits = base.forward(&probe);
         let drift = |k: usize| {
             let mut m = base.clone();
-            quantize(&mut m, &calib(), 2, k, &GridConfig::default()).unwrap();
+            quantize(
+                &mut m,
+                &mut QuantSession::new(calib()),
+                2,
+                k,
+                &GridConfig::default(),
+            )
+            .unwrap();
             m.forward(&probe).sub(&ref_logits).frobenius_norm()
         };
         assert!(

@@ -15,7 +15,8 @@ use crate::report::{LayerOutcome, QuantReport};
 use crate::session::QuantSession;
 use crate::QuantError;
 
-/// Quantizes the model PB-LLM style.
+/// Quantizes the model PB-LLM style, ranking salience by the
+/// layer-input Hessians drawn from `session`.
 ///
 /// # Errors
 ///
@@ -28,27 +29,6 @@ use crate::QuantError;
 /// residual both run on `aptq_tensor::parallel`'s order-preserving
 /// kernels.
 pub fn quantize(
-    model: &mut Model,
-    calibration: &[Vec<u32>],
-    salient_ratio: f32,
-    cfg: &GridConfig,
-) -> Result<QuantReport, QuantError> {
-    let mut session = QuantSession::new(calibration.to_vec());
-    quantize_session(model, &mut session, salient_ratio, cfg)
-}
-
-/// [`quantize`] drawing Hessians from a shared [`QuantSession`].
-///
-/// # Errors
-///
-/// Returns [`QuantError::InvalidRatio`] for a salient ratio outside
-/// `[0, 1]`; propagates calibration errors.
-///
-/// # Determinism
-///
-/// Same contract as [`quantize`]: bit-identical at every
-/// `APTQ_THREADS`.
-pub fn quantize_session(
     model: &mut Model,
     session: &mut QuantSession,
     salient_ratio: f32,
@@ -173,7 +153,13 @@ mod tests {
     #[test]
     fn pbllm_runs_and_binarizes_majority() {
         let mut model = Model::new(&ModelConfig::test_tiny(16), 15);
-        let report = quantize(&mut model, &calib(), 0.2, &GridConfig::default()).unwrap();
+        let report = quantize(
+            &mut model,
+            &mut QuantSession::new(calib()),
+            0.2,
+            &GridConfig::default(),
+        )
+        .unwrap();
         assert!(report.method.contains("PB-LLM"));
         // Most weights are 1-bit → far below 4-bit storage.
         assert!(report.avg_bits < 16.0);
@@ -185,9 +171,14 @@ mod tests {
         let base = Model::new(&ModelConfig::test_tiny(16), 16);
         let err = |r: f32| {
             let mut m = base.clone();
-            quantize(&mut m, &calib(), r, &GridConfig::default())
-                .unwrap()
-                .total_recon_error()
+            quantize(
+                &mut m,
+                &mut QuantSession::new(calib()),
+                r,
+                &GridConfig::default(),
+            )
+            .unwrap()
+            .total_recon_error()
         };
         assert!(err(0.3) < err(0.1));
         assert!(err(0.1) < err(0.0) + 1e-9);
@@ -219,7 +210,12 @@ mod tests {
     fn invalid_ratio_rejected() {
         let mut model = Model::new(&ModelConfig::test_tiny(16), 17);
         assert!(matches!(
-            quantize(&mut model, &calib(), 1.5, &GridConfig::default()),
+            quantize(
+                &mut model,
+                &mut QuantSession::new(calib()),
+                1.5,
+                &GridConfig::default()
+            ),
             Err(QuantError::InvalidRatio { .. })
         ));
     }

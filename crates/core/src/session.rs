@@ -58,9 +58,10 @@ impl QuantSession {
     }
 
     /// The session's metrics recorder: capture passes, cache hits and
-    /// misses under `quant/session/…`, plus everything the OBQ
-    /// scheduler records under `quant/obq/…` when driven through the
-    /// `*_session` method entry points.
+    /// misses under `quant/session/…`, plus what the methods record when
+    /// they quantize through the session: the OBQ scheduler's
+    /// `quant/obq/…` (GPTQ, APTQ) and the per-method `quant/owq/…` and
+    /// `quant/pbllm/…` counters.
     pub fn metrics(&self) -> &Recorder {
         &self.metrics
     }
@@ -174,6 +175,7 @@ impl QuantSession {
             &self.calibration[..probe_len],
             low_bits,
             cfg,
+            aptq_tensor::parallel::thread_count(),
         )?;
         self.sensitivity_passes += 1;
         self.metrics.incr("quant/session/sensitivity_probes");

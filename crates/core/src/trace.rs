@@ -31,20 +31,6 @@ pub enum SensitivityMetric {
     /// `Tr(H)·‖ΔW‖²` — the expected second-order loss increase under
     /// the layer-local quadratic model.
     TraceTimesPerturbation,
-    /// Empirical end-to-end sensitivity: the increase in calibration
-    /// cross-entropy when *only this layer* is RTN-quantized at the low
-    /// bit-width.
-    ///
-    /// The two Hessian statistics above are layer-local: they cannot see
-    /// that an early layer's error **compounds** through every
-    /// downstream block while a late layer's error passes only through
-    /// the final norm. On shallow models that compounding dominates (we
-    /// measure it directly in the `probe_sensitivity` diagnostic), so
-    /// this metric — still pure PTQ, still computed from the same
-    /// calibration set — is the default allocation signal for the
-    /// experiments. The trace variants are retained and compared in the
-    /// ablation bench; see DESIGN.md §3 for the full deviation note.
-    EmpiricalLoss,
 }
 
 /// One layer's sensitivity entry.
@@ -82,12 +68,9 @@ impl SensitivityReport {
     /// For [`SensitivityMetric::TraceTimesPerturbation`] the trace is
     /// weighted by the layer's expected low-bit quantization
     /// perturbation `E[(W − Q(W))²]` under `low_bits` RTN — the
-    /// HAWQ-V2 criterion `Tr(H)·‖ΔW‖²` that §3.3 builds on.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`SensitivityMetric::EmpiricalLoss`], which needs
-    /// probe data — use [`empirical_sensitivity`] instead.
+    /// HAWQ-V2 criterion `Tr(H)·‖ΔW‖²` that §3.3 builds on. The
+    /// experiments' default signal needs probe data instead; see
+    /// [`empirical_sensitivity`].
     ///
     /// # Determinism
     ///
@@ -108,10 +91,6 @@ impl SensitivityReport {
                     SensitivityMetric::TraceTimesPerturbation => {
                         let w = model.layer_weight(layer);
                         lh.mean_trace * rtn_mean_sq_error(w, low_bits, cfg)
-                    }
-                    SensitivityMetric::EmpiricalLoss => {
-                        // audit:allow(panic): documented under `# Panics`; callers route this variant to empirical_sensitivity()
-                        panic!("EmpiricalLoss needs probe data; call empirical_sensitivity()")
                     }
                 };
                 LayerSensitivity {
@@ -181,54 +160,32 @@ impl SensitivityReport {
     }
 }
 
-/// Builds an [`SensitivityMetric::EmpiricalLoss`] report: for each
-/// layer, quantize only that layer at `low_bits` (RTN — the cheap proxy;
-/// only the *ranking* matters) and measure the mean cross-entropy
-/// increase over `probe` segments.
+/// Empirical end-to-end sensitivity: for each layer, the increase in
+/// calibration cross-entropy when *only this layer* is RTN-quantized at
+/// `low_bits` (the cheap proxy; only the *ranking* matters), averaged
+/// over the `probe` segments.
+///
+/// The two Hessian statistics of [`SensitivityMetric`] are layer-local:
+/// they cannot see that an early layer's error **compounds** through
+/// every downstream block while a late layer's error passes only
+/// through the final norm. On shallow models that compounding
+/// dominates (we measure it directly in the `probe_sensitivity`
+/// diagnostic), so this score — still pure PTQ, still computed from the
+/// same calibration set — is the default allocation signal for the
+/// experiments. The trace variants are retained and compared in the
+/// ablation bench; see DESIGN.md §3 for the full deviation note.
 ///
 /// The probe should be a small slice of the calibration set (the
-/// session probes 16 segments). Per segment the cost is one unperturbed
-/// forward plus, per layer, the forward from that layer's block on
-/// (see [`empirical_sensitivity_threads`]); segments are spread across
-/// [`crate::methods::scheduler_threads`] workers.
-///
-/// # Determinism
-///
-/// Bit-identical for every `APTQ_THREADS` value; see
-/// [`empirical_sensitivity_threads`] for the contract.
-///
-/// # Errors
-///
-/// Returns [`QuantError::EmptyCalibration`] when no probe segment has at
-/// least two tokens (a shorter segment yields no next-token targets, so
-/// the loss signal would be vacuous), and [`QuantError::NonFiniteLoss`]
-/// when the unperturbed loss or a layer's perturbed loss is not finite.
-pub fn empirical_sensitivity(
-    model: &Model,
-    probe: &[Vec<u32>],
-    low_bits: u8,
-    cfg: &GridConfig,
-) -> Result<SensitivityReport, QuantError> {
-    empirical_sensitivity_threads(
-        model,
-        probe,
-        low_bits,
-        cfg,
-        crate::methods::scheduler_threads(),
-    )
-}
-
-/// [`empirical_sensitivity`] with an explicit worker-thread count.
-///
-/// The probe is segment-major: one job per probe segment walks the
-/// unperturbed forward once and, at each block, branches once per
-/// layer of that block. A branch swaps the layer's RTN weight into a
-/// clone of that block only, runs it from the block's input (q/k/v/o)
-/// or from its post-attention residual (gate/up/down), then runs the
-/// untouched later blocks and the head. Blocks before the perturbed one
-/// see unchanged weights, so their outputs are taken from the
-/// unperturbed walk instead of being recomputed. Each layer's RTN solve
-/// runs once and is shared by every segment.
+/// session probes 16 segments) and is segment-major: one job per probe
+/// segment walks the unperturbed forward once and, at each block,
+/// branches once per layer of that block. A branch swaps the layer's
+/// RTN weight into a clone of that block only, runs it from the block's
+/// input (q/k/v/o) or from its post-attention residual (gate/up/down),
+/// then runs the untouched later blocks and the head. Blocks before the
+/// perturbed one see unchanged weights, so their outputs are taken from
+/// the unperturbed walk instead of being recomputed. Each layer's RTN
+/// solve runs once and is shared by every segment. Segments are spread
+/// across `threads` workers.
 ///
 /// # Determinism
 ///
@@ -240,8 +197,11 @@ pub fn empirical_sensitivity(
 ///
 /// # Errors
 ///
-/// As [`empirical_sensitivity`].
-pub fn empirical_sensitivity_threads(
+/// Returns [`QuantError::EmptyCalibration`] when no probe segment has at
+/// least two tokens (a shorter segment yields no next-token targets, so
+/// the loss signal would be vacuous), and [`QuantError::NonFiniteLoss`]
+/// when the unperturbed loss or a layer's perturbed loss is not finite.
+pub fn empirical_sensitivity(
     model: &Model,
     probe: &[Vec<u32>],
     low_bits: u8,
@@ -398,6 +358,7 @@ mod tests {
     use super::*;
     use crate::hessian::HessianMode;
     use aptq_lm::{LayerKind, Model, ModelConfig};
+    use aptq_tensor::parallel::thread_count;
 
     #[test]
     fn ranking_is_descending_and_complete() {
@@ -482,7 +443,9 @@ mod tests {
         let probe: Vec<Vec<u32>> = (0..3)
             .map(|k| (0..10).map(|i| ((i + k) % 16) as u32).collect())
             .collect();
-        let report = empirical_sensitivity(&model, &probe, 2, &GridConfig::default()).unwrap();
+        let report =
+            empirical_sensitivity(&model, &probe, 2, &GridConfig::default(), thread_count())
+                .unwrap();
         assert_eq!(report.len(), model.layer_refs().len());
         // Entries are finite and sorted descending.
         for w in report.entries().windows(2) {
@@ -502,7 +465,13 @@ mod tests {
         for probe in cases {
             assert!(
                 matches!(
-                    empirical_sensitivity(&model, &probe, 2, &GridConfig::default()),
+                    empirical_sensitivity(
+                        &model,
+                        &probe,
+                        2,
+                        &GridConfig::default(),
+                        thread_count()
+                    ),
                     Err(QuantError::EmptyCalibration)
                 ),
                 "probe {probe:?} must be rejected"
@@ -524,7 +493,7 @@ mod tests {
         // One weight at f32::MAX overflows the float forward itself.
         let mut model = Model::new(&ModelConfig::test_tiny(16), 8);
         model.layer_weight_mut(q0)[(0, 0)] = f32::MAX;
-        match empirical_sensitivity(&model, &probe, 2, &cfg) {
+        match empirical_sensitivity(&model, &probe, 2, &cfg, thread_count()) {
             Err(QuantError::NonFiniteLoss { layer }) => assert_eq!(layer, "unperturbed model"),
             other => panic!("expected a non-finite base loss, got {other:?}"),
         }
@@ -536,7 +505,7 @@ mod tests {
         model.blocks_mut()[0].norm1.gain_mut()[..2].fill(0.0);
         model.layer_weight_mut(q0)[(0, 0)] = f32::MAX;
         model.layer_weight_mut(q0)[(1, 0)] = -f32::MAX;
-        match empirical_sensitivity(&model, &probe, 2, &cfg) {
+        match empirical_sensitivity(&model, &probe, 2, &cfg, thread_count()) {
             Err(QuantError::NonFiniteLoss { layer }) => assert_eq!(layer, q0.to_string()),
             other => panic!("expected a non-finite loss for {q0}, got {other:?}"),
         }
@@ -549,9 +518,9 @@ mod tests {
             .map(|k| (0..12).map(|i| ((i * 3 + k) % 16) as u32).collect())
             .collect();
         let cfg = GridConfig::default();
-        let seq = empirical_sensitivity_threads(&model, &probe, 2, &cfg, 1).unwrap();
+        let seq = empirical_sensitivity(&model, &probe, 2, &cfg, 1).unwrap();
         for threads in [2usize, 4] {
-            let par = empirical_sensitivity_threads(&model, &probe, 2, &cfg, threads).unwrap();
+            let par = empirical_sensitivity(&model, &probe, 2, &cfg, threads).unwrap();
             assert_eq!(seq, par, "{threads}-thread probe must be bit-identical");
         }
     }

@@ -17,11 +17,12 @@ use std::sync::Arc;
 use aptq_core::attn;
 use aptq_core::grid::{GridConfig, QuantGrid};
 use aptq_core::hessian::{HessianAccumulator, LayerHessian};
-use aptq_core::methods::apply_plan_obq_threads;
+use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
-use aptq_core::trace::{empirical_sensitivity_threads, LayerSensitivity};
+use aptq_core::trace::{empirical_sensitivity, LayerSensitivity};
 use aptq_core::{collect_hessians, HessianMode, QuantPlan, QuantSession};
 use aptq_lm::{LayerKind, LayerRef, Model, ModelConfig};
+use aptq_obs::Recorder;
 use aptq_tensor::activation::log_sum_exp;
 
 fn calib() -> Vec<Vec<u32>> {
@@ -52,13 +53,28 @@ fn scheduler_bit_identical_across_thread_counts() {
         let hessians = collect_hessians(&base, &calib(), mode).unwrap();
         for (p, plan) in plans_under_test(&base, &cfg).iter().enumerate() {
             let mut seq_model = base.clone();
-            let seq_report =
-                apply_plan_obq_threads("ref", &mut seq_model, plan, &hessians, &cfg, 1).unwrap();
+            let seq_report = apply_plan_obq(
+                "ref",
+                &mut seq_model,
+                plan,
+                &hessians,
+                &cfg,
+                1,
+                &mut Recorder::new(),
+            )
+            .unwrap();
             for threads in [2usize, 4] {
                 let mut par_model = base.clone();
-                let par_report =
-                    apply_plan_obq_threads("ref", &mut par_model, plan, &hessians, &cfg, threads)
-                        .unwrap();
+                let par_report = apply_plan_obq(
+                    "ref",
+                    &mut par_model,
+                    plan,
+                    &hessians,
+                    &cfg,
+                    threads,
+                    &mut Recorder::new(),
+                )
+                .unwrap();
                 assert_eq!(
                     seq_report, par_report,
                     "{mode} plan {p}: report differs at {threads} threads"
@@ -82,13 +98,14 @@ fn scheduler_errors_deterministically_and_leaves_model_untouched() {
     let plan = QuantPlan::uniform(&base, 9); // unsupported width
     for threads in [1usize, 4] {
         let mut model = base.clone();
-        let err = apply_plan_obq_threads(
+        let err = apply_plan_obq(
             "x",
             &mut model,
             &plan,
             &hessians,
             &GridConfig::default(),
             threads,
+            &mut Recorder::new(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -141,7 +158,7 @@ fn session_sensitivity_matches_direct_probe() {
     let mut session = QuantSession::new(calib());
     let via_session = session.sensitivity(&model, 2, &cfg).unwrap();
     let probe_len = calib().len().clamp(1, 16);
-    let direct = empirical_sensitivity_threads(&model, &calib()[..probe_len], 2, &cfg, 1).unwrap();
+    let direct = empirical_sensitivity(&model, &calib()[..probe_len], 2, &cfg, 1).unwrap();
     assert_eq!(*Arc::clone(&via_session), direct);
     // Cache hit: no extra probe.
     session.sensitivity(&model, 2, &cfg).unwrap();
@@ -338,7 +355,7 @@ fn assert_probe_matches_oracle(model: &Model, probe: &[Vec<u32>], what: &str) {
     let cfg = GridConfig::default();
     let want = oracle_sensitivity(model, probe, 2, &cfg);
     for threads in [1usize, 2, 3, 4] {
-        let report = empirical_sensitivity_threads(model, probe, 2, &cfg, threads).unwrap();
+        let report = empirical_sensitivity(model, probe, 2, &cfg, threads).unwrap();
         assert_eq!(report.len(), want.len(), "{what}: one entry per layer");
         for e in report.entries() {
             assert_eq!(

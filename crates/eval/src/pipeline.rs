@@ -117,10 +117,8 @@ impl Method {
         let report = match *self {
             Method::Fp16 => None,
             Method::Rtn { bits } => Some(methods::rtn::quantize(model, bits, cfg)?),
-            Method::Gptq { bits } => {
-                Some(methods::gptq::quantize_session(model, session, bits, cfg)?)
-            }
-            Method::Owq { bits, outlier_dims } => Some(methods::owq::quantize_session(
+            Method::Gptq { bits } => Some(methods::gptq::quantize(model, session, bits, cfg)?),
+            Method::Owq { bits, outlier_dims } => Some(methods::owq::quantize(
                 model,
                 session,
                 bits,
@@ -141,17 +139,17 @@ impl Method {
                 &QatConfig::default(),
                 cfg,
             )?),
-            Method::PbLlm { salient_ratio } => Some(methods::pbllm::quantize_session(
+            Method::PbLlm { salient_ratio } => Some(methods::pbllm::quantize(
                 model,
                 session,
                 salient_ratio,
                 cfg,
             )?),
-            Method::AptqUniform { bits } => Some(methods::aptq::quantize_uniform_session(
-                model, session, bits, cfg,
-            )?),
+            Method::AptqUniform { bits } => {
+                Some(methods::aptq::quantize_uniform(model, session, bits, cfg)?)
+            }
             Method::AptqMixed { ratio } => Some(
-                methods::aptq::quantize_mixed_session(
+                methods::aptq::quantize_mixed(
                     model,
                     session,
                     ratio,
@@ -161,7 +159,7 @@ impl Method {
                 .0,
             ),
             Method::ManualBlockwise { ratio } => Some(
-                methods::aptq::quantize_mixed_session(
+                methods::aptq::quantize_mixed(
                     model,
                     session,
                     ratio,
@@ -172,27 +170,6 @@ impl Method {
             ),
         };
         Ok(report)
-    }
-
-    /// [`apply`](Method::apply) with a raw calibration slice: builds a
-    /// throwaway [`QuantSession`]. Kept for callers quantizing a single
-    /// method where there is nothing to share.
-    ///
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS`; see [`Method::apply`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization failures.
-    pub fn apply_with_calibration(
-        &self,
-        model: &mut Model,
-        calibration: &[Vec<u32>],
-        cfg: &GridConfig,
-    ) -> Result<Option<QuantReport>, EvalError> {
-        let mut session = QuantSession::new(calibration.to_vec());
-        self.apply(model, &mut session, cfg)
     }
 
     /// Nominal average bit-width (the "Avg bit" table column; fp16 = 16).
@@ -252,8 +229,10 @@ pub struct EvalOutcome {
 }
 
 /// Applies `method` to a clone of `model` and returns the quantized
-/// clone plus its report metadata. Builds a throwaway [`QuantSession`];
-/// use [`quantize_clone_session`] to share capture passes across rows.
+/// clone plus its measured average bits (16 for [`Method::Fp16`]),
+/// drawing shared state from `session`. Because the base model is
+/// cloned before quantization, its fingerprint — and thus the session's
+/// Hessian cache — stays valid across any number of rows.
 ///
 /// # Determinism
 ///
@@ -263,27 +242,6 @@ pub struct EvalOutcome {
 ///
 /// Propagates quantization failures.
 pub fn quantize_clone(
-    model: &Model,
-    method: Method,
-    calibration: &[Vec<u32>],
-    cfg: &GridConfig,
-) -> Result<(Model, f32), EvalError> {
-    let mut session = QuantSession::new(calibration.to_vec());
-    quantize_clone_session(model, method, &mut session, cfg)
-}
-
-/// [`quantize_clone`] drawing shared state from `session`. Because the
-/// base model is cloned before quantization, its fingerprint — and thus
-/// the session's Hessian cache — stays valid across any number of rows.
-///
-/// # Determinism
-///
-/// Bit-identical at any `APTQ_THREADS`; see [`Method::apply`].
-///
-/// # Errors
-///
-/// Propagates quantization failures.
-pub fn quantize_clone_session(
     model: &Model,
     method: Method,
     session: &mut QuantSession,
@@ -326,7 +284,8 @@ mod tests {
             Method::ManualBlockwise { ratio: 0.75 },
         ];
         for m in methods {
-            let (quantized, bits) = quantize_clone(&base, m, &calib(), &cfg).unwrap();
+            let (quantized, bits) =
+                quantize_clone(&base, m, &mut QuantSession::new(calib()), &cfg).unwrap();
             assert!(quantized.forward(&[1, 2, 3]).all_finite(), "{m}");
             assert!(bits > 0.0, "{m}");
             assert!(!m.label().is_empty());
@@ -337,8 +296,13 @@ mod tests {
     #[test]
     fn fp16_leaves_model_untouched() {
         let base = Model::new(&ModelConfig::test_tiny(16), 32);
-        let (same, bits) =
-            quantize_clone(&base, Method::Fp16, &calib(), &GridConfig::default()).unwrap();
+        let (same, bits) = quantize_clone(
+            &base,
+            Method::Fp16,
+            &mut QuantSession::new(calib()),
+            &GridConfig::default(),
+        )
+        .unwrap();
         assert_eq!(base.forward(&[1, 2]), same.forward(&[1, 2]));
         assert_eq!(bits, 16.0);
     }
@@ -367,8 +331,13 @@ mod tests {
                 bits: 4,
                 outlier_dims,
             };
-            let (_, measured) =
-                quantize_clone(&base, method, &calib(), &GridConfig::default()).unwrap();
+            let (_, measured) = quantize_clone(
+                &base,
+                method,
+                &mut QuantSession::new(calib()),
+                &GridConfig::default(),
+            )
+            .unwrap();
             let nominal = method.nominal_avg_bits_for(&base);
             assert!(
                 (nominal - measured).abs() < 1e-3,
@@ -408,7 +377,7 @@ mod tests {
             Method::ManualBlockwise { ratio: 0.5 },
         ];
         for m in rows {
-            quantize_clone_session(&base, m, &mut session, &cfg).unwrap();
+            quantize_clone(&base, m, &mut session, &cfg).unwrap();
         }
         assert_eq!(
             session.capture_passes(),

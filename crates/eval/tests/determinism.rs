@@ -1,14 +1,15 @@
 //! Method-level determinism: every table method must produce
 //! bit-identical weights regardless of the scheduler thread count.
 //!
-//! The scheduler reads `APTQ_THREADS` (see
-//! `aptq_core::methods::scheduler_threads`); this test pins it per pass.
+//! The method entry points take their worker count from `APTQ_THREADS`
+//! (see `aptq_tensor::parallel::thread_count`); this test pins it per
+//! pass.
 //! Thread count only affects scheduling, never results, so flipping the
 //! variable mid-process cannot perturb concurrently running tests.
 
 use aptq_core::grid::GridConfig;
 use aptq_core::QuantSession;
-use aptq_eval::pipeline::{quantize_clone_session, Method};
+use aptq_eval::pipeline::{quantize_clone, Method};
 use aptq_lm::{Model, ModelConfig};
 
 fn calib() -> Vec<Vec<u32>> {
@@ -39,7 +40,7 @@ fn run_all(base: &Model, cfg: &GridConfig, threads: &str) -> Vec<(Model, f32)> {
     let mut session = QuantSession::new(calib());
     METHODS
         .iter()
-        .map(|&m| quantize_clone_session(base, m, &mut session, cfg).unwrap())
+        .map(|&m| quantize_clone(base, m, &mut session, cfg).unwrap())
         .collect()
 }
 

@@ -12,9 +12,9 @@
 use std::collections::BTreeMap;
 
 use aptq_artifact::{ArtifactError, ArtifactKind};
-use aptq_core::engine::quantize_layer_obq;
-use aptq_core::grid::{GridConfig, QuantGrid};
+use aptq_core::grid::GridConfig;
 use aptq_core::hessian::LayerHessian;
+use aptq_core::methods::solve_plan;
 use aptq_core::plan::QuantPlan;
 use aptq_lm::attention::MultiHeadAttention;
 use aptq_lm::block::TransformerBlock;
@@ -22,6 +22,7 @@ use aptq_lm::decode::{BatchDecodeSession, DecodeSession};
 use aptq_lm::ffn::SwiGlu;
 use aptq_lm::generate::{generate, Sampler};
 use aptq_lm::{LayerKind, LayerRef, Model, ModelConfig, ModelOf};
+use aptq_tensor::parallel::thread_count;
 use aptq_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -71,58 +72,63 @@ fn layer_fingerprints(inner: &ModelOf<QuantizedLinear>) -> BTreeMap<String, u64>
 }
 
 impl QuantizedModel {
-    /// Quantizes `model` per `plan` under `hessians` (the OBQ engine)
-    /// and packs the result.
+    /// Quantizes `model` per `plan` under `hessians` (the OBQ engine,
+    /// through [`aptq_core::methods::solve_plan`]) and packs the result.
     ///
     /// # Determinism
     ///
-    /// Layer solves run sequentially here; the engine's inner matmuls
-    /// use the shared threadpool ([`aptq_tensor::parallel`]) and are
-    /// bit-identical at any `APTQ_THREADS` value.
+    /// Layer solves run in parallel on
+    /// [`aptq_tensor::parallel::thread_count`] workers and return in
+    /// canonical layer order; the packed model is bit-identical at any
+    /// `APTQ_THREADS` value.
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::MissingLayer`] if a layer lacks a plan or
-    /// Hessian entry; propagates engine failures.
+    /// Returns [`QModelError::MissingLayer`] for the first model layer
+    /// (canonical order) that lacks a plan or Hessian entry, checked
+    /// before any solve; plan entries for layers the model does not have
+    /// are ignored. Otherwise propagates the solver's errors for the
+    /// earliest failing layer.
     pub fn quantize_from(
         model: &Model,
         plan: &QuantPlan,
         hessians: &BTreeMap<LayerRef, LayerHessian>,
         cfg: &GridConfig,
     ) -> Result<Self, QModelError> {
+        let mut assignments = BTreeMap::new();
+        for layer in model.layer_refs() {
+            let missing = || QModelError::MissingLayer(layer.to_string());
+            let bits = plan.bits_for(layer).ok_or_else(missing)?;
+            hessians.get(&layer).ok_or_else(missing)?;
+            assignments.insert(layer, bits);
+        }
+        let plan = QuantPlan::from_assignments(assignments);
+        let solved = solve_plan(model, &plan, hessians, cfg, thread_count())?;
+        let mut packed: BTreeMap<LayerRef, QuantizedLinear> = plan
+            .iter()
+            .zip(solved)
+            .map(|((layer, _), res)| (layer, QuantizedLinear::new(res.packed)))
+            .collect();
         let mcfg = model.config().clone();
         let mut blocks = Vec::with_capacity(mcfg.n_layers);
-        for b in 0..mcfg.n_layers {
-            let quantize_one = |kind: LayerKind| -> Result<QuantizedLinear, QModelError> {
+        for (b, src) in model.blocks().iter().enumerate() {
+            let mut take = |kind: LayerKind| {
                 let layer = LayerRef { block: b, kind };
-                let bits = plan
-                    .bits_for(layer)
-                    .ok_or_else(|| QModelError::MissingLayer(layer.to_string()))?;
-                let lh = hessians
-                    .get(&layer)
-                    .ok_or_else(|| QModelError::MissingLayer(layer.to_string()))?;
-                let grid = QuantGrid::try_int(bits, cfg.asymmetric)?;
-                let res = quantize_layer_obq(
-                    &layer.to_string(),
-                    model.layer_weight(layer),
-                    lh,
-                    grid,
-                    cfg,
-                )?;
-                Ok(QuantizedLinear::new(res.packed))
+                packed
+                    .remove(&layer)
+                    .ok_or_else(|| QModelError::MissingLayer(layer.to_string()))
             };
-            let src = &model.blocks()[b];
             let attn = MultiHeadAttention::from_parts(
-                quantize_one(LayerKind::Q)?,
-                quantize_one(LayerKind::K)?,
-                quantize_one(LayerKind::V)?,
-                quantize_one(LayerKind::O)?,
+                take(LayerKind::Q)?,
+                take(LayerKind::K)?,
+                take(LayerKind::V)?,
+                take(LayerKind::O)?,
                 mcfg.n_heads,
             );
             let ffn = SwiGlu::from_parts(
-                quantize_one(LayerKind::Gate)?,
-                quantize_one(LayerKind::Up)?,
-                quantize_one(LayerKind::Down)?,
+                take(LayerKind::Gate)?,
+                take(LayerKind::Up)?,
+                take(LayerKind::Down)?,
             );
             blocks.push(TransformerBlock::from_parts(
                 attn,
@@ -377,7 +383,16 @@ mod tests {
 
         // Simulated path: install dequantized weights into a clone.
         let mut simulated = model.clone();
-        aptq_core::methods::apply_plan_obq("ref", &mut simulated, &plan, &hs, &cfg).unwrap();
+        aptq_core::methods::apply_plan_obq(
+            "ref",
+            &mut simulated,
+            &plan,
+            &hs,
+            &cfg,
+            thread_count(),
+            &mut aptq_obs::Recorder::new(),
+        )
+        .unwrap();
 
         let tokens = [1u32, 5, 9, 2, 7];
         let a = qmodel.forward(&tokens).unwrap();

@@ -12,12 +12,13 @@
 use aptq::eval::zoo::{load_or_train, ModelSize, PretrainBudget};
 use aptq::lm::decode::BatchDecodeSession;
 use aptq::lm::generate::{generate, Sampler};
-use aptq::quant::engine::quantize_layer_obq;
-use aptq::quant::grid::{GridConfig, QuantGrid};
+use aptq::quant::grid::GridConfig;
+use aptq::quant::methods::solve_plan;
 use aptq::quant::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use aptq::quant::pack::PackedTensor;
 use aptq::quant::trace::SensitivityReport;
 use aptq::quant::{collect_hessians, HessianMode};
+use aptq::tensor::parallel::thread_count;
 use aptq::textgen::corpus::{CorpusGenerator, CorpusStyle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,16 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AllocationPolicy::HessianTrace,
     );
 
-    // Quantize layer by layer, keeping the packed tensors — this is what
-    // an edge deployment would ship.
+    // Solve every layer of the plan, keeping the packed tensors — this
+    // is what an edge deployment would ship.
     let cfg = GridConfig::default();
+    let solved = solve_plan(&model, &plan, &hessians, &cfg, thread_count())?;
     let mut packed_layers: Vec<(String, PackedTensor)> = Vec::new();
     let mut fp16_bytes = 0usize;
-    for (layer, bits) in plan.iter() {
-        let grid = QuantGrid::int(bits, cfg.asymmetric);
-        let w = model.layer_weight(layer).clone();
-        let res = quantize_layer_obq(&layer.to_string(), &w, &hessians[&layer], grid, &cfg)?;
-        fp16_bytes += w.len() * 2;
+    for ((layer, _), res) in plan.iter().zip(solved) {
+        fp16_bytes += res.dequantized.len() * 2;
         *model.layer_weight_mut(layer) = res.dequantized;
         packed_layers.push((layer.to_string(), res.packed));
     }

@@ -17,7 +17,9 @@ use aptq::quant::grid::GridConfig;
 use aptq::quant::methods::apply_plan_obq;
 use aptq::quant::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use aptq::quant::{HessianMode, QuantSession};
+use aptq::tensor::parallel::thread_count;
 use aptq::textgen::corpus::{CorpusGenerator, CorpusStyle};
+use aptq_obs::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("pretraining TinyLlama-S (quick budget)…");
@@ -43,7 +45,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Bit-exactness vs the simulated-quantization reference.
     let mut reference = stack.model.clone();
-    apply_plan_obq("ref", &mut reference, &plan, &hessians, &cfg)?;
+    apply_plan_obq(
+        "ref",
+        &mut reference,
+        &plan,
+        &hessians,
+        &cfg,
+        thread_count(),
+        &mut Recorder::new(),
+    )?;
     let probe = stack.tokenizer.encode("the wild crow");
     let a = qmodel.forward(&probe)?;
     let b = reference.forward(&probe);

@@ -13,6 +13,7 @@ use aptq::eval::perplexity;
 use aptq::eval::pipeline::{quantize_clone, Method};
 use aptq::eval::zoo::{load_or_train, ModelSize, PretrainBudget};
 use aptq::quant::grid::GridConfig;
+use aptq::quant::QuantSession;
 use aptq::textgen::corpus::{CorpusGenerator, CorpusStyle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    as the paper samples 128 segments of C4.
     let mut calib_gen =
         CorpusGenerator::new(&stack.grammar, &stack.tokenizer, CorpusStyle::WebC4, 1234);
-    let calibration = calib_gen.segments(24, 48);
+    //    One session serves every method below, so methods that share a
+    //    Hessian mode share one activation-capture pass.
+    let mut session = QuantSession::new(calib_gen.segments(24, 48));
 
     // 3. Held-out evaluation segments.
     let mut eval_gen =
@@ -48,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Method::AptqUniform { bits: 4 },
         Method::AptqMixed { ratio: 0.75 },
     ] {
-        let (quantized, measured_bits) = quantize_clone(&stack.model, method, &calibration, &cfg)?;
+        let (quantized, measured_bits) = quantize_clone(&stack.model, method, &mut session, &cfg)?;
         let ppl = perplexity(&quantized, &eval_segments)?;
         println!(
             "{:<24} avg {:.2} bits → perplexity {ppl:.3} (Δ {:+.3})",

@@ -13,6 +13,7 @@ use aptq::eval::evaluate_suites;
 use aptq::eval::pipeline::{quantize_clone, Method};
 use aptq::eval::zoo::{load_or_train, ModelSize, PretrainBudget};
 use aptq::quant::grid::GridConfig;
+use aptq::quant::QuantSession;
 use aptq::textgen::corpus::{CorpusGenerator, CorpusStyle};
 use aptq::textgen::{TaskSuite, ZeroShotTask};
 
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stack = load_or_train(ModelSize::Small, PretrainBudget::quick(), None)?;
     let mut calib_gen =
         CorpusGenerator::new(&stack.grammar, &stack.tokenizer, CorpusStyle::WebC4, 314);
-    let calibration = calib_gen.segments(24, 48);
+    let mut session = QuantSession::new(calib_gen.segments(24, 48));
 
     let suites: Vec<TaskSuite> = ZeroShotTask::ALL
         .iter()
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("|---|---|---|---|---|---|---|");
     for method in methods {
         let (model, _) =
-            quantize_clone(&stack.model, method, &calibration, &GridConfig::default())?;
+            quantize_clone(&stack.model, method, &mut session, &GridConfig::default())?;
         let results = evaluate_suites(&model, &suites)?;
         let cells: Vec<String> = results
             .iter()

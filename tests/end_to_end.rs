@@ -9,6 +9,7 @@ use aptq::eval::pipeline::{quantize_clone, Method};
 use aptq::eval::zoo::{load_or_train, ModelSize, PretrainBudget, TrainedStack};
 use aptq::eval::{evaluate_suites, perplexity};
 use aptq::quant::grid::GridConfig;
+use aptq::quant::QuantSession;
 use aptq::textgen::corpus::{CorpusGenerator, CorpusStyle};
 use aptq::textgen::{TaskSuite, ZeroShotTask};
 
@@ -43,7 +44,7 @@ fn ppl_of(method: Method) -> f32 {
     let (model, _) = quantize_clone(
         &stack().model,
         method,
-        &calibration(),
+        &mut QuantSession::new(calibration()),
         &GridConfig::default(),
     )
     .unwrap();
@@ -171,7 +172,7 @@ fn trained_model_zero_shot_above_chance_and_quantization_degrades() {
     let (q2, _) = quantize_clone(
         &s.model,
         Method::Rtn { bits: 2 },
-        &calibration(),
+        &mut QuantSession::new(calibration()),
         &GridConfig::default(),
     )
     .unwrap();

@@ -8,6 +8,7 @@ use aptq::quant::engine::{quantize_layer_obq, quantize_layer_rtn};
 use aptq::quant::grid::{GridConfig, QuantGrid};
 use aptq::quant::hessian::HessianAccumulator;
 use aptq::quant::pack::PackedTensor;
+use aptq::quant::QuantSession;
 use aptq::tensor::init;
 use aptq::textgen::corpus::{CorpusGenerator, CorpusStyle};
 use aptq::textgen::{Grammar, Tokenizer};
@@ -96,7 +97,13 @@ fn quantized_model_checkpoint_roundtrip() {
     let tok = Tokenizer::from_grammar(&grammar);
     let mut model = Model::new(&ModelConfig::test_tiny(tok.vocab_size()), 6);
     let calib = CorpusGenerator::new(&grammar, &tok, CorpusStyle::WebC4, 11).segments(4, 24);
-    aptq::quant::methods::gptq::quantize(&mut model, &calib, 4, &GridConfig::default()).unwrap();
+    aptq::quant::methods::gptq::quantize(
+        &mut model,
+        &mut QuantSession::new(calib),
+        4,
+        &GridConfig::default(),
+    )
+    .unwrap();
 
     let json = model.to_json().unwrap();
     let restored = Model::from_json(&json).unwrap();
