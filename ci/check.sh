@@ -20,6 +20,11 @@ cargo fmt --all --check
 phase "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+phase "cargo doc (deny warnings)"
+# Intra-doc links must resolve: a renamed or deleted item a doc comment
+# still names fails here instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 phase "aptq-audit (A+D+E+H+N+U rules, any finding fails)"
 # Exits 1 on any finding. Findings print with their `= suggestion:` fix
 # text; the full report and the inferred effects manifest are archived
@@ -130,6 +135,9 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-core --test determinism
+    # SmoothQuant's activation maxima through the inference core against
+    # the training forward's cache, bit for bit.
+    APTQ_THREADS=$threads cargo test -q -p aptq-core --lib act_stats_match
 done
 # The invariant tests check the documented contract in both profiles:
 # a panic in debug, a compiled-out no-op in release.
@@ -141,6 +149,7 @@ cargo test --release -q -p serde_json
 # follows the thread count: 2 is a schedule distinct from 1 and 4.
 echo "    APTQ_THREADS=2"
 APTQ_THREADS=2 cargo test -q -p aptq-core --test determinism
+APTQ_THREADS=2 cargo test -q -p aptq-core --lib act_stats_match
 
 phase "chaos suite (seeded fault injection, archived as results/chaos.json)"
 # Every injected fault must be detected (structured error, no panic)

@@ -212,19 +212,28 @@ fn reweight_rows(x: &Matrix, weights: &[f32]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aptq_lm::{Model, ModelConfig};
+    use aptq_lm::{CaptureSink, Model, ModelConfig};
 
+    /// Block 0's capture of a 7-token sequence, and its `W^O`.
     fn capture() -> (BlockCapture, Matrix) {
         let cfg = ModelConfig::test_tiny(16);
         let model = Model::new(&cfg, 3);
-        let (_, mut cap) = model.forward_capture(&[1, 2, 3, 4, 5, 6, 7]);
+        let mut cap = BlockCapture::default();
+        model.forward_blocks(
+            0..1,
+            &mut model.embed_tokens(&[1, 2, 3, 4, 5, 6, 7]),
+            Some(CaptureSink {
+                capture: &mut cap,
+                each: &mut |_, _| {},
+            }),
+        );
         let wo = model
             .layer_weight(aptq_lm::LayerRef {
                 block: 0,
                 kind: aptq_lm::LayerKind::O,
             })
             .clone();
-        (cap.blocks.remove(0), wo)
+        (cap, wo)
     }
 
     #[test]

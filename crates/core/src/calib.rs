@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use aptq_lm::{BlockCapture, LayerKind, LayerRef, Model};
+use aptq_lm::{BlockCapture, CaptureSink, LayerKind, LayerRef, Model};
 use aptq_tensor::parallel::{run_indexed, thread_count};
 use aptq_tensor::Matrix;
 
@@ -103,21 +103,18 @@ impl BlockGrams {
     }
 }
 
-/// Walks one segment's forward block by block, turning each block's
-/// capture into that block's Grams and dropping the capture before the
-/// next block runs.
+/// Runs one segment through the inference core
+/// ([`Model::forward_blocks`]), turning each block's capture into that
+/// block's Grams before the next block reuses the capture's buffers.
 fn segment_grams(model: &Model, seg: &[u32], mode: HessianMode) -> Vec<BlockGrams> {
-    let mut x = model.embed_tokens(seg);
-    let mut out = Vec::with_capacity(model.blocks().len());
-    for block in model.blocks() {
-        let (y, cache) = block.forward(&x, model.rope());
-        out.push(block_grams(
-            &BlockCapture::from(cache),
-            block.weight(LayerKind::O),
-            mode,
-        ));
-        x = y;
-    }
+    let blocks = model.blocks();
+    let mut out = Vec::with_capacity(blocks.len());
+    let each = &mut |b: usize, cap: &BlockCapture| {
+        out.push(block_grams(cap, blocks[b].weight(LayerKind::O), mode));
+    };
+    let capture = &mut BlockCapture::default();
+    let sink = Some(CaptureSink { capture, each });
+    model.forward_blocks(0..blocks.len(), &mut model.embed_tokens(seg), sink);
     out
 }
 

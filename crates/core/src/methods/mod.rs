@@ -3,13 +3,13 @@
 //! | Module | Paper row | Idea |
 //! |---|---|---|
 //! | [`rtn`] | RTN | per-group round-to-nearest, no second-order info |
-//! | [`gptq`] | GPTQ [4] | layer-input Hessian + OBQ updates |
+//! | [`gptq`] | GPTQ \[4\] | layer-input Hessian + OBQ updates |
 //! | [`aptq`] | **APTQ (ours)** | attention-aware Hessians + trace-ranked 2/4-bit mixing |
-//! | [`owq`] | OWQ [9] | keep activation-outlier input dims in fp16 |
-//! | [`pbllm`] | PB-LLM [15] | binarize non-salient weights, keep salient fp16 |
-//! | [`smoothquant`] | SmoothQuant [17] | per-channel scale migration, then RTN |
-//! | [`fpq`] | FPQ [10] | 4-bit float (E2M1) grids |
-//! | [`qat`] | LLM-QAT [11] | data-free quantization-aware finetune (STE) |
+//! | [`owq`] | OWQ \[9\] | keep activation-outlier input dims in fp16 |
+//! | [`pbllm`] | PB-LLM \[15\] | binarize non-salient weights, keep salient fp16 |
+//! | [`smoothquant`] | SmoothQuant \[17\] | per-channel scale migration, then RTN |
+//! | [`fpq`] | FPQ \[10\] | 4-bit float (E2M1) grids |
+//! | [`qat`] | LLM-QAT \[11\] | data-free quantization-aware finetune (STE) |
 
 pub mod aptq;
 pub mod fpq;

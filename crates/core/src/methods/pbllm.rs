@@ -46,21 +46,8 @@ pub fn quantize(
     for layer in model.layer_refs() {
         let w = model.layer_weight(layer).clone();
         let (d_in, d_out) = w.shape();
-        let h_diag = hessians[&layer].h.diag();
-
-        // Salience: Hessian-weighted squared magnitude per weight.
-        let mut salience: Vec<(usize, f32)> = (0..d_in * d_out)
-            .map(|idx| {
-                let (i, j) = (idx / d_out, idx % d_out);
-                (idx, h_diag[i] * w[(i, j)] * w[(i, j)])
-            })
-            .collect();
-        salience.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let n_salient = ((d_in * d_out) as f32 * salient_ratio).round() as usize;
-        let mut keep = vec![false; d_in * d_out];
-        for &(idx, _) in salience.iter().take(n_salient) {
-            keep[idx] = true;
-        }
+        let keep = salient_mask(&w, &hessians[&layer].h.diag(), salient_ratio);
+        let n_salient = keep.iter().filter(|&&k| k).count();
 
         // Binarize the rest per input-group (keeping salient weights
         // exact), group scale from the binarized portion only.
@@ -120,7 +107,9 @@ pub fn average_bits(salient_ratio: f32) -> f32 {
     salient_ratio * 16.0 + (1.0 - salient_ratio) * 1.0
 }
 
-/// Helper exposing the per-layer salient mask computation for tests.
+/// The per-layer salient mask [`quantize`] keeps in fp16: the
+/// `round(ratio · d_in · d_out)` weights of largest Hessian-weighted
+/// squared magnitude `h_diag[i] · w[i][j]²`.
 pub fn salient_mask(w: &Matrix, h_diag: &[f32], ratio: f32) -> Vec<bool> {
     let (d_in, d_out) = w.shape();
     let mut salience: Vec<(usize, f32)> = (0..d_in * d_out)

@@ -12,7 +12,7 @@
 //! width — reproducing SmoothQuant's role in Table 2 as a
 //! calibration-light 4-bit comparator.
 
-use aptq_lm::{LayerKind, LayerRef, Model};
+use aptq_lm::{BlockCapture, CaptureSink, LayerKind, LayerRef, Model};
 
 use crate::engine;
 use crate::grid::{GridConfig, QuantGrid};
@@ -159,18 +159,21 @@ fn collect_act_stats(model: &Model, calibration: &[Vec<u32>]) -> Vec<BlockActSta
             ffn: vec![0.0; d],
         })
         .collect();
-    for seg in calibration.iter().filter(|s| !s.is_empty()) {
-        let (_, cap) = model.forward_capture(seg);
-        for (b, bc) in cap.blocks.iter().enumerate() {
-            for i in 0..bc.attn_input.rows() {
-                for (j, &v) in bc.attn_input.row(i).iter().enumerate() {
-                    stats[b].attn[j] = stats[b].attn[j].max(v.abs());
-                }
-                for (j, &v) in bc.ffn_input.row(i).iter().enumerate() {
-                    stats[b].ffn[j] = stats[b].ffn[j].max(v.abs());
+    let n_blocks = stats.len();
+    let each = &mut |b: usize, bc: &BlockCapture| {
+        let s = &mut stats[b];
+        for (acc, x) in [(&mut s.attn, &bc.attn_input), (&mut s.ffn, &bc.ffn_input)] {
+            for row in x.as_slice().chunks_exact(d) {
+                for (a, &v) in acc.iter_mut().zip(row) {
+                    *a = a.max(v.abs());
                 }
             }
         }
+    };
+    let capture = &mut BlockCapture::default();
+    for seg in calibration.iter().filter(|s| !s.is_empty()) {
+        let sink = Some(CaptureSink { capture, each });
+        model.forward_blocks(0..n_blocks, &mut model.embed_tokens(seg), sink);
     }
     stats
 }
@@ -184,6 +187,74 @@ mod tests {
         (0..4)
             .map(|k| (0..12).map(|i| ((i * 3 + k) % 16) as u32).collect())
             .collect()
+    }
+
+    /// The statistics before they ran through the inference core: the
+    /// training forward block by block, `max|x|` over its cache's norm
+    /// outputs, as bits.
+    fn oracle_act_stats(model: &Model, calibration: &[Vec<u32>]) -> Vec<[Vec<u32>; 2]> {
+        let d = model.config().d_model;
+        let mut stats = vec![[vec![0.0f32; d], vec![0.0f32; d]]; model.blocks().len()];
+        for seg in calibration.iter().filter(|s| !s.is_empty()) {
+            let mut x = model.embed_tokens(seg);
+            for (block, [attn, ffn]) in model.blocks().iter().zip(&mut stats) {
+                let (y, c) = block.forward(&x, model.rope());
+                for (acc, m) in [(attn, &c.attn.x), (ffn, &c.ffn.x)] {
+                    for i in 0..m.rows() {
+                        for (a, &v) in acc.iter_mut().zip(m.row(i)) {
+                            *a = a.max(v.abs());
+                        }
+                    }
+                }
+                x = y;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect();
+        stats.iter().map(|[a, f]| [bits(a), bits(f)]).collect()
+    }
+
+    /// `n` segments of the given lengths, cycled, over `vocab` tokens.
+    fn segments(lengths: &[usize], n: usize, vocab: u32) -> Vec<Vec<u32>> {
+        let mut state = 0x9e37_79b9_u64;
+        (0..n)
+            .map(|k| {
+                (0..lengths[k % lengths.len()])
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        ((state >> 33) % u64::from(vocab)) as u32
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn act_stats_match_training_forward_oracle() {
+        // Ragged `test_tiny` calibration, and the benchmark's shape on
+        // the committed TinyLlama-M checkpoint: 64 segments of 64 tokens.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
+        );
+        let json = std::fs::read_to_string(path).expect("committed TinyLlama-M checkpoint");
+        let tinyllama_m = Model::from_json(&json).expect("checkpoint parses");
+        let vocab = tinyllama_m.config().vocab_size as u32;
+        let cases = [
+            (
+                Model::new(&ModelConfig::test_tiny(16), 26),
+                segments(&[12, 0, 1, 7], 9, 16),
+            ),
+            (tinyllama_m, segments(&[64], 64, vocab)),
+        ];
+        for (model, calib) in &cases {
+            let got: Vec<[Vec<u32>; 2]> = collect_act_stats(model, calib)
+                .iter()
+                .map(|s| [&s.attn, &s.ffn].map(|v| v.iter().map(|f| f.to_bits()).collect()))
+                .collect();
+            assert_eq!(got, oracle_act_stats(model, calib));
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub enum SensitivityMetric {
     /// HAWQ-V2-style trace-weighted perturbation:
     /// `mean_trace · E[(W − Q₂(W))²]`, where `Q₂` is low-bit RTN.
     ///
-    /// §3.3 builds on HAWQ-V2 [3], whose criterion is
+    /// §3.3 builds on HAWQ-V2 \[3\], whose criterion is
     /// `Tr(H)·‖ΔW‖²` — the expected second-order loss increase under
     /// the layer-local quadratic model.
     TraceTimesPerturbation,
@@ -169,11 +169,12 @@ impl SensitivityReport {
 /// they cannot see that an early layer's error **compounds** through
 /// every downstream block while a late layer's error passes only
 /// through the final norm. On shallow models that compounding
-/// dominates (we measure it directly in the `probe_sensitivity`
-/// diagnostic), so this score — still pure PTQ, still computed from the
-/// same calibration set — is the default allocation signal for the
-/// experiments. The trace variants are retained and compared in the
-/// ablation bench; see DESIGN.md §3 for the full deviation note.
+/// dominates (the signal rows of ablation E in the `ablations` bench
+/// show it as the perplexity each signal's allocation reaches), so this
+/// score — still pure PTQ, still computed from the same calibration
+/// set — is the default allocation signal for the experiments. The
+/// trace variants are retained and compared in the ablation bench; see
+/// DESIGN.md §3 for the full deviation note.
 ///
 /// The probe should be a small slice of the calibration set (the
 /// session probes 16 segments) and is segment-major: one job per probe
@@ -298,7 +299,7 @@ fn segment_losses(model: &Model, seg: &[u32], perturbed: &[Matrix]) -> SegmentLo
 /// Hutchinson stochastic trace estimator: `tr(H) ≈ mean(zᵀHz)` over
 /// Rademacher probe vectors `z ∈ {−1,+1}ⁿ`.
 ///
-/// HAWQ-V2 (the paper's reference [3]) uses this because CNN/LLM
+/// HAWQ-V2 (the paper's reference \[3\]) uses this because CNN/LLM
 /// Hessians are too large to materialize. Our calibration Hessians are
 /// explicit, so the estimator serves as a cross-check — the
 /// `hutchinson` ablation bench compares it against the exact trace and

@@ -6,8 +6,9 @@
 //! count, and session-cached Hessians equal freshly collected ones.
 //! The segment-major sensitivity probe and the windowed Hessian
 //! capture are checked bit for bit against oracles: the layer-major
-//! probe and the sequential capture loop they replaced, kept here
-//! verbatim. `ci/check.sh` additionally runs this suite under
+//! probe, and the sequential capture loop over the training forward's
+//! backward cache, which the capture through the inference core
+//! replaced, kept here verbatim. `ci/check.sh` additionally runs this suite under
 //! `APTQ_THREADS=1`, `2` and `4`: the capture window follows the
 //! thread count, so each is a distinct schedule.
 
@@ -21,7 +22,7 @@ use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use aptq_core::trace::{empirical_sensitivity, LayerSensitivity};
 use aptq_core::{collect_hessians, HessianMode, QuantPlan, QuantSession};
-use aptq_lm::{LayerKind, LayerRef, Model, ModelConfig};
+use aptq_lm::{BlockCapture, LayerKind, LayerRef, Model, ModelConfig};
 use aptq_obs::Recorder;
 use aptq_tensor::activation::log_sum_exp;
 
@@ -242,8 +243,30 @@ fn oracle_sensitivity(
         .collect()
 }
 
-/// Oracle capture: one segment at a time, each layer's accumulator
-/// updated straight from the capture.
+/// Oracle capture of one segment: the training forward block by block,
+/// its backward cache's fields copied into a [`BlockCapture`].
+fn oracle_captures(model: &Model, seg: &[u32]) -> Vec<BlockCapture> {
+    let mut x = model.embed_tokens(seg);
+    let mut caps = Vec::with_capacity(model.blocks().len());
+    for block in model.blocks() {
+        let (y, c) = block.forward(&x, model.rope());
+        caps.push(BlockCapture {
+            attn_input: c.attn.x,
+            q_rot: c.attn.q_rot,
+            k_rot: c.attn.k_rot,
+            v: c.attn.v,
+            probs: c.attn.probs,
+            concat: c.attn.concat,
+            ffn_input: c.ffn.x,
+            ffn_hidden: c.ffn.hidden,
+        });
+        x = y;
+    }
+    caps
+}
+
+/// Oracle Hessians: one segment at a time through [`oracle_captures`],
+/// each layer's accumulator updated straight from the capture.
 fn oracle_hessians(
     model: &Model,
     segments: &[Vec<u32>],
@@ -263,8 +286,7 @@ fn oracle_hessians(
     }
 
     for seg in segments.iter().filter(|s| !s.is_empty()) {
-        let (_, capture) = model.forward_capture(seg);
-        for (b, cap) in capture.blocks.iter().enumerate() {
+        for (b, cap) in oracle_captures(model, seg).iter().enumerate() {
             let wo = model.layer_weight(LayerRef {
                 block: b,
                 kind: LayerKind::O,
@@ -417,4 +439,25 @@ fn windowed_capture_matches_sequential_oracle_on_tinyllama_m() {
 fn windowed_capture_matches_sequential_oracle_on_ragged_calibration() {
     let (model, calib) = ragged_tiny();
     assert_hessians_match_oracle(&model, &calib, "test_tiny ragged");
+}
+
+#[test]
+fn capture_matches_sequential_oracle_on_mixed_lengths() {
+    // Lengths 1, 17 and 64 interleaved, so consecutive segments (and
+    // each window of 2 or 4) change length in both directions.
+    let model = tinyllama_m();
+    let calib = segments(
+        &[64, 1, 17, 64, 17, 1, 1, 64, 17],
+        model.config().vocab_size as u32,
+        13,
+    );
+    assert_hessians_match_oracle(&model, &calib, "TinyLlama-M mixed lengths");
+}
+
+#[test]
+fn capture_matches_sequential_oracle_on_benchmark_shaped_calibration() {
+    // The benchmark's calibration shape: 64 segments of 64 tokens.
+    let model = tinyllama_m();
+    let calib = segments(&[64; 64], model.config().vocab_size as u32, 17);
+    assert_hessians_match_oracle(&model, &calib, "TinyLlama-M 64 x 64");
 }

@@ -3,7 +3,7 @@
 //! Evaluation harness for the APTQ reproduction: exactly the two metrics
 //! the paper reports, plus the plumbing to run every method end-to-end.
 //!
-//! - [`perplexity`]: corpus perplexity (the paper's Table 1 / Figure 2
+//! - [`perplexity`](mod@perplexity): corpus perplexity (the paper's Table 1 / Figure 2
 //!   metric) on the synthetic C4 and WikiText-2 stand-ins.
 //! - [`zeroshot`]: multiple-choice accuracy by length-normalized
 //!   log-likelihood — the lm-eval-harness scoring rule used by Table 2.

@@ -1,5 +1,7 @@
 //! Multi-head causal self-attention with RoPE, full manual backward, and
-//! the internal captures APTQ's attention-aware Hessians consume.
+//! the causal row kernel every attention evaluation runs, which also
+//! writes the per-head probabilities APTQ's attention-aware Hessians
+//! consume.
 
 use aptq_tensor::activation::softmax_vjp_row;
 use aptq_tensor::Matrix;
@@ -28,8 +30,7 @@ pub struct MultiHeadAttention<L = Linear> {
     scale: f32,
 }
 
-/// Everything the backward pass and the APTQ Hessian builders need from
-/// one attention forward pass.
+/// Everything the backward pass needs from one attention forward pass.
 #[derive(Debug, Clone)]
 pub struct AttentionCache {
     /// Input to the attention block (post-RMSNorm), `T × d_model`.
@@ -138,10 +139,10 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     }
 
     /// Forward pass over a `(T × d_model)` activation matrix with causal
-    /// masking and RoPE: the training path, and the capture's.
+    /// masking and RoPE: the training path.
     ///
-    /// Returns `(output, cache)`; the cache feeds both [`backward`] and
-    /// the APTQ attention-Hessian builders. Row `i` attends to keys
+    /// Returns `(output, cache)`; the cache feeds [`backward`]. Row `i`
+    /// attends to keys
     /// `[0, i]` only, through the same row kernel as cached decoding,
     /// which writes `probs[h].row(i)[..=i]`.
     ///
@@ -242,7 +243,8 @@ impl<L: LinearOp> MultiHeadAttention<L> {
 ///
 /// The training forward calls this once per row `i` with `t = i + 1`;
 /// every inference forward calls it once per row with `t = pos + 1`
-/// against that row's KV cache.
+/// against that row's KV cache, and the calibration capture passes
+/// `probs`.
 ///
 /// # HotPath
 ///

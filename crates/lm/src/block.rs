@@ -75,10 +75,10 @@ impl<L: LinearOp> TransformerBlock<L> {
         }
     }
 
-    /// Forward pass; returns `(output, cache)`. The training path, and
-    /// the capture's: inference runs
-    /// [`attn_half`](TransformerBlock::attn_half) and
-    /// [`ffn_half`](TransformerBlock::ffn_half), which build no cache.
+    /// Forward pass; returns `(output, cache)`. The training path only:
+    /// inference and the calibration capture
+    /// ([`ModelOf::forward_blocks`](crate::ModelOf::forward_blocks)) run
+    /// the decode core's block halves, which build no cache.
     ///
     /// # HotPath
     ///
@@ -142,7 +142,7 @@ impl<L: LinearOp> TransformerBlock<L> {
         // audit:allow(alloc): residual buffer, one per call, sized by the input
         let mut h = x.clone();
         let mut kv = LayerKv::empty(t, d_model);
-        self.attn_rows(0, &mut h, &mut ws, &mut kv, rope, None);
+        self.attn_rows(0, &mut h, &mut ws, &mut kv, rope, None, None);
         h
     }
 
@@ -177,12 +177,15 @@ impl<L: LinearOp> TransformerBlock<L> {
     /// The attention half over a workspace, in place:
     /// `x += Attn(RMSNorm(x))`. The norm and each projection run once
     /// over all rows; then, rows in order, each row attends at the cache
-    /// and position `kv` gives it in block `li` ([`LayerKv::attend`]).
+    /// and position `kv` gives it in block `li` ([`LayerKv::attend`]),
+    /// writing its probabilities into `probs` when given.
     ///
     /// # Panics
     ///
     /// Panics if the workspace does not match `x`'s rows, or a row's
-    /// position is past its cache or the RoPE table.
+    /// position is past its cache, the RoPE table or the rows of
+    /// `probs`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn attn_rows<K: KvRows>(
         &self,
         li: usize,
@@ -191,6 +194,7 @@ impl<L: LinearOp> TransformerBlock<L> {
         kv: &mut K,
         rope: &RopeTable,
         mut rec: Option<&mut Recorder>,
+        mut probs: Option<&mut [Matrix]>,
     ) {
         self.norm1.forward_into(x, &mut ws.normed);
         let attn = &self.attn;
@@ -204,7 +208,7 @@ impl<L: LinearOp> TransformerBlock<L> {
         ws.concat.as_mut_slice().fill(0.0);
         for r in 0..x.rows() {
             let (cache, pos) = kv.kv(li, r);
-            cache.attend(rope, pos, ws, r);
+            cache.attend(rope, pos, ws, r, probs.as_deref_mut());
         }
         attn.wo().forward_into(&ws.concat, &mut ws.proj, rec);
         x.add_assign(&ws.proj);

@@ -17,8 +17,9 @@
 //!   ([`DecodeSession::feed_all`], of which [`DecodeSession::feed`] is
 //!   the one-row case);
 //! - a one-layer scratch cache reused by every layer: the full-sequence
-//!   forward ([`ModelOf::forward`], `Model::loss_from` and the block
-//!   halves), whose cache nobody reads afterwards.
+//!   forward ([`ModelOf::forward`], `Model::loss_from`, the block halves
+//!   and the calibration capture [`ModelOf::forward_blocks`]), whose
+//!   cache nobody reads afterwards.
 //!
 //! Projections are row-independent under the [`LinearOp`] contract and
 //! each row's attention reads only its own cache positions `[0, pos]`, so a
@@ -44,10 +45,13 @@
 //! `decode/kv_bytes_moved` counter exists to catch: it counts bytes
 //! *written into* the cache and must stay linear in T.
 
+use std::ops::Range;
+
 use aptq_obs::Recorder;
 use aptq_tensor::Matrix;
 
 use crate::attention::attend_row;
+use crate::capture::CaptureSink;
 use crate::config::ModelConfig;
 use crate::linear::{Linear, LinearOp};
 use crate::model::ModelOf;
@@ -79,13 +83,21 @@ impl LayerKv {
     /// Workspace row `r`'s attention in one layer: rotates its query and
     /// key for position `pos`, writes its key into cache column `pos`
     /// and its value into cache row `pos`, and accumulates the attention
-    /// over positions `[0, pos]` into its concat row ([`attend_row`]).
+    /// over positions `[0, pos]` into its concat row ([`attend_row`]),
+    /// and with `probs`, its probabilities into row `pos` of each head's.
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is past the cache, the RoPE table or the
-    /// workspace's score buffer.
-    pub(crate) fn attend(&mut self, rope: &RopeTable, pos: usize, ws: &mut Workspace, r: usize) {
+    /// Panics if `pos` is past the cache, the RoPE table, the
+    /// workspace's score buffer or the rows of `probs`.
+    pub(crate) fn attend(
+        &mut self,
+        rope: &RopeTable,
+        pos: usize,
+        ws: &mut Workspace,
+        r: usize,
+        probs: Option<&mut [Matrix]>,
+    ) {
         let (q, k) = (ws.q.row_mut(r), ws.k.row_mut(r));
         rope.apply_heads(q, pos);
         rope.apply_heads(k, pos);
@@ -106,7 +118,7 @@ impl LayerKv {
             d_head,
             scale,
             &mut ws.scores,
-            None,
+            probs,
             out,
         );
     }
@@ -269,16 +281,19 @@ impl Workspace {
     }
 }
 
-/// The inference core: runs the hidden rows `x` (block `start`'s input)
-/// in place through blocks `start..` ([`TransformerBlock::attn_rows`],
-/// [`TransformerBlock::ffn_rows`]), the final norm and the LM head, and
-/// returns the `rows × vocab` logits.
+/// The inference core: runs the hidden rows `x` (block `blocks.start`'s
+/// input) in place through `blocks` ([`TransformerBlock::attn_rows`],
+/// [`TransformerBlock::ffn_rows`]).
 ///
 /// Row `r` writes its keys and values and attends where `kv` places it.
 /// Rows run in order within each layer, so a chunk row sees the rows
 /// before it. The cache rows are written, but no position advances:
 /// the caller decides from the logits (quarantine, eviction). Only the
 /// operators' recorder hooks write into `rec`.
+///
+/// With a `sink` (the calibration capture; every decode path passes
+/// none), each block's probabilities and workspace buffers go to its
+/// capture, and its callback runs before the next block.
 ///
 /// Every layer writes into `ws`, which must be sized for `x`'s rows.
 ///
@@ -287,24 +302,34 @@ impl Workspace {
 ///
 /// # Panics
 ///
-/// Panics if `x` is not `d_model` wide, `ws` does not match its rows, or
-/// a row's position is past its cache or the RoPE table.
+/// Panics if `x` is not `d_model` wide, `ws` does not match its rows,
+/// `blocks` ends past the last block, or a row's position is past its
+/// cache or the RoPE table.
 pub(crate) fn forward_rows<L: LinearOp, K: KvRows>(
     model: &ModelOf<L>,
-    start: usize,
+    blocks: Range<usize>,
     x: &mut Matrix,
     ws: &mut Workspace,
     kv: &mut K,
     mut rec: Option<&mut Recorder>,
-) -> Matrix {
-    for (li, block) in model.blocks().iter().enumerate().skip(start) {
+    mut sink: Option<CaptureSink<'_>>,
+) {
+    let (t, heads) = (x.rows(), model.config().n_heads);
+    for li in blocks {
+        let block = &model.blocks()[li];
         // One projection call covers every row — this is where a packed
         // operator's unpacking amortizes over the batch or chunk.
-        block.attn_rows(li, x, ws, kv, model.rope(), rec.as_deref_mut());
+        let probs = sink.as_mut().map(|s| s.capture.fit_probs(t, heads));
+        block.attn_rows(li, x, ws, kv, model.rope(), rec.as_deref_mut(), probs);
+        if let Some(s) = sink.as_mut() {
+            s.capture.copy_attn(ws);
+        }
         block.ffn_rows(x, ws, rec.as_deref_mut());
+        if let Some(s) = sink.as_mut() {
+            s.capture.copy_ffn(ws);
+            (s.each)(li, s.capture);
+        }
     }
-    model.final_norm().forward_into(x, &mut ws.normed);
-    ws.normed.matmul(model.lm_head())
 }
 
 /// The decode engine both sessions run: the sequence slots, the row
@@ -435,7 +460,10 @@ impl<'m, L: LinearOp> Engine<'m, L> {
             self.x.row_mut(r).copy_from_slice(embedded);
         }
         let mut table = (&mut self.slots[..], &self.rows[..]);
-        let logits = forward_rows(model, 0, &mut self.x, &mut self.ws, &mut table, Some(rec));
+        let (n, x, ws) = (model.blocks().len(), &mut self.x, &mut self.ws);
+        forward_rows(model, 0..n, x, ws, &mut table, Some(rec), None);
+        model.final_norm().forward_into(x, &mut ws.normed);
+        let logits = ws.normed.matmul(model.lm_head());
         for (r, row) in self.rows.iter().enumerate() {
             let slot = &mut self.slots[row.slot];
             if slot.fault.is_none() {

@@ -13,9 +13,9 @@
 //!   head — the LLaMA block structure;
 //! - a complete, hand-written **backward pass** for every module, enabling
 //!   in-repo pretraining (Adam) and the LLM-QAT-style baseline;
-//! - **activation capture** ([`capture::BlockCapture`]) exposing exactly
-//!   the intermediate quantities APTQ's attention-aware Hessians need:
-//!   per-layer inputs, per-head attention probabilities, head outputs;
+//! - **activation capture** ([`ModelOf::forward_blocks`]) exposing
+//!   exactly the intermediate quantities APTQ's attention-aware Hessians
+//!   need: per-layer inputs, per-head attention probabilities, head outputs;
 //! - deterministic generation and serde checkpointing.
 //!
 //! # Example
@@ -44,7 +44,7 @@ pub mod rmsnorm;
 pub mod rope;
 pub mod train;
 
-pub use capture::{BlockCapture, ModelCapture};
+pub use capture::{BlockCapture, CaptureSink};
 pub use config::ModelConfig;
 pub use linear::{Linear, LinearOp};
 pub use model::{LayerKind, LayerRef, Model, ModelOf};

@@ -2,6 +2,7 @@
 //! loss/gradient computation, layer addressing and checkpointing.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use aptq_artifact::{ArtifactError, ArtifactKind, Fnv64};
 use aptq_tensor::activation::{log_sum_exp, softmax};
@@ -9,7 +10,7 @@ use aptq_tensor::{init, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockGrads, TransformerBlock};
-use crate::capture::{BlockCapture, ModelCapture};
+use crate::capture::CaptureSink;
 use crate::config::ModelConfig;
 use crate::decode::{check_row, forward_rows, LayerKv, Workspace};
 use crate::linear::{Linear, LinearOp};
@@ -368,7 +369,38 @@ impl<L: LinearOp> ModelOf<L> {
         let t = x.rows();
         let mut ws = Workspace::for_rows(t, &self.cfg);
         let mut kv = LayerKv::empty(t, self.cfg.d_model);
-        forward_rows(self, start, &mut x, &mut ws, &mut kv, None)
+        let n = self.blocks.len();
+        forward_rows(self, start..n, &mut x, &mut ws, &mut kv, None, None);
+        self.final_norm.forward_into(&x, &mut ws.normed);
+        ws.normed.matmul(&self.lm_head)
+    }
+
+    /// Runs the hidden rows `x` (block `blocks.start`'s input, row `i`
+    /// at position `i`) in place through `blocks` as one chunk through
+    /// the decode core's block halves, with no head. With a
+    /// [`CaptureSink`], each block's activations, equal to the fields of
+    /// the training [`TransformerBlock::forward`] cache bit for bit, go
+    /// to `sink.capture`, and `sink.each` runs before the next block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `d_model` wide or longer than `max_seq_len`,
+    /// or `blocks` ends past the last block.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
+    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
+    pub fn forward_blocks(
+        &self,
+        blocks: Range<usize>,
+        x: &mut Matrix,
+        sink: Option<CaptureSink<'_>>,
+    ) {
+        let t = x.rows();
+        let mut ws = Workspace::for_rows(t, &self.cfg);
+        let mut kv = LayerKv::empty(t, self.cfg.d_model);
+        forward_rows(self, blocks, x, &mut ws, &mut kv, None, sink);
     }
 
     /// Fallible forward pass.
@@ -451,27 +483,6 @@ impl Model {
     /// Panics if the block index is out of range.
     pub fn layer_weight_mut(&mut self, r: LayerRef) -> &mut Matrix {
         self.blocks[r.block].weight_mut(r.kind)
-    }
-
-    /// Forward pass that records per-block calibration captures.
-    ///
-    /// Used by the quantization pipelines: the returned
-    /// [`ModelCapture`] carries everything both GPTQ and APTQ need.
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward_capture(&self, tokens: &[u32]) -> (Matrix, ModelCapture) {
-        let mut x = self.embed_tokens(tokens);
-        let mut captures = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let (y, cache) = block.forward(&x, &self.rope);
-            captures.push(BlockCapture::from(cache));
-            x = y;
-        }
-        let (normed, _) = self.final_norm.forward(&x);
-        let logits = normed.matmul(&self.lm_head);
-        (logits, ModelCapture { blocks: captures })
     }
 
     /// Mean next-token cross-entropy of a sequence (nats/token).
@@ -802,16 +813,6 @@ mod tests {
             kind: LayerKind::V,
         };
         assert_eq!(r.to_string(), "layers.3.self_attn.v_proj");
-    }
-
-    #[test]
-    fn capture_contains_all_blocks() {
-        let m = tiny();
-        let (logits, cap) = m.forward_capture(&[1, 2, 3]);
-        assert_eq!(cap.n_blocks(), 2);
-        assert_eq!(cap.seq_len(), 3);
-        // The capture path runs the same ops as the plain forward.
-        assert_eq!(logits, m.forward(&[1, 2, 3]));
     }
 
     #[test]

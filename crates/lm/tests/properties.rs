@@ -1,6 +1,6 @@
 //! Property-based tests for the transformer substrate.
 
-use aptq_lm::{Model, ModelConfig};
+use aptq_lm::{BlockCapture, CaptureSink, Model, ModelConfig};
 use proptest::prelude::*;
 
 fn tokens(vocab: usize, min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -64,9 +64,16 @@ proptest! {
     fn capture_path_matches_plain_forward(seq in tokens(16, 1, 12)) {
         let model = Model::new(&ModelConfig::test_tiny(16), 7);
         let plain = model.forward(&seq);
-        let (captured, cap) = model.forward_capture(&seq);
-        prop_assert_eq!(cap.n_blocks(), model.blocks().len());
+        let mut x = model.embed_tokens(&seq);
+        let mut blocks = 0;
+        model.forward_blocks(
+            0..model.blocks().len(),
+            &mut x,
+            Some(CaptureSink { capture: &mut BlockCapture::default(), each: &mut |_, _| blocks += 1 }),
+        );
+        prop_assert_eq!(blocks, model.blocks().len());
         // Both paths run the same float ops: equal bit for bit.
+        let captured = model.final_norm().forward(&x).0.matmul(model.lm_head());
         prop_assert_eq!(plain, captured);
     }
 
@@ -102,15 +109,23 @@ proptest! {
     #[test]
     fn attention_probs_are_causal_distributions(seq in tokens(16, 2, 12)) {
         let model = Model::new(&ModelConfig::test_tiny(16), 8);
-        let (_, cap) = model.forward_capture(&seq);
-        for block in &cap.blocks {
-            for p in &block.probs {
-                for i in 0..seq.len() {
-                    let row_sum: f32 = p.row(i).iter().sum();
-                    prop_assert!((row_sum - 1.0).abs() < 1e-4);
-                    for j in i + 1..seq.len() {
-                        prop_assert_eq!(p[(i, j)], 0.0);
-                    }
+        let mut x = model.embed_tokens(&seq);
+        let mut probs = Vec::new();
+        model.forward_blocks(
+            0..model.blocks().len(),
+            &mut x,
+            Some(CaptureSink {
+                capture: &mut BlockCapture::default(),
+                each: &mut |_, cap| probs.extend(cap.probs.iter().cloned()),
+            }),
+        );
+        prop_assert_eq!(probs.len(), model.blocks().len() * model.config().n_heads);
+        for p in &probs {
+            for i in 0..seq.len() {
+                let row_sum: f32 = p.row(i).iter().sum();
+                prop_assert!((row_sum - 1.0).abs() < 1e-4);
+                for j in i + 1..seq.len() {
+                    prop_assert_eq!(p[(i, j)], 0.0);
                 }
             }
         }

@@ -73,7 +73,8 @@ pub fn silu(x: f32) -> f32 {
 const SILU_CHUNK: usize = 64;
 
 /// `gate[i] = silu(gate[i]) · up[i]`, bit for bit as [`silu`] then the
-/// product, in two passes per chunk of [`SILU_CHUNK`] elements.
+/// product, in two passes per chunk of 64 elements, whose exponents
+/// sit in a stack buffer.
 ///
 /// [`sigmoid`] branches on the sign of `x`: `1 / (1 + e)` with
 /// `e = exp(−x)` for `x ≥ 0`, `e / (1 + e)` with `e = exp(x)` otherwise.
