@@ -144,8 +144,8 @@ fn sensitivity_metric_ablation(exp: &mut Experiment) -> String {
         .expect("hessians");
     let empirical = exp
         .session
-        .sensitivity(model, 2, &exp.grid)
-        .expect("sensitivity");
+        .probe_sensitivity(model, 2, &exp.grid)
+        .expect("sensitivity probe");
     let allocator = MixedPrecisionAllocator::two_four(0.5).expect("ratio");
 
     let run = |label: &str, sensitivity: &SensitivityReport, policy: AllocationPolicy| {
@@ -182,7 +182,7 @@ fn sensitivity_metric_ablation(exp: &mut Experiment) -> String {
     );
 
     s.push_str(&run(
-        "mean-trace (paper literal)",
+        "mean-trace (paper literal, default)",
         &raw,
         AllocationPolicy::HessianTrace,
     ));
@@ -192,7 +192,7 @@ fn sensitivity_metric_ablation(exp: &mut Experiment) -> String {
         AllocationPolicy::HessianTrace,
     ));
     s.push_str(&run(
-        "empirical loss (default)",
+        "empirical loss (2-bit probe)",
         &empirical,
         AllocationPolicy::HessianTrace,
     ));

@@ -247,6 +247,10 @@ pub fn eval_zs(flags: &Flags) -> Result<(), CliError> {
 
 /// `aptq sensitivity --model FILE [--metric trace|weighted|empirical]`
 ///
+/// `trace` (the default) is the mean Hessian trace that `aptq pack`
+/// allocates by; `weighted` scales it by each layer's 2-bit RTN error;
+/// `empirical` runs the 2-bit loss probe.
+///
 /// # Determinism
 ///
 /// Bit-identical output at any `APTQ_THREADS` value: all heavy math
@@ -262,9 +266,9 @@ pub fn sensitivity(flags: &Flags) -> Result<(), CliError> {
         model.config().max_seq_len,
     ));
     let cfg = GridConfig::default();
-    let report = match get_or(flags, "metric", "empirical") {
+    let report = match get_or(flags, "metric", "trace") {
         "empirical" => (*session
-            .sensitivity(&model, 2, &cfg)
+            .probe_sensitivity(&model, 2, &cfg)
             .map_err(|e| CliError::Runtime(e.to_string()))?)
         .clone(),
         metric @ ("trace" | "weighted") => {

@@ -112,8 +112,8 @@ pub fn effective_inputs_v(cap: &BlockCapture, wo: &Matrix) -> Vec<(f32, Matrix)>
 }
 
 /// Effective input for `o_proj` (Eq. 9): exactly the concatenated heads.
-pub fn effective_input_o(cap: &BlockCapture) -> Matrix {
-    cap.concat.clone()
+pub fn effective_input_o(cap: &BlockCapture) -> &Matrix {
+    &cap.concat
 }
 
 /// Per-query-token weights for the Q Hessian.
@@ -256,7 +256,7 @@ mod tests {
     fn o_effective_input_is_gptq_input() {
         // Eq. 9 reduces to the concat-heads input — identical to GPTQ.
         let (cap, _) = capture();
-        assert_eq!(effective_input_o(&cap), cap.concat);
+        assert_eq!(effective_input_o(&cap), &cap.concat);
     }
 
     #[test]

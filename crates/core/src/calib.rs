@@ -150,7 +150,7 @@ fn block_grams(cap: &BlockCapture, wo: &Matrix, mode: HessianMode) -> BlockGrams
             }
         }
     }
-    let o = g.push_gram(&attn::effective_input_o(cap));
+    let o = g.push_gram(attn::effective_input_o(cap));
     g.terms.push((LayerKind::O, o, 1.0, t));
     let ffn = g.push_gram(&cap.ffn_input);
     g.terms.push((LayerKind::Gate, ffn, 1.0, t));

@@ -55,9 +55,8 @@ pub fn quantize_uniform(
 
 /// Mixed-precision APTQ (`APTQ-R%`): 2/4-bit allocation by Hessian
 /// trace (or the manual block-wise ablation policy), drawing Hessians
-/// and the sensitivity ranking from `session`, so repeated mixed rows
-/// (different ratios, both policies) reuse one capture pass and one
-/// probe.
+/// and their mean-trace ranking from `session`, so repeated mixed rows
+/// (different ratios, both policies) reuse one capture pass.
 ///
 /// Returns the report and the sensitivity ranking that produced the
 /// allocation (exposed for the Figure 1 sensitivity panel and the
@@ -84,11 +83,8 @@ pub fn quantize_mixed(
 ) -> Result<(QuantReport, SensitivityReport), QuantError> {
     let allocator = MixedPrecisionAllocator::two_four(ratio)?;
     let hessians = session.hessians(model, HessianMode::AttentionAware)?;
-    // Allocation signal: empirical per-layer low-bit loss increase on a
-    // probe slice of the calibration set. Layer-local Hessian traces
-    // cannot see error *compounding* through downstream blocks, which
-    // dominates at our model depth (DESIGN.md §3 documents this
-    // deviation; the trace variants are compared in the ablation bench).
+    // Allocation signal: §3.3's mean trace of the Hessians just drawn, a
+    // cache hit (the empirical probe is compared in ablation E).
     let sensitivity = session.sensitivity(model, allocator.low_bits, cfg)?;
     let plan = allocator.allocate(model, &sensitivity, policy);
     let name = match policy {
@@ -113,7 +109,7 @@ pub fn quantize_mixed(
 mod tests {
     use super::*;
     use crate::plan::eq18_average_bits;
-    use aptq_lm::ModelConfig;
+    use aptq_lm::{LayerRef, ModelConfig};
 
     fn calib() -> Vec<Vec<u32>> {
         (0..6)
@@ -155,6 +151,47 @@ mod tests {
                 "r={r}: got {} want ≈{want}",
                 report.avg_bits
             );
+        }
+    }
+
+    #[test]
+    fn mixed_allocates_by_mean_trace_from_one_capture() {
+        let base = Model::new(&ModelConfig::test_tiny(16), 13);
+        let hessians =
+            crate::collect_hessians(&base, &calib(), HessianMode::AttentionAware).unwrap();
+        let ranking = SensitivityReport::from_hessians(&hessians);
+        for r in [0.5f32, 0.75] {
+            let want = MixedPrecisionAllocator::two_four(r).unwrap().allocate(
+                &base,
+                &ranking,
+                AllocationPolicy::HessianTrace,
+            );
+            let mut model = base.clone();
+            let mut session = QuantSession::new(calib());
+            let (report, sens) = quantize_mixed(
+                &mut model,
+                &mut session,
+                r,
+                AllocationPolicy::HessianTrace,
+                &GridConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(sens, ranking, "r={r}: the ranking is the mean trace");
+            let high = |bits: Vec<(LayerRef, u8)>| -> Vec<LayerRef> {
+                bits.into_iter()
+                    .filter(|&(_, b)| b == 4)
+                    .map(|(l, _)| l)
+                    .collect()
+            };
+            let got = high(report.layers.iter().map(|o| (o.layer, o.bits)).collect());
+            let picked = high(want.iter().collect());
+            assert!(!picked.is_empty() && picked.len() < want.len());
+            assert_eq!(
+                got, picked,
+                "r={r}: 4-bit layers differ from the allocator's"
+            );
+            assert_eq!(session.capture_passes(), 1, "r={r}");
+            assert_eq!(session.sensitivity_passes(), 0, "r={r}: no probe runs");
         }
     }
 

@@ -5,10 +5,13 @@
 //! expensive step: a full forward pass over the calibration set to
 //! accumulate per-layer Hessians ([`crate::calib::collect_hessians`]).
 //! GPTQ, OWQ and PB-LLM share [`HessianMode::LayerInput`]; every APTQ
-//! row shares [`HessianMode::AttentionAware`]; the mixed-precision rows
-//! additionally share one empirical sensitivity probe. A [`QuantSession`]
-//! owns the calibration snapshot and memoizes both products, so one
-//! activation-capture pass serves every method row that shares a mode.
+//! row shares [`HessianMode::AttentionAware`], and the mixed-precision
+//! rows rank layers by those Hessians' mean traces (§3.3). A
+//! [`QuantSession`] owns the calibration snapshot and memoizes the
+//! Hessians, so one activation-capture pass serves every method row
+//! that shares a mode. The empirical 2-bit sensitivity probe, which the
+//! allocation-signal ablation compares against the trace, is memoized
+//! the same way.
 //!
 //! Cache entries are keyed by `(mode, model fingerprint)` — a hash over
 //! every weight bit — so a mutated model (e.g. a quantized clone fed
@@ -28,6 +31,9 @@ use crate::grid::GridConfig;
 use crate::hessian::{HessianMode, LayerHessian};
 use crate::trace::SensitivityReport;
 use crate::QuantError;
+
+/// How many leading calibration segments the empirical probe reads.
+const PROBE_SEGMENTS: usize = 16;
 
 /// Shared Hessians for one model fingerprint + mode.
 pub type SharedHessians = Arc<BTreeMap<LayerRef, LayerHessian>>;
@@ -90,7 +96,8 @@ impl QuantSession {
         self.capture_passes
     }
 
-    /// How many empirical sensitivity probes this session has run.
+    /// How many empirical sensitivity probes
+    /// ([`QuantSession::probe_sensitivity`] runs) this session has run.
     pub fn sensitivity_passes(&self) -> usize {
         self.sensitivity_passes
     }
@@ -138,9 +145,45 @@ impl QuantSession {
         Ok(shared)
     }
 
+    /// Per-layer sensitivity of `model` for mixed-precision allocation:
+    /// the mean traces of the session's [`HessianMode::AttentionAware`]
+    /// Hessians ([`SensitivityReport::from_hessians`]), the ranking §3.3
+    /// allocates by. After [`QuantSession::hessians`] this is a cache
+    /// hit, so one capture pass serves the Hessians and the ranking.
+    ///
+    /// `low_bits` and `cfg` no longer enter this signal; they
+    /// parameterize the empirical probe,
+    /// [`QuantSession::probe_sensitivity`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::EmptyCalibration`] when none of the first 16
+    /// calibration segments has at least two tokens, as the probe does;
+    /// propagates capture failures otherwise.
+    ///
+    /// # Determinism
+    ///
+    /// Bit-identical at any `APTQ_THREADS`: the Hessians are, and the
+    /// ranking is a total order (score, then layer).
+    pub fn sensitivity(
+        &mut self,
+        model: &Model,
+        _low_bits: u8,
+        _cfg: &GridConfig,
+    ) -> Result<Arc<SensitivityReport>, QuantError> {
+        let leading = &self.calibration[..self.calibration.len().min(PROBE_SEGMENTS)];
+        if leading.iter().all(|s| s.len() < 2) {
+            return Err(QuantError::EmptyCalibration);
+        }
+        let hessians = self.hessians(model, HessianMode::AttentionAware)?;
+        Ok(Arc::new(SensitivityReport::from_hessians(&hessians)))
+    }
+
     /// Empirical per-layer sensitivity of `model` at `low_bits` under
-    /// `cfg`, probed on a slice of the calibration set (at most 16
-    /// segments) and cached per `(model, low_bits, cfg)`.
+    /// `cfg` ([`crate::trace::empirical_sensitivity`]), probed on a slice
+    /// of the calibration set (at most 16 segments) and cached per
+    /// `(model, low_bits, cfg)`. The allocation-signal ablation compares
+    /// it with [`QuantSession::sensitivity`]'s mean trace.
     ///
     /// # Errors
     ///
@@ -154,7 +197,7 @@ impl QuantSession {
     /// `aptq_tensor::parallel::run_indexed`, which returns results in
     /// segment order regardless of scheduling, and losses are folded in
     /// that order.
-    pub fn sensitivity(
+    pub fn probe_sensitivity(
         &mut self,
         model: &Model,
         low_bits: u8,
@@ -169,7 +212,7 @@ impl QuantSession {
             return Ok(Arc::clone(cached));
         }
         self.metrics.incr("quant/session/sensitivity_misses");
-        let probe_len = self.calibration.len().clamp(1, 16);
+        let probe_len = self.calibration.len().clamp(1, PROBE_SEGMENTS);
         let report = crate::trace::empirical_sensitivity(
             model,
             &self.calibration[..probe_len],
@@ -270,8 +313,8 @@ mod tests {
         assert_eq!(m.get("quant/session/hessian_hits"), 2);
 
         let cfg = GridConfig::default();
-        session.sensitivity(&model, 2, &cfg).unwrap();
-        session.sensitivity(&model, 2, &cfg).unwrap();
+        session.probe_sensitivity(&model, 2, &cfg).unwrap();
+        session.probe_sensitivity(&model, 2, &cfg).unwrap();
         assert_eq!(session.metrics().get("quant/session/sensitivity_probes"), 1);
         assert_eq!(session.metrics().get("quant/session/sensitivity_hits"), 1);
 
@@ -300,8 +343,8 @@ mod tests {
         let model = Model::new(&ModelConfig::test_tiny(16), 7);
         let mut session = QuantSession::new(calib());
         let cfg = GridConfig::default();
-        let a = session.sensitivity(&model, 2, &cfg).unwrap();
-        let b = session.sensitivity(&model, 2, &cfg).unwrap();
+        let a = session.probe_sensitivity(&model, 2, &cfg).unwrap();
+        let b = session.probe_sensitivity(&model, 2, &cfg).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(session.sensitivity_passes(), 1);
         // A different grid config is a different probe.
@@ -309,7 +352,7 @@ mod tests {
             group_size: 16,
             ..cfg
         };
-        session.sensitivity(&model, 2, &other).unwrap();
+        session.probe_sensitivity(&model, 2, &other).unwrap();
         assert_eq!(session.sensitivity_passes(), 2);
     }
 

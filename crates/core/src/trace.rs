@@ -4,6 +4,12 @@
 //! determines the appropriate level of precision for the quantization of
 //! each layer. Layers with higher Hessian Trace values […] require
 //! higher bit precision."
+//!
+//! APTQ-R% allocates by that mean trace
+//! ([`SensitivityReport::from_hessians`], served by
+//! [`crate::QuantSession::sensitivity`]). The allocation-signal ablation
+//! compares it with the HAWQ-V2 weighting of [`SensitivityMetric`] and
+//! with the empirical 2-bit loss probe, [`empirical_sensitivity`].
 
 use std::collections::BTreeMap;
 
@@ -19,10 +25,8 @@ use crate::QuantError;
 /// How layer sensitivity is scored from the Hessian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SensitivityMetric {
-    /// The paper's literal statement: the average Hessian trace alone.
-    ///
-    /// Comparable only between layers with similar input scales; kept
-    /// for the ablation benches.
+    /// The paper's literal statement: the average Hessian trace alone,
+    /// the signal APTQ-R% allocates by.
     MeanTrace,
     /// HAWQ-V2-style trace-weighted perturbation:
     /// `mean_trace · E[(W − Q₂(W))²]`, where `Q₂` is low-bit RTN.
@@ -67,10 +71,10 @@ impl SensitivityReport {
     ///
     /// For [`SensitivityMetric::TraceTimesPerturbation`] the trace is
     /// weighted by the layer's expected low-bit quantization
-    /// perturbation `E[(W − Q(W))²]` under `low_bits` RTN — the
-    /// HAWQ-V2 criterion `Tr(H)·‖ΔW‖²` that §3.3 builds on. The
-    /// experiments' default signal needs probe data instead; see
-    /// [`empirical_sensitivity`].
+    /// perturbation `E[(W − Q(W))²]` under `low_bits` RTN (the
+    /// `recon_error` of [`crate::engine::quantize_layer_rtn`]) — the
+    /// HAWQ-V2 criterion `Tr(H)·‖ΔW‖²` that §3.3 builds on. A width
+    /// outside `1..=8` weighs every layer by `0`.
     ///
     /// # Determinism
     ///
@@ -89,8 +93,14 @@ impl SensitivityReport {
                 let score = match metric {
                     SensitivityMetric::MeanTrace => lh.mean_trace,
                     SensitivityMetric::TraceTimesPerturbation => {
-                        let w = model.layer_weight(layer);
-                        lh.mean_trace * rtn_mean_sq_error(w, low_bits, cfg)
+                        match QuantGrid::try_int(low_bits, cfg.asymmetric) {
+                            Ok(grid) => {
+                                let w = model.layer_weight(layer);
+                                lh.mean_trace
+                                    * crate::engine::quantize_layer_rtn(w, grid, cfg).recon_error
+                            }
+                            Err(_) => 0.0,
+                        }
                     }
                 };
                 LayerSensitivity {
@@ -166,15 +176,13 @@ impl SensitivityReport {
 /// over the `probe` segments.
 ///
 /// The two Hessian statistics of [`SensitivityMetric`] are layer-local:
-/// they cannot see that an early layer's error **compounds** through
-/// every downstream block while a late layer's error passes only
-/// through the final norm. On shallow models that compounding
-/// dominates (the signal rows of ablation E in the `ablations` bench
-/// show it as the perplexity each signal's allocation reaches), so this
-/// score — still pure PTQ, still computed from the same calibration
-/// set — is the default allocation signal for the experiments. The
-/// trace variants are retained and compared in the ablation bench; see
-/// DESIGN.md §3 for the full deviation note.
+/// they cannot see that an early layer's error compounds through every
+/// downstream block, which this end-to-end score can. But it costs one
+/// perturbed forward per layer and probe segment, where the mean trace
+/// comes free with the Hessians, and in a calibration-seed sweep the
+/// mean trace's allocations fell inside the range of this probe's
+/// (DESIGN.md §3). So APTQ-R% allocates by the paper's mean trace, and
+/// this probe is a row of ablation E in the `ablations` bench.
 ///
 /// The probe should be a small slice of the calibration set (the
 /// session probes 16 segments) and is segment-major: one job per probe
@@ -328,30 +336,6 @@ pub fn hutchinson_trace(h: &aptq_tensor::Matrix, n_probes: usize, seed: u64) -> 
             aptq_tensor::stats::kahan_sum(z.iter().zip(hz.iter()).map(|(&a, &b)| (a * b) as f64));
     }
     (acc / n_probes as f64) as f32
-}
-
-/// Mean squared RTN quantization error of a weight matrix at `bits`.
-fn rtn_mean_sq_error(w: &aptq_tensor::Matrix, bits: u8, cfg: &GridConfig) -> f32 {
-    let grid = match QuantGrid::try_int(bits, cfg.asymmetric) {
-        Ok(g) => g,
-        Err(_) => return 0.0,
-    };
-    let d_in = w.rows();
-    let d_out = w.cols();
-    let group = cfg.group_size.min(d_in).max(1);
-    let mut err = 0.0f64;
-    for g0 in (0..d_in).step_by(group) {
-        let g1 = (g0 + group).min(d_in);
-        for c in 0..d_out {
-            let col: Vec<f32> = (g0..g1).map(|r| w[(r, c)]).collect();
-            let p = grid.fit_params(&col);
-            for &v in &col {
-                let (_, d) = grid.quantize(v, p);
-                err += ((v - d) as f64).powi(2);
-            }
-        }
-    }
-    (err / (d_in * d_out) as f64) as f32
 }
 
 #[cfg(test)]

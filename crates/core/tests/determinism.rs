@@ -3,7 +3,8 @@
 //!
 //! Contract: the parallel OBQ scheduler and the parallel sensitivity
 //! probe are *bit-identical* to their sequential paths at any thread
-//! count, and session-cached Hessians equal freshly collected ones.
+//! count, session-cached Hessians equal freshly collected ones, and the
+//! session's allocation ranking is their mean trace, bit for bit.
 //! The segment-major sensitivity probe and the windowed Hessian
 //! capture are checked bit for bit against oracles: the layer-major
 //! probe, and the sequential capture loop over the training forward's
@@ -20,7 +21,7 @@ use aptq_core::grid::{GridConfig, QuantGrid};
 use aptq_core::hessian::{HessianAccumulator, LayerHessian};
 use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
-use aptq_core::trace::{empirical_sensitivity, LayerSensitivity};
+use aptq_core::trace::{empirical_sensitivity, LayerSensitivity, SensitivityReport};
 use aptq_core::{collect_hessians, HessianMode, QuantPlan, QuantSession};
 use aptq_lm::{BlockCapture, LayerKind, LayerRef, Model, ModelConfig};
 use aptq_obs::Recorder;
@@ -153,16 +154,43 @@ fn cached_session_hessians_equal_fresh_collection() {
 }
 
 #[test]
+fn session_sensitivity_is_the_attention_aware_mean_trace() {
+    let model = Model::new(&ModelConfig::test_tiny(16), 45);
+    let mut session = QuantSession::new(calib());
+    let report = session
+        .sensitivity(&model, 2, &GridConfig::default())
+        .unwrap();
+    let hessians = session
+        .hessians(&model, HessianMode::AttentionAware)
+        .unwrap();
+    let want = SensitivityReport::from_hessians(&hessians);
+    let bits = |r: &SensitivityReport| -> Vec<(LayerRef, u32)> {
+        r.entries()
+            .iter()
+            .map(|e| (e.layer, e.mean_trace.to_bits()))
+            .collect()
+    };
+    assert_eq!(
+        bits(&report),
+        bits(&want),
+        "ranking differs at {} threads",
+        aptq_tensor::parallel::thread_count()
+    );
+    assert_eq!(session.capture_passes(), 1, "one capture serves both");
+    assert_eq!(session.sensitivity_passes(), 0, "no probe runs");
+}
+
+#[test]
 fn session_sensitivity_matches_direct_probe() {
     let model = Model::new(&ModelConfig::test_tiny(16), 45);
     let cfg = GridConfig::default();
     let mut session = QuantSession::new(calib());
-    let via_session = session.sensitivity(&model, 2, &cfg).unwrap();
+    let via_session = session.probe_sensitivity(&model, 2, &cfg).unwrap();
     let probe_len = calib().len().clamp(1, 16);
     let direct = empirical_sensitivity(&model, &calib()[..probe_len], 2, &cfg, 1).unwrap();
     assert_eq!(*Arc::clone(&via_session), direct);
     // Cache hit: no extra probe.
-    session.sensitivity(&model, 2, &cfg).unwrap();
+    session.probe_sensitivity(&model, 2, &cfg).unwrap();
     assert_eq!(session.sensitivity_passes(), 1);
 }
 
@@ -311,7 +339,7 @@ fn oracle_hessians(
                             }
                         }
                     }
-                    (_, LayerKind::O) => acc.update(&attn::effective_input_o(cap)),
+                    (_, LayerKind::O) => acc.update(attn::effective_input_o(cap)),
                     (HessianMode::LayerInput, LayerKind::Q | LayerKind::K | LayerKind::V) => {
                         acc.update(&cap.attn_input);
                     }

@@ -386,8 +386,8 @@ mod tests {
         );
         assert_eq!(
             session.sensitivity_passes(),
-            1,
-            "mixed rows share one sensitivity probe"
+            0,
+            "mixed rows rank by the cached Hessians' mean trace, no probe"
         );
     }
 }

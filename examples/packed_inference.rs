@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = QuantSession::new(calib_gen.segments(24, 48));
     let cfg = GridConfig::default();
 
-    // APTQ-75% plan: attention-aware Hessians + empirical-loss allocation,
-    // both captured once and cached by the session.
+    // APTQ-75% plan: attention-aware Hessians, captured once and cached
+    // by the session, and allocation by their mean trace (§3.3).
     let hessians = session.hessians(&stack.model, HessianMode::AttentionAware)?;
     let sensitivity = session.sensitivity(&stack.model, 2, &cfg)?;
     let plan = MixedPrecisionAllocator::two_four(0.75)?.allocate(
