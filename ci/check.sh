@@ -127,16 +127,19 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test --release -q -p aptq-qmodel --test unified_path
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --test batch_decode
     # The vectorized attention row kernel against the per-head kernel it
-    # replaced, the causal row kernel against the per-head full-matrix
-    # forward, the cache-free block halves and the chunked
-    # forward against the training forward, and a prefill chunk against
-    # token-by-token feeding, bit for bit. The probe and the capture run in
-    # release in the benchmark, where the causal loops auto-vectorize.
+    # replaced, the core's attention against the per-head full-matrix
+    # forward, the cache-free block halves, the chunked forward and the
+    # capture against the cache-building training forward they replaced,
+    # `sequence_grads` (loss and every gradient) against the one that
+    # forward fed (`oracle_sequence_grads_match_cache_stack`), and a
+    # prefill chunk against token-by-token feeding, bit for bit. The
+    # probe and the capture run in release in the benchmark, where the
+    # causal loops auto-vectorize.
     APTQ_THREADS=$threads cargo test -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-core --test determinism
-    # SmoothQuant's activation maxima through the inference core against
-    # the training forward's cache, bit for bit.
+    # SmoothQuant's activation maxima from one capture pass against
+    # per-block `forward_blocks` calls, bit for bit.
     APTQ_THREADS=$threads cargo test -q -p aptq-core --lib act_stats_match
 done
 # The invariant tests check the documented contract in both profiles:
@@ -150,6 +153,8 @@ cargo test --release -q -p serde_json
 echo "    APTQ_THREADS=2"
 APTQ_THREADS=2 cargo test -q -p aptq-core --test determinism
 APTQ_THREADS=2 cargo test -q -p aptq-core --lib act_stats_match
+APTQ_THREADS=2 cargo test -q -p aptq-lm --lib oracle_sequence_grads
+APTQ_THREADS=2 cargo test --release -q -p aptq-lm --lib oracle_sequence_grads
 
 phase "chaos suite (seeded fault injection, archived as results/chaos.json)"
 # Every injected fault must be detected (structured error, no panic)

@@ -111,7 +111,7 @@ pub fn quantize(
         // 2. STE: evaluate gradients at the quantized point.
         let mut shadow = model.clone();
         rtn::quantize(&mut shadow, bits, cfg)?;
-        let (_, mut grads) = batch_grads(&shadow, &batch);
+        let (_, mut grads) = batch_grads(&shadow, &batch, aptq_tensor::parallel::thread_count());
         grads.scale_assign(1.0 / qat.batch_size as f32);
 
         // 3. Update the full-precision master weights.

@@ -189,24 +189,28 @@ mod tests {
             .collect()
     }
 
-    /// The statistics before they ran through the inference core: the
-    /// training forward block by block, `max|x|` over its cache's norm
-    /// outputs, as bits.
+    /// The statistics block by block: one `forward_blocks` call per
+    /// block into a fresh capture, `max|x|` over its norm outputs, as
+    /// bits.
     fn oracle_act_stats(model: &Model, calibration: &[Vec<u32>]) -> Vec<[Vec<u32>; 2]> {
         let d = model.config().d_model;
         let mut stats = vec![[vec![0.0f32; d], vec![0.0f32; d]]; model.blocks().len()];
         for seg in calibration.iter().filter(|s| !s.is_empty()) {
             let mut x = model.embed_tokens(seg);
-            for (block, [attn, ffn]) in model.blocks().iter().zip(&mut stats) {
-                let (y, c) = block.forward(&x, model.rope());
-                for (acc, m) in [(attn, &c.attn.x), (ffn, &c.ffn.x)] {
+            for (b, [attn, ffn]) in stats.iter_mut().enumerate() {
+                let mut c = BlockCapture::default();
+                let sink = CaptureSink {
+                    capture: &mut c,
+                    each: &mut |_, _| {},
+                };
+                model.forward_blocks(b..b + 1, &mut x, Some(sink));
+                for (acc, m) in [(attn, &c.attn_input), (ffn, &c.ffn_input)] {
                     for i in 0..m.rows() {
                         for (a, &v) in acc.iter_mut().zip(m.row(i)) {
                             *a = a.max(v.abs());
                         }
                     }
                 }
-                x = y;
             }
         }
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect();

@@ -7,9 +7,9 @@
 //! session's allocation ranking is their mean trace, bit for bit.
 //! The segment-major sensitivity probe and the windowed Hessian
 //! capture are checked bit for bit against oracles: the layer-major
-//! probe, and the sequential capture loop over the training forward's
-//! backward cache, which the capture through the inference core
-//! replaced, kept here verbatim. `ci/check.sh` additionally runs this suite under
+//! probe, and a sequential capture loop that runs one segment at a
+//! time, one `forward_blocks` call per block, each layer's accumulator
+//! updated straight from the capture. `ci/check.sh` additionally runs this suite under
 //! `APTQ_THREADS=1`, `2` and `4`: the capture window follows the
 //! thread count, so each is a distinct schedule.
 
@@ -23,7 +23,7 @@ use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use aptq_core::trace::{empirical_sensitivity, LayerSensitivity, SensitivityReport};
 use aptq_core::{collect_hessians, HessianMode, QuantPlan, QuantSession};
-use aptq_lm::{BlockCapture, LayerKind, LayerRef, Model, ModelConfig};
+use aptq_lm::{BlockCapture, CaptureSink, LayerKind, LayerRef, Model, ModelConfig};
 use aptq_obs::Recorder;
 use aptq_tensor::activation::log_sum_exp;
 
@@ -198,8 +198,8 @@ fn session_sensitivity_matches_direct_probe() {
 // Oracles: the layer-major probe and the sequential capture loop.
 // ---------------------------------------------------------------------
 
-/// Oracle for `Model::sequence_loss`: the full training forward, then
-/// the cross-entropy loop.
+/// Oracle for `Model::sequence_loss`: the full forward, then the
+/// cross-entropy loop.
 fn oracle_sequence_loss(model: &Model, tokens: &[u32]) -> f32 {
     let logits = model.forward(tokens);
     let mut total = 0.0f64;
@@ -271,24 +271,19 @@ fn oracle_sensitivity(
         .collect()
 }
 
-/// Oracle capture of one segment: the training forward block by block,
-/// its backward cache's fields copied into a [`BlockCapture`].
+/// Oracle capture of one segment: one `forward_blocks` call per block,
+/// each into a fresh [`BlockCapture`].
 fn oracle_captures(model: &Model, seg: &[u32]) -> Vec<BlockCapture> {
     let mut x = model.embed_tokens(seg);
     let mut caps = Vec::with_capacity(model.blocks().len());
-    for block in model.blocks() {
-        let (y, c) = block.forward(&x, model.rope());
-        caps.push(BlockCapture {
-            attn_input: c.attn.x,
-            q_rot: c.attn.q_rot,
-            k_rot: c.attn.k_rot,
-            v: c.attn.v,
-            probs: c.attn.probs,
-            concat: c.attn.concat,
-            ffn_input: c.ffn.x,
-            ffn_hidden: c.ffn.hidden,
-        });
-        x = y;
+    for b in 0..model.blocks().len() {
+        let mut capture = BlockCapture::default();
+        let sink = CaptureSink {
+            capture: &mut capture,
+            each: &mut |_, _| {},
+        };
+        model.forward_blocks(b..b + 1, &mut x, Some(sink));
+        caps.push(capture);
     }
     caps
 }

@@ -8,6 +8,7 @@ use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use crate::capture::BlockCapture;
 use crate::linear::{Linear, LinearOp};
 use crate::rope::RopeTable;
 
@@ -28,24 +29,6 @@ pub struct MultiHeadAttention<L = Linear> {
     n_heads: usize,
     d_head: usize,
     scale: f32,
-}
-
-/// Everything the backward pass needs from one attention forward pass.
-#[derive(Debug, Clone)]
-pub struct AttentionCache {
-    /// Input to the attention block (post-RMSNorm), `T × d_model`.
-    pub x: Matrix,
-    /// Rotated queries, `T × d_model` (heads concatenated).
-    pub q_rot: Matrix,
-    /// Rotated keys, `T × d_model`.
-    pub k_rot: Matrix,
-    /// Values (no rotation), `T × d_model`.
-    pub v: Matrix,
-    /// Per-head attention probability matrices, each `T × T`, causal.
-    pub probs: Vec<Matrix>,
-    /// Concatenated head outputs — the input to the `O` projection,
-    /// `T × d_model`.
-    pub concat: Matrix,
 }
 
 /// Gradients of the four projection weights.
@@ -137,77 +120,6 @@ impl<L: LinearOp> MultiHeadAttention<L> {
     pub fn wo(&self) -> &L {
         &self.wo
     }
-
-    /// Forward pass over a `(T × d_model)` activation matrix with causal
-    /// masking and RoPE: the training path.
-    ///
-    /// Returns `(output, cache)`; the cache feeds [`backward`]. Row `i`
-    /// attends to keys
-    /// `[0, i]` only, through the same row kernel as cached decoding,
-    /// which writes `probs[h].row(i)[..=i]`.
-    ///
-    /// [`backward`]: MultiHeadAttention::backward
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: Q/K/V/concat/output matrices sized by the
-    /// sequence, one `d_model × T` coordinate-major copy of the rotated
-    /// keys (the row kernel's layout; the cache keeps `k_rot` row-major),
-    /// the cache's per-head `T × T` `probs` (upper triangles left zero)
-    /// and one `n_heads · (T + 1)`-float score buffer, allocated once per
-    /// call; no per-head score matrix beyond `probs`. Inner loops are
-    /// heap-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_model` or the sequence exceeds the RoPE
-    /// table.
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward(&self, x: &Matrix, rope: &RopeTable) -> (Matrix, AttentionCache) {
-        let t = x.rows();
-        let d_model = self.wq.d_in();
-        assert_eq!(x.cols(), d_model, "attention: input width mismatch");
-
-        let mut q = self.wq.forward_op(x, None);
-        let mut k = self.wk.forward_op(x, None);
-        let v = self.wv.forward_op(x, None);
-        for pos in 0..t {
-            rope.apply_heads(q.row_mut(pos), pos);
-            rope.apply_heads(k.row_mut(pos), pos);
-        }
-
-        let keys = k.transpose();
-        let mut probs: Vec<Matrix> = (0..self.n_heads).map(|_| Matrix::zeros(t, t)).collect();
-        let mut concat = Matrix::zeros(t, d_model);
-        let mut scratch = vec![0.0f32; self.n_heads * (t + 1)];
-        for i in 0..t {
-            attend_row(
-                q.row(i),
-                &keys,
-                &v,
-                i + 1,
-                self.d_head,
-                self.scale,
-                &mut scratch,
-                Some(&mut probs[..]),
-                concat.row_mut(i),
-            );
-        }
-        let out = self.wo.forward_op(&concat, None);
-        let cache = AttentionCache {
-            // audit:allow(alloc): the cache owns its input copy for backward
-            x: x.clone(),
-            q_rot: q,
-            k_rot: k,
-            v,
-            probs,
-            concat,
-        };
-        (out, cache)
-    }
 }
 
 /// Causal attention of one rotated query row `q` (heads concatenated,
@@ -241,10 +153,9 @@ impl<L: LinearOp> MultiHeadAttention<L> {
 /// With `probs` given, head `h`'s probabilities are written to
 /// `probs[h].row(t − 1)[..t]`.
 ///
-/// The training forward calls this once per row `i` with `t = i + 1`;
-/// every inference forward calls it once per row with `t = pos + 1`
-/// against that row's KV cache, and the calibration capture passes
-/// `probs`.
+/// Every forward calls it once per row with `t = pos + 1` against that
+/// row's KV cache (`LayerKv::attend`); the capture that
+/// calibration and the backward read passes `probs`.
 ///
 /// # HotPath
 ///
@@ -438,12 +349,13 @@ impl MultiHeadAttention {
 
     /// Backward pass.
     ///
-    /// Given the upstream gradient `dy` (`T × d_model`) and the forward
-    /// cache, returns `(dx, grads)`.
+    /// Given the upstream gradient `dy` (`T × d_model`) and the capture of
+    /// the forward (its attention fields: `attn_input`, `q_rot`, `k_rot`,
+    /// `v`, `probs` and `concat`), returns `(dx, grads)`.
     ///
     /// # Panics
     ///
-    /// Panics if `dy`'s shape does not match the cached activation
+    /// Panics if `dy`'s shape does not match the captured activation
     /// shape `(T, d_model)`.
     /// # Determinism
     ///
@@ -451,11 +363,11 @@ impl MultiHeadAttention {
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn backward(
         &self,
-        cache: &AttentionCache,
+        cap: &BlockCapture,
         dy: &Matrix,
         rope: &RopeTable,
     ) -> (Matrix, AttentionGrads) {
-        let t = cache.x.rows();
+        let t = cap.attn_input.rows();
         let d_model = self.wq.d_in();
         assert_eq!(
             dy.shape(),
@@ -464,7 +376,7 @@ impl MultiHeadAttention {
         );
 
         // O projection.
-        let (dconcat, dwo) = self.wo.backward(&cache.concat, dy);
+        let (dconcat, dwo) = self.wo.backward(&cap.concat, dy);
 
         let mut dq = Matrix::zeros(t, d_model);
         let mut dk = Matrix::zeros(t, d_model);
@@ -473,10 +385,10 @@ impl MultiHeadAttention {
         for h in 0..self.n_heads {
             let lo = h * self.d_head;
             let hi = lo + self.d_head;
-            let p = &cache.probs[h];
-            let qh = cache.q_rot.slice_cols(lo, hi);
-            let kh = cache.k_rot.slice_cols(lo, hi);
-            let vh = cache.v.slice_cols(lo, hi);
+            let p = &cap.probs[h];
+            let qh = cap.q_rot.slice_cols(lo, hi);
+            let kh = cap.k_rot.slice_cols(lo, hi);
+            let vh = cap.v.slice_cols(lo, hi);
             let dhead = dconcat.slice_cols(lo, hi);
 
             // head = P · V
@@ -511,9 +423,9 @@ impl MultiHeadAttention {
             }
         }
 
-        let (dx_q, dwq) = self.wq.backward(&cache.x, &dq);
-        let (dx_k, dwk) = self.wk.backward(&cache.x, &dk);
-        let (dx_v, dwv) = self.wv.backward(&cache.x, &dv);
+        let (dx_q, dwq) = self.wq.backward(&cap.attn_input, &dq);
+        let (dx_k, dwk) = self.wk.backward(&cap.attn_input, &dk);
+        let (dx_v, dwv) = self.wv.backward(&cap.attn_input, &dv);
 
         let mut dx = dx_q;
         dx.add_assign(&dx_k);
@@ -526,6 +438,7 @@ impl MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{LayerKv, Workspace};
     use aptq_tensor::activation::softmax_rows;
     use aptq_tensor::init;
 
@@ -542,13 +455,40 @@ mod tests {
         (attn, x, rope)
     }
 
+    /// `attn` over the normed rows `x` through the inference core's
+    /// attention: the projections, then each row attending at its own
+    /// position in a `T`-row cache ([`LayerKv::attend`]), then `o_proj` —
+    /// `TransformerBlock::attn_rows` without the norm and the residual.
+    /// Returns the output and the capture's attention fields.
+    fn core_forward(
+        attn: &MultiHeadAttention,
+        x: &Matrix,
+        rope: &RopeTable,
+    ) -> (Matrix, BlockCapture) {
+        let (t, d_model) = x.shape();
+        let mut ws = Workspace::for_attn(t, d_model, attn.n_heads, t);
+        ws.normed.as_mut_slice().copy_from_slice(x.as_slice());
+        attn.wq.forward_into(x, &mut ws.q, None);
+        attn.wk.forward_into(x, &mut ws.k, None);
+        attn.wv.forward_into(x, &mut ws.v, None);
+        let mut cap = BlockCapture::default();
+        let probs = cap.fit_probs(t, attn.n_heads);
+        let mut kv = LayerKv::empty(t, d_model);
+        for r in 0..t {
+            kv.attend(rope, r, &mut ws, r, Some(&mut probs[..]));
+        }
+        cap.copy_attn(&ws);
+        (attn.wo.forward_op(&ws.concat, None), cap)
+    }
+
     /// The per-head full-matrix forward the causal row kernel replaced,
-    /// kept verbatim as its bit-exact oracle.
+    /// kept verbatim as its bit-exact oracle; its cache is the capture's
+    /// attention fields.
     fn forward_oracle(
         attn: &MultiHeadAttention,
         x: &Matrix,
         rope: &RopeTable,
-    ) -> (Matrix, AttentionCache) {
+    ) -> (Matrix, BlockCapture) {
         let t = x.rows();
         let d_model = attn.wq.d_in();
         let mut q = attn.wq.forward_op(x, None);
@@ -584,13 +524,14 @@ mod tests {
             probs.push(scores);
         }
         let out = attn.wo.forward_op(&concat, None);
-        let cache = AttentionCache {
-            x: x.clone(),
+        let cache = BlockCapture {
+            attn_input: x.clone(),
             q_rot: q,
             k_rot: k,
             v,
             probs,
             concat,
+            ..BlockCapture::default()
         };
         (out, cache)
     }
@@ -802,7 +743,7 @@ mod tests {
         }
     }
 
-    /// `forward`'s output and every cache field against the oracle, bit
+    /// The core's output and every capture field against the oracle, bit
     /// for bit, at `T ∈ {1, 2, 3, 17, 64, max_seq_len}`. `amp` scales
     /// the input (large values drive probabilities to exactly zero) and
     /// every seventh entry is `+0.0` or `−0.0`. Returns how many
@@ -819,11 +760,11 @@ mod tests {
                     *v = if i % 14 == 0 { 0.0 } else { -0.0 };
                 }
             }
-            let (y, cache) = attn.forward(&x, &rope);
+            let (y, cache) = core_forward(&attn, &x, &rope);
             let (want_y, want) = forward_oracle(&attn, &x, &rope);
             let what = format!("d={d_model} heads={n_heads} T={t} amp={amp}");
             assert_bits(&y, &want_y, &format!("{what}: output"));
-            assert_bits(&cache.x, &want.x, &format!("{what}: x"));
+            assert_bits(&cache.attn_input, &want.attn_input, &format!("{what}: x"));
             assert_bits(&cache.q_rot, &want.q_rot, &format!("{what}: q_rot"));
             assert_bits(&cache.k_rot, &want.k_rot, &format!("{what}: k_rot"));
             assert_bits(&cache.v, &want.v, &format!("{what}: v"));
@@ -864,7 +805,7 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let (attn, x, rope) = setup(5, 8, 2, 0);
-        let (y, cache) = attn.forward(&x, &rope);
+        let (y, cache) = core_forward(&attn, &x, &rope);
         assert_eq!(y.shape(), (5, 8));
         assert_eq!(cache.probs.len(), 2);
         assert_eq!(cache.probs[0].shape(), (5, 5));
@@ -876,12 +817,12 @@ mod tests {
     fn attention_is_causal() {
         // Changing a future token must not affect earlier outputs.
         let (attn, x, rope) = setup(6, 8, 2, 1);
-        let (y1, _) = attn.forward(&x, &rope);
+        let (y1, _) = core_forward(&attn, &x, &rope);
         let mut x2 = x.clone();
         for v in x2.row_mut(5) {
             *v += 10.0;
         }
-        let (y2, _) = attn.forward(&x2, &rope);
+        let (y2, _) = core_forward(&attn, &x2, &rope);
         for i in 0..5 {
             for j in 0..8 {
                 assert!(
@@ -897,7 +838,7 @@ mod tests {
     #[test]
     fn prob_rows_are_causal_distributions() {
         let (attn, x, rope) = setup(5, 8, 2, 2);
-        let (_, cache) = attn.forward(&x, &rope);
+        let (_, cache) = core_forward(&attn, &x, &rope);
         for p in &cache.probs {
             for i in 0..5 {
                 let sum: f32 = p.row(i).iter().sum();
@@ -912,7 +853,7 @@ mod tests {
     #[test]
     fn first_token_attends_only_to_itself() {
         let (attn, x, rope) = setup(4, 8, 2, 3);
-        let (_, cache) = attn.forward(&x, &rope);
+        let (_, cache) = core_forward(&attn, &x, &rope);
         for p in &cache.probs {
             assert!((p[(0, 0)] - 1.0).abs() < 1e-6);
         }
@@ -922,9 +863,9 @@ mod tests {
     fn backward_matches_finite_difference_on_input() {
         let (attn, x, rope) = setup(4, 8, 2, 4);
         let dy = init::normal(4, 8, 1.0, &mut init::rng(5));
-        let (_, cache) = attn.forward(&x, &rope);
+        let (_, cache) = core_forward(&attn, &x, &rope);
         let (dx, _) = attn.backward(&cache, &dy, &rope);
-        let loss = |x: &Matrix| attn.forward(x, &rope).0.hadamard(&dy).sum();
+        let loss = |x: &Matrix| core_forward(&attn, x, &rope).0.hadamard(&dy).sum();
         let eps = 1e-2f32;
         for (i, j) in [(0, 0), (1, 3), (3, 7), (2, 5)] {
             let mut xp = x.clone();
@@ -944,7 +885,7 @@ mod tests {
     fn backward_matches_finite_difference_on_weights() {
         let (mut attn, x, rope) = setup(3, 8, 2, 6);
         let dy = init::normal(3, 8, 1.0, &mut init::rng(7));
-        let (_, cache) = attn.forward(&x, &rope);
+        let (_, cache) = core_forward(&attn, &x, &rope);
         let (_, grads) = attn.backward(&cache, &dy, &rope);
         let eps = 1e-2f32;
 
@@ -968,9 +909,9 @@ mod tests {
             }
             let orig = weight_mut(&mut attn, which)[(i, j)];
             weight_mut(&mut attn, which)[(i, j)] = orig + eps;
-            let lp = attn.forward(&x, &rope).0.hadamard(&dy).sum();
+            let lp = core_forward(&attn, &x, &rope).0.hadamard(&dy).sum();
             weight_mut(&mut attn, which)[(i, j)] = orig - eps;
-            let lm = attn.forward(&x, &rope).0.hadamard(&dy).sum();
+            let lm = core_forward(&attn, &x, &rope).0.hadamard(&dy).sum();
             weight_mut(&mut attn, which)[(i, j)] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -984,7 +925,7 @@ mod tests {
     fn single_token_sequence_works() {
         let (attn, _, rope) = setup(1, 8, 2, 8);
         let x = init::normal(1, 8, 1.0, &mut init::rng(9));
-        let (y, cache) = attn.forward(&x, &rope);
+        let (y, cache) = core_forward(&attn, &x, &rope);
         assert_eq!(y.shape(), (1, 8));
         assert!((cache.probs[0][(0, 0)] - 1.0).abs() < 1e-6);
     }

@@ -6,13 +6,14 @@ use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::attention::{AttentionCache, AttentionGrads, MultiHeadAttention};
+use crate::attention::{AttentionGrads, MultiHeadAttention};
+use crate::capture::BlockCapture;
 use crate::config::ModelConfig;
 use crate::decode::{KvRows, LayerKv, Workspace};
-use crate::ffn::{SwiGlu, SwiGluCache, SwiGluGrads};
+use crate::ffn::{SwiGlu, SwiGluGrads};
 use crate::linear::{Linear, LinearOp};
 use crate::model::LayerKind;
-use crate::rmsnorm::{RmsNorm, RmsNormCache};
+use crate::rmsnorm::RmsNorm;
 use crate::rope::RopeTable;
 
 /// One pre-norm LLaMA block, generic over the linear operator `L`:
@@ -30,19 +31,6 @@ pub struct TransformerBlock<L = Linear> {
     pub norm1: RmsNorm,
     /// Norm before the FFN.
     pub norm2: RmsNorm,
-}
-
-/// Forward cache for [`TransformerBlock::backward`].
-#[derive(Debug, Clone)]
-pub struct BlockForwardCache {
-    /// Cache of the first RMSNorm.
-    pub norm1: RmsNormCache,
-    /// Cache of the attention sub-layer.
-    pub attn: AttentionCache,
-    /// Cache of the second RMSNorm.
-    pub norm2: RmsNormCache,
-    /// Cache of the FFN sub-layer.
-    pub ffn: SwiGluCache,
 }
 
 /// Gradients of all block parameters.
@@ -75,57 +63,21 @@ impl<L: LinearOp> TransformerBlock<L> {
         }
     }
 
-    /// Forward pass; returns `(output, cache)`. The training path only:
-    /// inference and the calibration capture
-    /// ([`ModelOf::forward_blocks`](crate::ModelOf::forward_blocks)) run
-    /// the decode core's block halves, which build no cache.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: residual/norm/sub-layer buffers sized by the
-    /// input, allocated once per call; inner loops are heap-free.
-    ///
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward(&self, x: &Matrix, rope: &RopeTable) -> (Matrix, BlockForwardCache) {
-        let (normed1, c_norm1) = self.norm1.forward(x);
-        let (attn_out, c_attn) = self.attn.forward(&normed1, rope);
-        // audit:allow(alloc): residual buffer, one per call, sized by the input
-        let mut h = x.clone();
-        h.add_assign(&attn_out);
-        let (normed2, c_norm2) = self.norm2.forward(&h);
-        let (ffn_out, c_ffn) = self.ffn.forward(&normed2);
-        let mut y = h;
-        y.add_assign(&ffn_out);
-        (
-            y,
-            BlockForwardCache {
-                norm1: c_norm1,
-                attn: c_attn,
-                norm2: c_norm2,
-                ffn: c_ffn,
-            },
-        )
-    }
-
     /// The attention half of the block, inference only:
     /// `h = x + Attn(RMSNorm(x))`, as one chunk of `T` rows through the
     /// decode core's attention half over a `T`-row cache for this block
     /// alone. Row `i` sits at position `i`.
     ///
-    /// Runs the same float ops on the same inputs as
-    /// [`forward`](TransformerBlock::forward) up to its post-attention
-    /// residual, but builds no cache, so
-    /// `ffn_half(&attn_half(x))` equals `forward(x).0` bit for bit.
+    /// Runs the float ops of the core's block loop up to its
+    /// post-attention residual, so `ffn_half(&attn_half(x))` equals this
+    /// block's [`ModelOf::forward_blocks`](crate::ModelOf::forward_blocks)
+    /// output bit for bit.
     ///
     /// # HotPath
     ///
     /// Allocation budget: the attention half's workspace buffers and one
     /// key/value cache, sized by the rows, and the residual copy of `x`;
-    /// no feed-forward buffers, `RmsNormCache`, `AttentionCache` or
-    /// `T × T` matrix.
+    /// no feed-forward buffers, capture or `T × T` matrix.
     ///
     /// # Panics
     ///
@@ -155,7 +107,7 @@ impl<L: LinearOp> TransformerBlock<L> {
     ///
     /// Allocation budget: the feed-forward half's workspace buffers,
     /// sized by the rows, and the residual copy of `h`; no attention
-    /// buffers, `RmsNormCache` or `SwiGluCache`.
+    /// buffers or capture.
     ///
     /// # Panics
     ///
@@ -216,8 +168,7 @@ impl<L: LinearOp> TransformerBlock<L> {
 
     /// The feed-forward half over a workspace, in place:
     /// `x += FFN(RMSNorm(x))`: gate and up, `silu(g)·u` in place in the
-    /// gate buffer ([`silu_mul_into`]), then down — [`SwiGlu::forward`]'s
-    /// float ops without its cache.
+    /// gate buffer ([`silu_mul_into`]), then down.
     ///
     /// # Panics
     ///
@@ -277,26 +228,38 @@ impl TransformerBlock {
         }
     }
 
-    /// Backward pass; returns `(dx, grads)`.
+    /// Backward pass from the block's input and the capture its forward
+    /// wrote ([`ModelOf::forward_blocks`](crate::ModelOf::forward_blocks));
+    /// returns `(dx, grads)`.
+    ///
+    /// What the capture lacks is recomputed by the forward's own calls on
+    /// the same inputs, so it carries the forward's bits: the residual
+    /// `h = input + o_proj(concat)`, the norms' reciprocal RMS values, and
+    /// (in [`SwiGlu::backward`]) the gate and up pre-activations.
+    ///
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn backward(
         &self,
-        cache: &BlockForwardCache,
+        input: &Matrix,
+        cap: &BlockCapture,
         dy: &Matrix,
         rope: &RopeTable,
     ) -> (Matrix, BlockGrads) {
-        // y = h + ffn(norm2(h))
-        let (dnormed2, ffn_grads) = self.ffn.backward(&cache.ffn, dy);
-        let (dh_from_ffn, dnorm2) = self.norm2.backward(&cache.norm2, &dnormed2);
+        // y = h + ffn(norm2(h)), where h = input + attn(norm1(input))
+        let mut h = input.clone();
+        h.add_assign(&self.attn.wo().forward_op(&cap.concat, None));
+        let (_, c_norm2) = self.norm2.forward(&h);
+        let (dnormed2, ffn_grads) = self.ffn.backward(cap, dy);
+        let (dh_from_ffn, dnorm2) = self.norm2.backward(&c_norm2, &dnormed2);
         let mut dh = dy.clone();
         dh.add_assign(&dh_from_ffn);
 
-        // h = x + attn(norm1(x))
-        let (dnormed1, attn_grads) = self.attn.backward(&cache.attn, &dh, rope);
-        let (dx_from_attn, dnorm1) = self.norm1.backward(&cache.norm1, &dnormed1);
+        let (_, c_norm1) = self.norm1.forward(input);
+        let (dnormed1, attn_grads) = self.attn.backward(cap, &dh, rope);
+        let (dx_from_attn, dnorm1) = self.norm1.backward(&c_norm1, &dnormed1);
         let mut dx = dh;
         dx.add_assign(&dx_from_attn);
 
@@ -315,6 +278,9 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::CaptureSink;
+    use crate::model::oracle;
+    use crate::Model;
     use aptq_tensor::init;
 
     fn setup(seed: u64) -> (TransformerBlock, Matrix, RopeTable) {
@@ -326,10 +292,37 @@ mod tests {
         (block, x, rope)
     }
 
+    /// `block`'s output and capture through the inference core: the
+    /// block as a one-block `test_tiny` model, run by `forward_blocks`
+    /// (its RoPE table is [`setup`]'s).
+    fn forward(block: &TransformerBlock, x: &Matrix) -> (Matrix, BlockCapture) {
+        let cfg = ModelConfig {
+            n_layers: 1,
+            ..ModelConfig::test_tiny(16)
+        };
+        let (vocab, d) = (cfg.vocab_size, cfg.d_model);
+        let norm = RmsNorm::new(d, cfg.norm_eps);
+        let zeros = Matrix::zeros(vocab, d);
+        let model = Model::from_parts(
+            cfg,
+            zeros,
+            vec![block.clone()],
+            norm,
+            Matrix::zeros(d, vocab),
+        );
+        let (mut y, mut cap) = (x.clone(), BlockCapture::default());
+        let sink = CaptureSink {
+            capture: &mut cap,
+            each: &mut |_, _| {},
+        };
+        model.forward_blocks(0..1, &mut y, Some(sink));
+        (y, cap)
+    }
+
     #[test]
     fn forward_preserves_shape() {
-        let (block, x, rope) = setup(0);
-        let (y, _) = block.forward(&x, &rope);
+        let (block, x, _) = setup(0);
+        let (y, _) = forward(&block, &x);
         assert_eq!(y.shape(), x.shape());
         assert!(y.all_finite());
     }
@@ -337,8 +330,8 @@ mod tests {
     #[test]
     fn residual_keeps_signal() {
         // Output should correlate with input thanks to the residual path.
-        let (block, x, rope) = setup(1);
-        let (y, _) = block.forward(&x, &rope);
+        let (block, x, _) = setup(1);
+        let (y, _) = forward(&block, &x);
         let diff = y.sub(&x);
         assert!(diff.frobenius_norm() > 0.0, "block must do something");
         assert!(
@@ -349,13 +342,13 @@ mod tests {
 
     #[test]
     fn block_is_causal_end_to_end() {
-        let (block, x, rope) = setup(2);
-        let (y1, _) = block.forward(&x, &rope);
+        let (block, x, _) = setup(2);
+        let (y1, _) = forward(&block, &x);
         let mut x2 = x.clone();
         for v in x2.row_mut(4) {
             *v = -*v + 0.5;
         }
-        let (y2, _) = block.forward(&x2, &rope);
+        let (y2, _) = forward(&block, &x2);
         for i in 0..4 {
             for j in 0..x.cols() {
                 assert!((y1[(i, j)] - y2[(i, j)]).abs() < 1e-5);
@@ -367,16 +360,16 @@ mod tests {
     fn backward_matches_finite_difference() {
         let (block, x, rope) = setup(3);
         let dy = init::normal(5, 16, 1.0, &mut init::rng(4));
-        let (_, cache) = block.forward(&x, &rope);
-        let (dx, _) = block.backward(&cache, &dy, &rope);
+        let (_, cache) = forward(&block, &x);
+        let (dx, _) = block.backward(&x, &cache, &dy, &rope);
         let eps = 1e-2f32;
         for (i, j) in [(0, 0), (2, 7), (4, 15)] {
             let mut xp = x.clone();
             xp[(i, j)] += eps;
             let mut xm = x.clone();
             xm[(i, j)] -= eps;
-            let fd = (block.forward(&xp, &rope).0.hadamard(&dy).sum()
-                - block.forward(&xm, &rope).0.hadamard(&dy).sum())
+            let fd = (forward(&block, &xp).0.hadamard(&dy).sum()
+                - forward(&block, &xm).0.hadamard(&dy).sum())
                 / (2.0 * eps);
             assert!(
                 (dx[(i, j)] - fd).abs() < 3e-2 * (1.0 + fd.abs()),
@@ -390,8 +383,8 @@ mod tests {
     fn grads_have_parameter_shapes() {
         let (block, x, rope) = setup(5);
         let dy = init::normal(5, 16, 1.0, &mut init::rng(6));
-        let (_, cache) = block.forward(&x, &rope);
-        let (_, grads) = block.backward(&cache, &dy, &rope);
+        let (_, cache) = forward(&block, &x);
+        let (_, grads) = block.backward(&x, &cache, &dy, &rope);
         assert_eq!(grads.attn.dwq.shape(), block.attn.wq().weight().shape());
         assert_eq!(grads.ffn.ddown.shape(), block.ffn.down().weight().shape());
         assert_eq!(grads.dnorm1.len(), 16);
@@ -399,10 +392,22 @@ mod tests {
     }
 
     #[test]
+    fn capture_hidden_is_the_down_input() {
+        // The Hessian of `down_proj` reads `ffn_hidden` as that
+        // projection's input: the block output is `h + down(ffn_hidden)`
+        // exactly, with `h` the post-attention residual.
+        let (block, x, rope) = setup(6);
+        let (y, cap) = forward(&block, &x);
+        let mut want = block.attn_half(&x, &rope);
+        want.add_assign(&block.ffn.down().forward_op(&cap.ffn_hidden, None));
+        assert_eq!(y, want);
+    }
+
+    #[test]
     fn oracle_halves_match_forward_on_checkpoint() {
         // Every block of the committed TinyLlama-M checkpoint, fed its
         // real input: the cache-free halves equal the training forward
-        // bit for bit.
+        // the core replaced, bit for bit.
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
@@ -414,7 +419,7 @@ mod tests {
             let tokens: Vec<u32> = (0..t as u32).map(|i| (i * 37 + 5) % vocab).collect();
             let mut x = model.embed_tokens(&tokens);
             for (b, block) in model.blocks().iter().enumerate() {
-                let (y, _) = block.forward(&x, model.rope());
+                let (y, _) = oracle::block_forward(block, &x, model.rope());
                 let halves = block.ffn_half(&block.attn_half(&x, model.rope()));
                 assert_eq!(halves.shape(), y.shape());
                 for (i, (a, w)) in halves.as_slice().iter().zip(y.as_slice()).enumerate() {

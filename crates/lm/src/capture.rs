@@ -1,4 +1,4 @@
-//! Activation capture for calibration.
+//! Activation capture for calibration and the backward.
 //!
 //! Post-training quantization needs the intermediate activations of a
 //! calibration run:
@@ -14,6 +14,11 @@
 //! copies each block's quantities into one reused [`BlockCapture`] and
 //! hands it to a callback before the next block runs, so memory stays
 //! proportional to one block of one sequence.
+//!
+//! Training reads the same quantities:
+//! [`Model::sequence_grads`](crate::Model::sequence_grads) keeps one
+//! capture per block, with the block's input, for
+//! [`TransformerBlock::backward`](crate::block::TransformerBlock::backward).
 
 use aptq_tensor::Matrix;
 
@@ -95,6 +100,7 @@ fn copy_into(dst: &mut Matrix, src: &Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::oracle;
     use crate::{Model, ModelConfig};
 
     /// The calibration capture before it ran through the inference core:
@@ -103,7 +109,7 @@ mod tests {
         let mut x = model.embed_tokens(tokens);
         let mut caps = Vec::new();
         for block in model.blocks() {
-            let (y, c) = block.forward(&x, model.rope());
+            let (y, c) = oracle::block_forward(block, &x, model.rope());
             caps.push(BlockCapture {
                 attn_input: c.attn.x,
                 q_rot: c.attn.q_rot,

@@ -1,10 +1,11 @@
 //! SwiGLU feed-forward network (the LLaMA FFN) with manual backward.
 
-use aptq_tensor::activation::{silu, silu_grad, silu_mul_into};
+use aptq_tensor::activation::{silu, silu_grad};
 use aptq_tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use crate::capture::BlockCapture;
 use crate::linear::{Linear, LinearOp};
 
 /// SwiGLU feed-forward: `y = (silu(x·W_gate) ⊙ (x·W_up)) · W_down`,
@@ -15,20 +16,6 @@ pub struct SwiGlu<L = Linear> {
     gate: L,
     up: L,
     down: L,
-}
-
-/// Forward cache for [`SwiGlu::backward`].
-#[derive(Debug, Clone)]
-pub struct SwiGluCache {
-    /// Block input (post-RMSNorm), `T × d_model`.
-    pub x: Matrix,
-    /// Pre-activation gate values `x·W_gate`, `T × d_ff`.
-    pub g: Matrix,
-    /// Up-projection values `x·W_up`, `T × d_ff`.
-    pub u: Matrix,
-    /// Hidden activations `silu(g) ⊙ u` — the input to the down
-    /// projection, `T × d_ff`.
-    pub hidden: Matrix,
 }
 
 /// Gradients of the three projection weights.
@@ -89,39 +76,6 @@ impl<L: LinearOp> SwiGlu<L> {
     pub fn down(&self) -> &L {
         &self.down
     }
-
-    /// Forward pass; returns `(output, cache)`. The training path, and
-    /// the capture's; inference runs the block's cache-free
-    /// `ffn_rows`.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: gate/up/hidden/output matrices sized by the
-    /// input, allocated once per call; the elementwise SwiGLU loop is
-    /// heap-free.
-    ///
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward(&self, x: &Matrix) -> (Matrix, SwiGluCache) {
-        let g = self.gate.forward_op(x, None);
-        let u = self.up.forward_op(x, None);
-        // audit:allow(alloc): the cache keeps `g`; `hidden` is its own buffer
-        let mut hidden = g.clone();
-        silu_mul_into(hidden.as_mut_slice(), u.as_slice());
-        let y = self.down.forward_op(&hidden, None);
-        (
-            y,
-            SwiGluCache {
-                // audit:allow(alloc): the cache owns its input copy for backward
-                x: x.clone(),
-                g,
-                u,
-                hidden,
-            },
-        )
-    }
 }
 
 impl SwiGlu {
@@ -135,24 +89,33 @@ impl SwiGlu {
     }
 
     /// Backward pass; returns `(dx, grads)`.
+    ///
+    /// Reads the capture's FFN fields: the input `ffn_input` and the
+    /// hidden activations `ffn_hidden`. The pre-activations `x·W_gate`
+    /// and `x·W_up` are recomputed from `ffn_input` by the forward's own
+    /// projections, so they carry the forward's bits.
+    ///
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn backward(&self, cache: &SwiGluCache, dy: &Matrix) -> (Matrix, SwiGluGrads) {
-        let (dhidden, ddown) = self.down.backward(&cache.hidden, dy);
+    pub fn backward(&self, cap: &BlockCapture, dy: &Matrix) -> (Matrix, SwiGluGrads) {
+        let x = &cap.ffn_input;
+        let g = self.gate.forward_op(x, None);
+        let u = self.up.forward_op(x, None);
+        let (dhidden, ddown) = self.down.backward(&cap.ffn_hidden, dy);
         // hidden = silu(g) ⊙ u
         let mut dg = Matrix::zeros(dhidden.rows(), dhidden.cols());
         let mut du = Matrix::zeros(dhidden.rows(), dhidden.cols());
         for idx in 0..dhidden.len() {
-            let gh = cache.g.as_slice()[idx];
-            let uh = cache.u.as_slice()[idx];
+            let gh = g.as_slice()[idx];
+            let uh = u.as_slice()[idx];
             let d = dhidden.as_slice()[idx];
             dg.as_mut_slice()[idx] = d * uh * silu_grad(gh);
             du.as_mut_slice()[idx] = d * silu(gh);
         }
-        let (dx_g, dgate) = self.gate.backward(&cache.x, &dg);
-        let (dx_u, dup) = self.up.backward(&cache.x, &du);
+        let (dx_g, dgate) = self.gate.backward(x, &dg);
+        let (dx_u, dup) = self.up.backward(x, &du);
         let mut dx = dx_g;
         dx.add_assign(&dx_u);
         (dx, SwiGluGrads { dgate, dup, ddown })
@@ -162,15 +125,34 @@ impl SwiGlu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aptq_tensor::activation::silu_mul_into;
     use aptq_tensor::init;
+
+    /// `ffn` over the normed rows `x` as the core's feed-forward half runs
+    /// it (gate, up, `silu(g)·u` in place, down), with the capture's FFN
+    /// fields.
+    fn forward(ffn: &SwiGlu, x: &Matrix) -> (Matrix, BlockCapture) {
+        let mut hidden = ffn.gate().forward_op(x, None);
+        silu_mul_into(
+            hidden.as_mut_slice(),
+            ffn.up().forward_op(x, None).as_slice(),
+        );
+        let y = ffn.down().forward_op(&hidden, None);
+        let cap = BlockCapture {
+            ffn_input: x.clone(),
+            ffn_hidden: hidden,
+            ..BlockCapture::default()
+        };
+        (y, cap)
+    }
 
     #[test]
     fn forward_shapes() {
         let ffn = SwiGlu::new(8, 16, &mut init::rng(0));
         let x = init::normal(3, 8, 1.0, &mut init::rng(1));
-        let (y, cache) = ffn.forward(&x);
+        let (y, cache) = forward(&ffn, &x);
         assert_eq!(y.shape(), (3, 8));
-        assert_eq!(cache.hidden.shape(), (3, 16));
+        assert_eq!(cache.ffn_hidden.shape(), (3, 16));
         assert!(y.all_finite());
     }
 
@@ -178,7 +160,7 @@ mod tests {
     fn zero_input_gives_zero_output() {
         let ffn = SwiGlu::new(4, 8, &mut init::rng(2));
         let x = Matrix::zeros(2, 4);
-        let (y, _) = ffn.forward(&x);
+        let (y, _) = forward(&ffn, &x);
         assert!(y.as_slice().iter().all(|&v| v.abs() < 1e-6));
     }
 
@@ -187,7 +169,7 @@ mod tests {
         let mut ffn = SwiGlu::new(6, 10, &mut init::rng(3));
         let x = init::normal(2, 6, 1.0, &mut init::rng(4));
         let dy = init::normal(2, 6, 1.0, &mut init::rng(5));
-        let (_, cache) = ffn.forward(&x);
+        let (_, cache) = forward(&ffn, &x);
         let (dx, grads) = ffn.backward(&cache, &dy);
         let eps = 1e-2f32;
 
@@ -197,8 +179,8 @@ mod tests {
             xp[(i, j)] += eps;
             let mut xm = x.clone();
             xm[(i, j)] -= eps;
-            let fd = (ffn.forward(&xp).0.hadamard(&dy).sum()
-                - ffn.forward(&xm).0.hadamard(&dy).sum())
+            let fd = (forward(&ffn, &xp).0.hadamard(&dy).sum()
+                - forward(&ffn, &xm).0.hadamard(&dy).sum())
                 / (2.0 * eps);
             assert!((dx[(i, j)] - fd).abs() < 2e-2 * (1.0 + fd.abs()));
         }
@@ -220,9 +202,9 @@ mod tests {
             }
             let orig = w(&mut ffn, which)[(i, j)];
             w(&mut ffn, which)[(i, j)] = orig + eps;
-            let lp = ffn.forward(&x).0.hadamard(&dy).sum();
+            let lp = forward(&ffn, &x).0.hadamard(&dy).sum();
             w(&mut ffn, which)[(i, j)] = orig - eps;
-            let lm = ffn.forward(&x).0.hadamard(&dy).sum();
+            let lm = forward(&ffn, &x).0.hadamard(&dy).sum();
             w(&mut ffn, which)[(i, j)] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -230,16 +212,5 @@ mod tests {
                 "{which}({i},{j}): {grad} vs {fd}"
             );
         }
-    }
-
-    #[test]
-    fn hidden_cache_matches_down_input() {
-        // The quantizer uses cache.hidden as the calibration input of the
-        // down projection; verify y == hidden · W_down exactly.
-        let ffn = SwiGlu::new(4, 6, &mut init::rng(6));
-        let x = init::normal(3, 4, 1.0, &mut init::rng(7));
-        let (y, cache) = ffn.forward(&x);
-        let y2 = ffn.down().forward(&cache.hidden);
-        assert_eq!(y, y2);
     }
 }

@@ -11,11 +11,14 @@
 //! - token embedding, **RMSNorm**, **rotary position embeddings (RoPE)**,
 //!   multi-head **causal attention**, **SwiGLU** feed-forward, untied LM
 //!   head — the LLaMA block structure;
-//! - a complete, hand-written **backward pass** for every module, enabling
-//!   in-repo pretraining (Adam) and the LLM-QAT-style baseline;
+//! - one forward, the inference core, which decoding, evaluation,
+//!   calibration and training all run;
 //! - **activation capture** ([`ModelOf::forward_blocks`]) exposing
 //!   exactly the intermediate quantities APTQ's attention-aware Hessians
 //!   need: per-layer inputs, per-head attention probabilities, head outputs;
+//! - a complete, hand-written **backward pass** for every module, reading
+//!   that capture, enabling in-repo pretraining (Adam) and the
+//!   LLM-QAT-style baseline;
 //! - deterministic generation and serde checkpointing.
 //!
 //! # Example

@@ -71,12 +71,12 @@ pub trait LinearOp {
 /// # Example
 ///
 /// ```
-/// use aptq_lm::linear::Linear;
+/// use aptq_lm::linear::{Linear, LinearOp};
 /// use aptq_tensor::{init, Matrix};
 ///
 /// let lin = Linear::new(4, 3, &mut init::rng(0));
 /// let x = Matrix::zeros(2, 4);
-/// assert_eq!(lin.forward(&x).shape(), (2, 3));
+/// assert_eq!(lin.forward_op(&x, None).shape(), (2, 3));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
@@ -114,19 +114,6 @@ impl Linear {
     /// Mutable weight access, used by optimizers and quantizers.
     pub fn weight_mut(&mut self) -> &mut Matrix {
         &mut self.weight
-    }
-
-    /// Forward pass `y = x · W`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != d_in`.
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.weight)
     }
 
     /// Backward pass.
@@ -175,10 +162,10 @@ mod tests {
     fn forward_shape_and_linearity() {
         let lin = Linear::new(5, 3, &mut rng(0));
         let x = init::normal(4, 5, 1.0, &mut rng(1));
-        let y = lin.forward(&x);
+        let y = lin.forward_op(&x, None);
         assert_eq!(y.shape(), (4, 3));
         // Linearity: f(2x) == 2 f(x).
-        let y2 = lin.forward(&x.scale(2.0));
+        let y2 = lin.forward_op(&x.scale(2.0), None);
         for (a, b) in y2.as_slice().iter().zip(y.as_slice()) {
             assert!((a - 2.0 * b).abs() < 1e-4);
         }
@@ -188,7 +175,7 @@ mod tests {
     fn backward_matches_finite_difference() {
         let mut lin = Linear::new(3, 2, &mut rng(2));
         let x = init::normal(2, 3, 1.0, &mut rng(3));
-        let y = lin.forward(&x);
+        let y = lin.forward_op(&x, None);
         // Loss = sum(y); dy = ones.
         let dy = Matrix::filled(2, 2, 1.0);
         let (dx, dw) = lin.backward(&x, &dy);
@@ -200,9 +187,9 @@ mod tests {
         for (i, j) in [(0, 0), (1, 1), (2, 0)] {
             let orig = lin.weight()[(i, j)];
             lin.weight_mut()[(i, j)] = orig + eps;
-            let lp = lin.forward(&x).sum();
+            let lp = lin.forward_op(&x, None).sum();
             lin.weight_mut()[(i, j)] = orig - eps;
-            let lm = lin.forward(&x).sum();
+            let lm = lin.forward_op(&x, None).sum();
             lin.weight_mut()[(i, j)] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -215,10 +202,10 @@ mod tests {
         for (i, j) in [(0, 0), (1, 2)] {
             let mut xp = x.clone();
             xp[(i, j)] += eps;
-            let lp = lin.forward(&xp).sum();
+            let lp = lin.forward_op(&xp, None).sum();
             let mut xm = x.clone();
             xm[(i, j)] -= eps;
-            let lm = lin.forward(&xm).sum();
+            let lm = lin.forward_op(&xm, None).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((dx[(i, j)] - fd).abs() < 1e-2);
         }
@@ -235,11 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_op_matches_inherent_forward() {
+    fn linear_op_matches_matmul() {
         let lin = Linear::new(6, 4, &mut rng(4));
         let x = init::normal(3, 6, 1.0, &mut rng(5));
-        let want = lin.forward(&x);
-        // Trait entry points must agree bit-for-bit with the inherent path.
+        let want = x.matmul(lin.weight());
+        // Both trait entry points agree bit for bit with `x · W`.
         let via_op = LinearOp::forward_op(&lin, &x, None);
         assert_eq!(via_op, want);
         let mut out = Matrix::filled(3, 4, f32::NAN);

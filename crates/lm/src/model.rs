@@ -10,7 +10,7 @@ use aptq_tensor::{init, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockGrads, TransformerBlock};
-use crate::capture::CaptureSink;
+use crate::capture::{BlockCapture, CaptureSink};
 use crate::config::ModelConfig;
 use crate::decode::{check_row, forward_rows, LayerKv, Workspace};
 use crate::linear::{Linear, LinearOp};
@@ -339,11 +339,10 @@ impl<L: LinearOp> ModelOf<L> {
 
     /// Full forward pass returning next-token logits (`T × vocab`).
     ///
-    /// Inference only: the sequence runs as one chunk through the decode
-    /// core, row `i` at position `i`, over a `T`-row key/value cache
-    /// every block reuses. Bit-identical to the training
-    /// [`TransformerBlock::forward`] stack and to feeding the tokens one
-    /// by one through a [`DecodeSession`](crate::decode::DecodeSession).
+    /// The sequence runs as one chunk through the decode core, row `i`
+    /// at position `i`, over a `T`-row key/value cache every block
+    /// reuses. Bit-identical to feeding the tokens one by one through a
+    /// [`DecodeSession`](crate::decode::DecodeSession).
     ///
     /// # HotPath
     ///
@@ -378,9 +377,10 @@ impl<L: LinearOp> ModelOf<L> {
     /// Runs the hidden rows `x` (block `blocks.start`'s input, row `i`
     /// at position `i`) in place through `blocks` as one chunk through
     /// the decode core's block halves, with no head. With a
-    /// [`CaptureSink`], each block's activations, equal to the fields of
-    /// the training [`TransformerBlock::forward`] cache bit for bit, go
-    /// to `sink.capture`, and `sink.each` runs before the next block.
+    /// [`CaptureSink`], each block's activations go to `sink.capture`,
+    /// and `sink.each` runs before the next block: the calibration
+    /// capture, and the forward of
+    /// [`sequence_grads`](Model::sequence_grads).
     ///
     /// # Panics
     ///
@@ -552,13 +552,19 @@ impl Model {
         let t = tokens.len();
         let n_pred = (t - 1) as f32;
 
-        // Forward with caches.
+        // Forward through the inference core, one block at a time: each
+        // block's input and capture feed its backward.
         let mut x = self.embed_tokens(tokens);
-        let mut caches = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let (y, cache) = block.forward(&x, &self.rope);
-            caches.push(cache);
-            x = y;
+        let mut saved = Vec::with_capacity(self.blocks.len());
+        for b in 0..self.blocks.len() {
+            let input = x.clone();
+            let mut capture = BlockCapture::default();
+            let sink = CaptureSink {
+                capture: &mut capture,
+                each: &mut |_, _| {},
+            };
+            self.forward_blocks(b..b + 1, &mut x, Some(sink));
+            saved.push((input, capture));
         }
         let (normed, final_cache) = self.final_norm.forward(&x);
         let logits = normed.matmul(&self.lm_head);
@@ -587,23 +593,18 @@ impl Model {
         let (mut dx, dfinal_norm) = self.final_norm.backward(&final_cache, &dnormed);
 
         // Backward through blocks in reverse.
-        let mut block_grads: Vec<Option<BlockGrads>> = vec![None; self.blocks.len()];
-        for (idx, block) in self.blocks.iter().enumerate().rev() {
-            let (dxi, grads) = block.backward(&caches[idx], &dx, &self.rope);
-            block_grads[idx] = Some(grads);
+        let mut block_grads = Vec::with_capacity(self.blocks.len());
+        for (block, (input, capture)) in self.blocks.iter().zip(&saved).rev() {
+            let (dxi, grads) = block.backward(input, capture, &dx, &self.rope);
+            block_grads.push(grads);
             dx = dxi;
         }
-        let block_grads: Vec<BlockGrads> = block_grads
-            .into_iter()
-            .map(|g| g.expect("grad missing"))
-            .collect();
+        block_grads.reverse();
 
         // Embedding gradient: scatter rows.
         let mut dembed = Matrix::zeros(self.cfg.vocab_size, self.cfg.d_model);
         for (i, &tok) in tokens.iter().enumerate() {
-            let src = dx.row(i).to_vec();
-            let dst = dembed.row_mut(tok as usize);
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
+            for (d, s) in dembed.row_mut(tok as usize).iter_mut().zip(dx.row(i)) {
                 *d += s;
             }
         }
@@ -698,9 +699,378 @@ fn matrix_fnv(m: &Matrix) -> u64 {
     h.finish()
 }
 
+/// The training stack before its forward ran through the inference core,
+/// kept verbatim as the bit-exact oracle of [`Model::sequence_grads`],
+/// the capture and the block halves: the cache-building forwards of the
+/// attention, the SwiGLU FFN and the block, their caches, the backward
+/// passes that read those caches, and `sequence_grads` itself.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use aptq_tensor::activation::{
+        log_sum_exp, silu, silu_grad, silu_mul_into, softmax, softmax_vjp_row,
+    };
+    use aptq_tensor::Matrix;
+
+    use crate::attention::{attend_row, AttentionGrads, MultiHeadAttention};
+    use crate::block::{BlockGrads, TransformerBlock};
+    use crate::ffn::{SwiGlu, SwiGluGrads};
+    use crate::linear::LinearOp;
+    use crate::model::{Model, ModelGrads};
+    use crate::rmsnorm::RmsNormCache;
+    use crate::rope::RopeTable;
+
+    /// Everything the attention backward needs from one forward pass.
+    pub(crate) struct AttentionCache {
+        pub(crate) x: Matrix,
+        pub(crate) q_rot: Matrix,
+        pub(crate) k_rot: Matrix,
+        pub(crate) v: Matrix,
+        pub(crate) probs: Vec<Matrix>,
+        pub(crate) concat: Matrix,
+    }
+
+    /// Forward cache of the SwiGLU backward.
+    pub(crate) struct SwiGluCache {
+        pub(crate) x: Matrix,
+        pub(crate) g: Matrix,
+        pub(crate) u: Matrix,
+        pub(crate) hidden: Matrix,
+    }
+
+    /// Forward cache of the block backward.
+    pub(crate) struct BlockForwardCache {
+        pub(crate) norm1: RmsNormCache,
+        pub(crate) attn: AttentionCache,
+        pub(crate) norm2: RmsNormCache,
+        pub(crate) ffn: SwiGluCache,
+    }
+
+    /// `MultiHeadAttention::forward`: every row through `attend_row`.
+    pub(crate) fn attention_forward(
+        attn: &MultiHeadAttention,
+        x: &Matrix,
+        rope: &RopeTable,
+    ) -> (Matrix, AttentionCache) {
+        let scale = 1.0 / (attn.d_head() as f32).sqrt();
+        let t = x.rows();
+        let d_model = attn.wq().d_in();
+        assert_eq!(x.cols(), d_model, "attention: input width mismatch");
+
+        let mut q = attn.wq().forward_op(x, None);
+        let mut k = attn.wk().forward_op(x, None);
+        let v = attn.wv().forward_op(x, None);
+        for pos in 0..t {
+            rope.apply_heads(q.row_mut(pos), pos);
+            rope.apply_heads(k.row_mut(pos), pos);
+        }
+
+        let keys = k.transpose();
+        let mut probs: Vec<Matrix> = (0..attn.n_heads()).map(|_| Matrix::zeros(t, t)).collect();
+        let mut concat = Matrix::zeros(t, d_model);
+        let mut scratch = vec![0.0f32; attn.n_heads() * (t + 1)];
+        for i in 0..t {
+            attend_row(
+                q.row(i),
+                &keys,
+                &v,
+                i + 1,
+                attn.d_head(),
+                scale,
+                &mut scratch,
+                Some(&mut probs[..]),
+                concat.row_mut(i),
+            );
+        }
+        let out = attn.wo().forward_op(&concat, None);
+        let cache = AttentionCache {
+            x: x.clone(),
+            q_rot: q,
+            k_rot: k,
+            v,
+            probs,
+            concat,
+        };
+        (out, cache)
+    }
+
+    /// `MultiHeadAttention::backward` over its cache.
+    fn attention_backward(
+        attn: &MultiHeadAttention,
+        cache: &AttentionCache,
+        dy: &Matrix,
+        rope: &RopeTable,
+    ) -> (Matrix, AttentionGrads) {
+        let (n_heads, d_head) = (attn.n_heads(), attn.d_head());
+        let scale = 1.0 / (d_head as f32).sqrt();
+        let t = cache.x.rows();
+        let d_model = attn.wq().d_in();
+        assert_eq!(
+            dy.shape(),
+            (t, d_model),
+            "attention backward: dy shape mismatch"
+        );
+
+        // O projection.
+        let (dconcat, dwo) = attn.wo().backward(&cache.concat, dy);
+
+        let mut dq = Matrix::zeros(t, d_model);
+        let mut dk = Matrix::zeros(t, d_model);
+        let mut dv = Matrix::zeros(t, d_model);
+
+        for h in 0..n_heads {
+            let lo = h * d_head;
+            let hi = lo + d_head;
+            let p = &cache.probs[h];
+            let qh = cache.q_rot.slice_cols(lo, hi);
+            let kh = cache.k_rot.slice_cols(lo, hi);
+            let vh = cache.v.slice_cols(lo, hi);
+            let dhead = dconcat.slice_cols(lo, hi);
+
+            // head = P · V
+            let dp = dhead.matmul_nt(&vh); // T×T
+            let dvh = p.matmul_tn(&dhead); // T×dh
+
+            // softmax backward (row-wise VJP); masked entries have p=0 so
+            // their gradient vanishes automatically.
+            let mut dscores = Matrix::zeros(t, t);
+            for i in 0..t {
+                let g = softmax_vjp_row(p.row(i), dp.row(i));
+                dscores.row_mut(i).copy_from_slice(&g);
+            }
+            dscores.scale_assign(scale);
+
+            // scores = q kᵀ
+            let dqh = dscores.matmul(&kh); // T×dh
+            let dkh = dscores.matmul_tn(&qh); // T×dh
+
+            dq.set_block(0, lo, &dqh);
+            dk.set_block(0, lo, &dkh);
+            dv.set_block(0, lo, &dvh);
+        }
+
+        // Undo RoPE on gradient (the rotation is orthogonal: Jᵀ = R(−θ)).
+        for pos in 0..t {
+            for h in 0..n_heads {
+                let lo = h * d_head;
+                let hi = lo + d_head;
+                rope.apply_row_inverse(&mut dq.row_mut(pos)[lo..hi], pos);
+                rope.apply_row_inverse(&mut dk.row_mut(pos)[lo..hi], pos);
+            }
+        }
+
+        let (dx_q, dwq) = attn.wq().backward(&cache.x, &dq);
+        let (dx_k, dwk) = attn.wk().backward(&cache.x, &dk);
+        let (dx_v, dwv) = attn.wv().backward(&cache.x, &dv);
+
+        let mut dx = dx_q;
+        dx.add_assign(&dx_k);
+        dx.add_assign(&dx_v);
+
+        (dx, AttentionGrads { dwq, dwk, dwv, dwo })
+    }
+
+    /// `SwiGlu::forward`.
+    fn swiglu_forward(ffn: &SwiGlu, x: &Matrix) -> (Matrix, SwiGluCache) {
+        let g = ffn.gate().forward_op(x, None);
+        let u = ffn.up().forward_op(x, None);
+        let mut hidden = g.clone();
+        silu_mul_into(hidden.as_mut_slice(), u.as_slice());
+        let y = ffn.down().forward_op(&hidden, None);
+        (
+            y,
+            SwiGluCache {
+                x: x.clone(),
+                g,
+                u,
+                hidden,
+            },
+        )
+    }
+
+    /// `SwiGlu::backward` over its cache.
+    fn swiglu_backward(ffn: &SwiGlu, cache: &SwiGluCache, dy: &Matrix) -> (Matrix, SwiGluGrads) {
+        let (dhidden, ddown) = ffn.down().backward(&cache.hidden, dy);
+        // hidden = silu(g) ⊙ u
+        let mut dg = Matrix::zeros(dhidden.rows(), dhidden.cols());
+        let mut du = Matrix::zeros(dhidden.rows(), dhidden.cols());
+        for idx in 0..dhidden.len() {
+            let gh = cache.g.as_slice()[idx];
+            let uh = cache.u.as_slice()[idx];
+            let d = dhidden.as_slice()[idx];
+            dg.as_mut_slice()[idx] = d * uh * silu_grad(gh);
+            du.as_mut_slice()[idx] = d * silu(gh);
+        }
+        let (dx_g, dgate) = ffn.gate().backward(&cache.x, &dg);
+        let (dx_u, dup) = ffn.up().backward(&cache.x, &du);
+        let mut dx = dx_g;
+        dx.add_assign(&dx_u);
+        (dx, SwiGluGrads { dgate, dup, ddown })
+    }
+
+    /// `TransformerBlock::forward`.
+    pub(crate) fn block_forward(
+        block: &TransformerBlock,
+        x: &Matrix,
+        rope: &RopeTable,
+    ) -> (Matrix, BlockForwardCache) {
+        let (normed1, c_norm1) = block.norm1.forward(x);
+        let (attn_out, c_attn) = attention_forward(&block.attn, &normed1, rope);
+        let mut h = x.clone();
+        h.add_assign(&attn_out);
+        let (normed2, c_norm2) = block.norm2.forward(&h);
+        let (ffn_out, c_ffn) = swiglu_forward(&block.ffn, &normed2);
+        let mut y = h;
+        y.add_assign(&ffn_out);
+        (
+            y,
+            BlockForwardCache {
+                norm1: c_norm1,
+                attn: c_attn,
+                norm2: c_norm2,
+                ffn: c_ffn,
+            },
+        )
+    }
+
+    /// `TransformerBlock::backward` over its cache.
+    fn block_backward(
+        block: &TransformerBlock,
+        cache: &BlockForwardCache,
+        dy: &Matrix,
+        rope: &RopeTable,
+    ) -> (Matrix, BlockGrads) {
+        // y = h + ffn(norm2(h))
+        let (dnormed2, ffn_grads) = swiglu_backward(&block.ffn, &cache.ffn, dy);
+        let (dh_from_ffn, dnorm2) = block.norm2.backward(&cache.norm2, &dnormed2);
+        let mut dh = dy.clone();
+        dh.add_assign(&dh_from_ffn);
+
+        // h = x + attn(norm1(x))
+        let (dnormed1, attn_grads) = attention_backward(&block.attn, &cache.attn, &dh, rope);
+        let (dx_from_attn, dnorm1) = block.norm1.backward(&cache.norm1, &dnormed1);
+        let mut dx = dh;
+        dx.add_assign(&dx_from_attn);
+
+        (
+            dx,
+            BlockGrads {
+                attn: attn_grads,
+                ffn: ffn_grads,
+                dnorm1,
+                dnorm2,
+            },
+        )
+    }
+
+    /// `Model::sequence_grads` over the cache-building forward.
+    pub(crate) fn sequence_grads(model: &Model, tokens: &[u32]) -> (f32, ModelGrads) {
+        assert!(tokens.len() >= 2, "sequence_grads: need at least 2 tokens");
+        let t = tokens.len();
+        let n_pred = (t - 1) as f32;
+
+        // Forward with caches.
+        let mut x = model.embed_tokens(tokens);
+        let mut caches = Vec::with_capacity(model.blocks().len());
+        for block in model.blocks() {
+            let (y, cache) = block_forward(block, &x, model.rope());
+            caches.push(cache);
+            x = y;
+        }
+        let (normed, final_cache) = model.final_norm().forward(&x);
+        let logits = normed.matmul(model.lm_head());
+
+        // Loss and dlogits = (softmax − onehot)/n_pred on predicting rows.
+        let probs = softmax(&logits);
+        let mut loss = 0.0f64;
+        let mut dlogits = Matrix::zeros(t, model.config().vocab_size);
+        for i in 0..t - 1 {
+            let target = tokens[i + 1] as usize;
+            let row = logits.row(i);
+            loss += (log_sum_exp(row) - row[target]) as f64;
+            let drow = dlogits.row_mut(i);
+            drow.copy_from_slice(probs.row(i));
+            drow[target] -= 1.0;
+            for v in drow.iter_mut() {
+                *v /= n_pred;
+            }
+        }
+        let loss = (loss / n_pred as f64) as f32;
+
+        // Backward through LM head.
+        let dnormed = dlogits.matmul_nt(model.lm_head());
+        // lm_head is d_model × vocab; dlm_head = normedᵀ · dlogits.
+        let dlm_head = normed.matmul_tn(&dlogits);
+        let (mut dx, dfinal_norm) = model.final_norm().backward(&final_cache, &dnormed);
+
+        // Backward through blocks in reverse.
+        let mut block_grads: Vec<Option<BlockGrads>> = vec![None; model.blocks().len()];
+        for (idx, block) in model.blocks().iter().enumerate().rev() {
+            let (dxi, grads) = block_backward(block, &caches[idx], &dx, model.rope());
+            block_grads[idx] = Some(grads);
+            dx = dxi;
+        }
+        let block_grads: Vec<BlockGrads> = block_grads
+            .into_iter()
+            .map(|g| g.expect("grad missing"))
+            .collect();
+
+        // Embedding gradient: scatter rows.
+        let mut dembed = Matrix::zeros(model.config().vocab_size, model.config().d_model);
+        for (i, &tok) in tokens.iter().enumerate() {
+            let src = dx.row(i).to_vec();
+            let dst = dembed.row_mut(tok as usize);
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d += s;
+            }
+        }
+
+        (
+            loss,
+            ModelGrads {
+                embed: dembed,
+                blocks: block_grads,
+                dfinal_norm,
+                lm_head: dlm_head,
+            },
+        )
+    }
+
+    /// Every gradient element of `got` against `want`, by bits.
+    pub(crate) fn assert_grads_bits(got: &ModelGrads, want: &ModelGrads, what: &str) {
+        let bits = |a: &[f32], b: &[f32], name: &str| {
+            assert_eq!(a.len(), b.len(), "{what} {name}: length");
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what} {name}[{i}]: {x} vs {y}");
+            }
+        };
+        bits(got.embed.as_slice(), want.embed.as_slice(), "embed");
+        bits(got.lm_head.as_slice(), want.lm_head.as_slice(), "lm_head");
+        bits(&got.dfinal_norm, &want.dfinal_norm, "dfinal_norm");
+        assert_eq!(got.blocks.len(), want.blocks.len(), "{what}: blocks");
+        for (b, (g, w)) in got.blocks.iter().zip(&want.blocks).enumerate() {
+            let pairs = [
+                (&g.attn.dwq, &w.attn.dwq, "dwq"),
+                (&g.attn.dwk, &w.attn.dwk, "dwk"),
+                (&g.attn.dwv, &w.attn.dwv, "dwv"),
+                (&g.attn.dwo, &w.attn.dwo, "dwo"),
+                (&g.ffn.dgate, &w.ffn.dgate, "dgate"),
+                (&g.ffn.dup, &w.ffn.dup, "dup"),
+                (&g.ffn.ddown, &w.ffn.ddown, "ddown"),
+            ];
+            for (x, y, name) in pairs {
+                assert_eq!(x.shape(), y.shape(), "{what} block {b} {name}: shape");
+                bits(x.as_slice(), y.as_slice(), &format!("block {b} {name}"));
+            }
+            bits(&g.dnorm1, &w.dnorm1, &format!("block {b} dnorm1"));
+            bits(&g.dnorm2, &w.dnorm2, &format!("block {b} dnorm2"));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn tiny() -> Model {
         Model::new(&ModelConfig::test_tiny(16), 7)
@@ -744,8 +1114,8 @@ mod tests {
     #[test]
     fn oracle_chunked_forward_matches_training_path_on_checkpoint() {
         // The committed TinyLlama-M checkpoint: the chunked inference
-        // forward equals the training stack (embed → block.forward →
-        // final_norm.forward → head) bit for bit.
+        // forward equals the cache-building training stack in [`oracle`]
+        // (embed → block forward → final_norm.forward → head) bit for bit.
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
@@ -757,7 +1127,7 @@ mod tests {
             let tokens: Vec<u32> = (0..t as u32).map(|i| (i * 37 + 5) % vocab).collect();
             let mut x = model.embed_tokens(&tokens);
             for block in model.blocks() {
-                x = block.forward(&x, model.rope()).0;
+                x = oracle::block_forward(block, &x, model.rope()).0;
             }
             let want = model.final_norm().forward(&x).0.matmul(model.lm_head());
             let got = model.forward(&tokens);
@@ -886,6 +1256,44 @@ mod tests {
                 (grad - fd).abs() < 2e-2 * (1.0 + fd.abs()),
                 "wq: {grad} vs {fd}"
             );
+        }
+    }
+
+    /// `sequence_grads` against the pre-change one kept in [`oracle`]:
+    /// the loss and every gradient element, by bits.
+    fn check_sequence_grads(model: &Model, tokens: &[u32], what: &str) {
+        let (loss, grads) = model.sequence_grads(tokens);
+        let (want_loss, want) = oracle::sequence_grads(model, tokens);
+        assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what}: loss");
+        oracle::assert_grads_bits(&grads, &want, what);
+    }
+
+    #[test]
+    fn oracle_sequence_grads_match_cache_stack() {
+        // `test_tiny` at three seeds, lengths from the shortest trainable
+        // sequence to the full context. Tokens repeat, several times at
+        // the longer lengths, so the embedding scatter's summation order
+        // shows in the bits.
+        let cfg = ModelConfig::test_tiny(16);
+        for seed in [3u64, 7, 11] {
+            let model = Model::new(&cfg, seed);
+            let mut rng = init::rng(seed);
+            for t in [2usize, 3, 17, cfg.max_seq_len] {
+                let tokens: Vec<u32> = (0..t).map(|_| rng.gen_range(0..16u32)).collect();
+                check_sequence_grads(&model, &tokens, &format!("seed {seed} T={t}"));
+            }
+        }
+        // The committed TinyLlama-M checkpoint, each token at every 29th
+        // position.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
+        );
+        let json = std::fs::read_to_string(path).expect("committed TinyLlama-M checkpoint");
+        let model = Model::from_json(&json).expect("checkpoint parses");
+        for t in [2usize, 17, 64, 128] {
+            let tokens: Vec<u32> = (0..t as u32).map(|i| (i * 37 + 5) % 29).collect();
+            check_sequence_grads(&model, &tokens, &format!("TinyLlama-M T={t}"));
         }
     }
 

@@ -83,7 +83,7 @@ impl Trainer {
         for step in 0..self.cfg.steps {
             let batch = next_batch(step);
             assert!(!batch.is_empty(), "trainer: batch must be non-empty");
-            let (loss, mut grads) = batch_grads(model, &batch);
+            let (loss, mut grads) = batch_grads(model, &batch, thread_count());
             grads.scale_assign(1.0 / batch.len() as f32);
             adam.step(model, &grads);
             if step < 10 {
@@ -106,27 +106,22 @@ impl Trainer {
 
 /// Computes the mean loss and summed gradients of a batch, parallelizing
 /// over sequences via [`aptq_tensor::parallel::run_indexed`] with
-/// [`aptq_tensor::parallel::thread_count`] workers.
+/// `threads` workers (callers pass
+/// [`aptq_tensor::parallel::thread_count`]).
+///
+/// # Panics
+///
+/// Panics if `batch` is empty, or a sequence has fewer than 2 tokens.
 ///
 /// # Determinism
 ///
-/// Bit-identical for every thread count: per-sequence (loss, grads)
-/// pairs come back in batch order and are reduced sequentially in that
-/// order, so the floating-point summation order never depends on how
-/// sequences were distributed across workers. (The cost is holding one
-/// gradient set per sequence instead of one per worker — fine at the
-/// batch sizes this repo trains with.)
-pub fn batch_grads(model: &Model, batch: &[Vec<u32>]) -> (f32, ModelGrads) {
-    batch_grads_threads(model, batch, thread_count())
-}
-
-/// [`batch_grads`] with an explicit worker-thread count.
-///
-/// # Determinism
-///
-/// Same contract as [`batch_grads`]: results are bit-identical for
-/// every `threads` value, including 1.
-pub fn batch_grads_threads(model: &Model, batch: &[Vec<u32>], threads: usize) -> (f32, ModelGrads) {
+/// Bit-identical for every `threads` value, including 1: per-sequence
+/// (loss, grads) pairs come back in batch order and are reduced
+/// sequentially in that order, so the floating-point summation order
+/// never depends on how sequences were distributed across workers. (The
+/// cost is holding one gradient set per sequence instead of one per
+/// worker — fine at the batch sizes this repo trains with.)
+pub fn batch_grads(model: &Model, batch: &[Vec<u32>], threads: usize) -> (f32, ModelGrads) {
     let per_seq: Vec<(f32, ModelGrads)> =
         aptq_tensor::parallel::run_indexed(batch.len(), threads.min(batch.len()), |i| {
             model.sequence_grads(&batch[i])
@@ -151,6 +146,7 @@ fn mean(xs: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::oracle;
     use crate::ModelConfig;
     use rand::Rng;
 
@@ -189,7 +185,7 @@ mod tests {
         let batch: Vec<Vec<u32>> = (0..9)
             .map(|_| (0..8).map(|_| rng.gen_range(0..12u32)).collect())
             .collect();
-        let (loss_par, grads_par) = batch_grads(&model, &batch);
+        let (loss_par, grads_par) = batch_grads(&model, &batch, thread_count());
         // Sequential reference.
         let mut loss_seq = 0.0;
         let mut grads_seq: Option<ModelGrads> = None;
@@ -218,15 +214,15 @@ mod tests {
         let batch: Vec<Vec<u32>> = (0..7)
             .map(|_| (0..9).map(|_| rng.gen_range(0..12u32)).collect())
             .collect();
-        let (loss_1, grads_1) = batch_grads_threads(&model, &batch, 1);
+        let (loss_1, grads_1) = batch_grads(&model, &batch, 1);
         for threads in [2usize, 4, 8] {
-            let (loss_n, grads_n) = batch_grads_threads(&model, &batch, threads);
-            assert_eq!(loss_1, loss_n, "loss differs at {threads} threads");
+            let (loss_n, grads_n) = batch_grads(&model, &batch, threads);
             assert_eq!(
-                grads_1.global_norm(),
-                grads_n.global_norm(),
-                "grads differ at {threads} threads"
+                loss_1.to_bits(),
+                loss_n.to_bits(),
+                "loss differs at {threads} threads"
             );
+            oracle::assert_grads_bits(&grads_n, &grads_1, &format!("{threads} threads"));
         }
     }
 }
