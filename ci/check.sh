@@ -128,13 +128,13 @@ for threads in 1 4; do
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --test batch_decode
     # The vectorized attention row kernel against the per-head kernel it
     # replaced, the core's attention against the per-head full-matrix
-    # forward, the cache-free block halves, the chunked forward and the
-    # capture against the cache-building training forward they replaced,
+    # forward, the chunked forward and the capture against the
+    # cache-building training forward they replaced,
     # `sequence_grads` (loss and every gradient) against the one that
     # forward fed (`oracle_sequence_grads_match_cache_stack`), and a
     # prefill chunk against token-by-token feeding, bit for bit. The
-    # probe and the capture run in release in the benchmark, where the
-    # causal loops auto-vectorize.
+    # capture runs in release in the benchmark, where the causal loops
+    # auto-vectorize.
     APTQ_THREADS=$threads cargo test -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-lm --lib oracle_
     APTQ_THREADS=$threads cargo test --release -q -p aptq-core --test determinism
@@ -149,9 +149,12 @@ cargo test --release -q -p aptq-core --lib
 # in the profile the benchmark and the CLI ship.
 cargo test --release -q -p serde_json
 # The benchmark host runs 2 workers, and the Hessian capture window
-# follows the thread count: 2 is a schedule distinct from 1 and 4.
+# follows the thread count: 2 is a schedule distinct from 1 and 4. The
+# benchmark ships release builds, so the capture and probe oracles run
+# at 2 workers in that profile too.
 echo "    APTQ_THREADS=2"
 APTQ_THREADS=2 cargo test -q -p aptq-core --test determinism
+APTQ_THREADS=2 cargo test --release -q -p aptq-core --test determinism
 APTQ_THREADS=2 cargo test -q -p aptq-core --lib act_stats_match
 APTQ_THREADS=2 cargo test -q -p aptq-lm --lib oracle_sequence_grads
 APTQ_THREADS=2 cargo test --release -q -p aptq-lm --lib oracle_sequence_grads

@@ -20,7 +20,9 @@ use aptq_bench::{emit, Experiment, ExperimentScale};
 use aptq_core::grid::GridConfig;
 use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
-use aptq_core::trace::{hutchinson_trace, SensitivityMetric, SensitivityReport};
+use aptq_core::trace::{
+    empirical_sensitivity, hutchinson_trace, SensitivityMetric, SensitivityReport,
+};
 use aptq_core::{HessianMode, QuantSession};
 use aptq_eval::perplexity;
 use aptq_eval::pipeline::{quantize_clone, Method};
@@ -49,9 +51,8 @@ fn main() {
     out.push_str(&sensitivity_metric_ablation(&mut exp));
     out.push_str(&hutchinson_ablation(&mut exp));
     eprintln!(
-        "[ablations] session reuse: {} capture passes, {} sensitivity probes",
-        exp.session.capture_passes(),
-        exp.session.sensitivity_passes()
+        "[ablations] session reuse: {} capture passes",
+        exp.session.capture_passes()
     );
 
     emit("ablations.md", &out).expect("write results");
@@ -142,9 +143,8 @@ fn sensitivity_metric_ablation(exp: &mut Experiment) -> String {
         .session
         .hessians(model, HessianMode::AttentionAware)
         .expect("hessians");
-    let empirical = exp
-        .session
-        .probe_sensitivity(model, 2, &exp.grid)
+    let calibration = exp.session.calibration();
+    let empirical = empirical_sensitivity(model, calibration, 2, &exp.grid, thread_count())
         .expect("sensitivity probe");
     let allocator = MixedPrecisionAllocator::two_four(0.5).expect("ratio");
 

@@ -48,9 +48,8 @@ fn main() {
         "expected one capture pass per Hessian mode"
     );
     eprintln!(
-        "[table1] session reuse: {} capture passes, {} sensitivity probes across {} rows",
+        "[table1] session reuse: {} capture passes across {} rows",
         exp.session.capture_passes(),
-        exp.session.sensitivity_passes(),
         rows.len()
     );
 

@@ -2,13 +2,14 @@
 
 use aptq_core::grid::GridConfig;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
-use aptq_core::trace::{SensitivityMetric, SensitivityReport};
+use aptq_core::trace::{empirical_sensitivity, SensitivityMetric, SensitivityReport};
 use aptq_core::{HessianMode, QuantSession};
 use aptq_eval::pipeline::Method;
 use aptq_eval::zoo::{load_or_train, ModelSize, PretrainBudget};
 use aptq_eval::{evaluate_suites, perplexity};
 use aptq_lm::Model;
 use aptq_qmodel::QuantizedModel;
+use aptq_tensor::parallel::thread_count;
 use aptq_textgen::corpus::{CorpusGenerator, CorpusStyle};
 use aptq_textgen::{Grammar, TaskSuite, Tokenizer, ZeroShotTask};
 
@@ -267,27 +268,26 @@ pub fn sensitivity(flags: &Flags) -> Result<(), CliError> {
     ));
     let cfg = GridConfig::default();
     let report = match get_or(flags, "metric", "trace") {
-        "empirical" => (*session
-            .probe_sensitivity(&model, 2, &cfg)
-            .map_err(|e| CliError::Runtime(e.to_string()))?)
-        .clone(),
+        "empirical" => {
+            empirical_sensitivity(&model, session.calibration(), 2, &cfg, thread_count())
+        }
         metric @ ("trace" | "weighted") => {
-            let hessians = session
-                .hessians(&model, HessianMode::AttentionAware)
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
             let m = if metric == "trace" {
                 SensitivityMetric::MeanTrace
             } else {
                 SensitivityMetric::TraceTimesPerturbation
             };
-            SensitivityReport::with_metric(&hessians, &model, m, 2, &cfg)
+            session
+                .hessians(&model, HessianMode::AttentionAware)
+                .map(|hessians| SensitivityReport::with_metric(&hessians, &model, m, 2, &cfg))
         }
         other => {
             return Err(CliError::Usage(format!(
                 "--metric must be trace|weighted|empirical, got `{other}`"
             )))
         }
-    };
+    }
+    .map_err(|e| CliError::Runtime(e.to_string()))?;
     println!("{}", report.to_markdown());
     Ok(())
 }

@@ -9,9 +9,10 @@
 //! rows rank layers by those Hessians' mean traces (§3.3). A
 //! [`QuantSession`] owns the calibration snapshot and memoizes the
 //! Hessians, so one activation-capture pass serves every method row
-//! that shares a mode. The empirical 2-bit sensitivity probe, which the
-//! allocation-signal ablation compares against the trace, is memoized
-//! the same way.
+//! that shares a mode. That is the session's one cache: the empirical
+//! 2-bit sensitivity probe, which the allocation-signal ablation compares
+//! against the trace, runs once per caller and is not cached
+//! ([`crate::trace::empirical_sensitivity`]).
 //!
 //! Cache entries are keyed by `(mode, model fingerprint)` — a hash over
 //! every weight bit — so a mutated model (e.g. a quantized clone fed
@@ -32,21 +33,16 @@ use crate::hessian::{HessianMode, LayerHessian};
 use crate::trace::SensitivityReport;
 use crate::QuantError;
 
-/// How many leading calibration segments the empirical probe reads.
-const PROBE_SEGMENTS: usize = 16;
-
 /// Shared Hessians for one model fingerprint + mode.
 pub type SharedHessians = Arc<BTreeMap<LayerRef, LayerHessian>>;
 
-/// Owns a calibration set plus lazily-populated Hessian and sensitivity
-/// caches, shared across every method applied during one experiment run.
+/// Owns a calibration set plus a lazily-populated Hessian cache, shared
+/// across every method applied during one experiment run.
 #[derive(Debug, Clone)]
 pub struct QuantSession {
     calibration: Vec<Vec<u32>>,
     hessians: BTreeMap<(u8, u64), SharedHessians>,
-    sensitivities: BTreeMap<(u64, u8, u64), Arc<SensitivityReport>>,
     capture_passes: usize,
-    sensitivity_passes: usize,
     metrics: Recorder,
 }
 
@@ -56,9 +52,7 @@ impl QuantSession {
         QuantSession {
             calibration,
             hessians: BTreeMap::new(),
-            sensitivities: BTreeMap::new(),
             capture_passes: 0,
-            sensitivity_passes: 0,
             metrics: Recorder::new(),
         }
     }
@@ -94,12 +88,6 @@ impl QuantSession {
     /// should show exactly one per [`HessianMode`] in play.
     pub fn capture_passes(&self) -> usize {
         self.capture_passes
-    }
-
-    /// How many empirical sensitivity probes
-    /// ([`QuantSession::probe_sensitivity`] runs) this session has run.
-    pub fn sensitivity_passes(&self) -> usize {
-        self.sensitivity_passes
     }
 
     /// Calibration Hessians for `model` under `mode`, collected on first
@@ -151,15 +139,15 @@ impl QuantSession {
     /// allocates by. After [`QuantSession::hessians`] this is a cache
     /// hit, so one capture pass serves the Hessians and the ranking.
     ///
-    /// `low_bits` and `cfg` no longer enter this signal; they
-    /// parameterize the empirical probe,
-    /// [`QuantSession::probe_sensitivity`].
+    /// `low_bits` and `cfg` do not enter this signal; the two parameters
+    /// are kept only for existing callers.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::EmptyCalibration`] when none of the first 16
-    /// calibration segments has at least two tokens, as the probe does;
-    /// propagates capture failures otherwise.
+    /// calibration segments has at least two tokens, as the empirical
+    /// probe ([`crate::trace::empirical_sensitivity`]) does; propagates
+    /// capture failures otherwise.
     ///
     /// # Determinism
     ///
@@ -170,61 +158,10 @@ impl QuantSession {
         model: &Model,
         _low_bits: u8,
         _cfg: &GridConfig,
-    ) -> Result<Arc<SensitivityReport>, QuantError> {
-        let leading = &self.calibration[..self.calibration.len().min(PROBE_SEGMENTS)];
-        if leading.iter().all(|s| s.len() < 2) {
-            return Err(QuantError::EmptyCalibration);
-        }
+    ) -> Result<SensitivityReport, QuantError> {
+        crate::trace::probe_segments(&self.calibration)?;
         let hessians = self.hessians(model, HessianMode::AttentionAware)?;
-        Ok(Arc::new(SensitivityReport::from_hessians(&hessians)))
-    }
-
-    /// Empirical per-layer sensitivity of `model` at `low_bits` under
-    /// `cfg` ([`crate::trace::empirical_sensitivity`]), probed on a slice
-    /// of the calibration set (at most 16 segments) and cached per
-    /// `(model, low_bits, cfg)`. The allocation-signal ablation compares
-    /// it with [`QuantSession::sensitivity`]'s mean trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::EmptyCalibration`] when the calibration set
-    /// is empty or no probe segment has at least two tokens; propagates
-    /// probe failures otherwise.
-    ///
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS`: probe segments run via
-    /// `aptq_tensor::parallel::run_indexed`, which returns results in
-    /// segment order regardless of scheduling, and losses are folded in
-    /// that order.
-    pub fn probe_sensitivity(
-        &mut self,
-        model: &Model,
-        low_bits: u8,
-        cfg: &GridConfig,
-    ) -> Result<Arc<SensitivityReport>, QuantError> {
-        if self.calibration.is_empty() {
-            return Err(QuantError::EmptyCalibration);
-        }
-        let key = (fingerprint(model), low_bits, grid_key(cfg));
-        if let Some(cached) = self.sensitivities.get(&key) {
-            self.metrics.incr("quant/session/sensitivity_hits");
-            return Ok(Arc::clone(cached));
-        }
-        self.metrics.incr("quant/session/sensitivity_misses");
-        let probe_len = self.calibration.len().clamp(1, PROBE_SEGMENTS);
-        let report = crate::trace::empirical_sensitivity(
-            model,
-            &self.calibration[..probe_len],
-            low_bits,
-            cfg,
-            aptq_tensor::parallel::thread_count(),
-        )?;
-        self.sensitivity_passes += 1;
-        self.metrics.incr("quant/session/sensitivity_probes");
-        let shared = Arc::new(report);
-        self.sensitivities.insert(key, Arc::clone(&shared));
-        Ok(shared)
+        Ok(SensitivityReport::from_hessians(&hessians))
     }
 }
 
@@ -250,16 +187,6 @@ fn fingerprint(model: &Model) -> u64 {
     for layer in model.layer_refs() {
         eat_matrix(&mut h, model.layer_weight(layer));
     }
-    h.finish()
-}
-
-/// Grid parameters that influence the sensitivity probe (RTN fit).
-fn grid_key(cfg: &GridConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.eat_u64(cfg.group_size as u64);
-    h.eat_u64(cfg.block_size as u64);
-    h.eat_u64(u64::from(cfg.asymmetric));
-    h.eat_u64(u64::from(cfg.damp.to_bits()));
     h.finish()
 }
 
@@ -312,12 +239,6 @@ mod tests {
         assert_eq!(m.get("quant/session/hessian_misses"), 1);
         assert_eq!(m.get("quant/session/hessian_hits"), 2);
 
-        let cfg = GridConfig::default();
-        session.probe_sensitivity(&model, 2, &cfg).unwrap();
-        session.probe_sensitivity(&model, 2, &cfg).unwrap();
-        assert_eq!(session.metrics().get("quant/session/sensitivity_probes"), 1);
-        assert_eq!(session.metrics().get("quant/session/sensitivity_hits"), 1);
-
         let taken = session.take_metrics();
         assert!(!taken.is_empty());
         assert!(session.metrics().is_empty(), "take must drain the recorder");
@@ -336,24 +257,6 @@ mod tests {
             2,
             "a weight change must force a fresh capture pass"
         );
-    }
-
-    #[test]
-    fn sensitivity_is_probed_once_per_config() {
-        let model = Model::new(&ModelConfig::test_tiny(16), 7);
-        let mut session = QuantSession::new(calib());
-        let cfg = GridConfig::default();
-        let a = session.probe_sensitivity(&model, 2, &cfg).unwrap();
-        let b = session.probe_sensitivity(&model, 2, &cfg).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(session.sensitivity_passes(), 1);
-        // A different grid config is a different probe.
-        let other = GridConfig {
-            group_size: 16,
-            ..cfg
-        };
-        session.probe_sensitivity(&model, 2, &other).unwrap();
-        assert_eq!(session.sensitivity_passes(), 2);
     }
 
     #[test]

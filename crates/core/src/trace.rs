@@ -9,7 +9,9 @@
 //! ([`SensitivityReport::from_hessians`], served by
 //! [`crate::QuantSession::sensitivity`]). The allocation-signal ablation
 //! compares it with the HAWQ-V2 weighting of [`SensitivityMetric`] and
-//! with the empirical 2-bit loss probe, [`empirical_sensitivity`].
+//! with the empirical 2-bit loss probe, [`empirical_sensitivity`], which
+//! its two callers (ablation E and `aptq sensitivity --metric
+//! empirical`) run directly on a calibration set; nothing caches it.
 
 use std::collections::BTreeMap;
 
@@ -21,6 +23,9 @@ use serde::{Deserialize, Serialize};
 use crate::grid::{GridConfig, QuantGrid};
 use crate::hessian::LayerHessian;
 use crate::QuantError;
+
+/// How many leading segments of its probe set the empirical probe reads.
+const PROBE_SEGMENTS: usize = 16;
 
 /// How layer sensitivity is scored from the Hessian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -184,17 +189,15 @@ impl SensitivityReport {
 /// (DESIGN.md §3). So APTQ-R% allocates by the paper's mean trace, and
 /// this probe is a row of ablation E in the `ablations` bench.
 ///
-/// The probe should be a small slice of the calibration set (the
-/// session probes 16 segments) and is segment-major: one job per probe
-/// segment walks the unperturbed forward once and, at each block,
-/// branches once per layer of that block. A branch swaps the layer's
-/// RTN weight into a clone of that block only, runs it from the block's
-/// input (q/k/v/o) or from its post-attention residual (gate/up/down),
-/// then runs the untouched later blocks and the head. Blocks before the
-/// perturbed one see unchanged weights, so their outputs are taken from
-/// the unperturbed walk instead of being recomputed. Each layer's RTN
-/// solve runs once and is shared by every segment. Segments are spread
-/// across `threads` workers.
+/// The probe reads the first 16 segments of `probe` (a calibration
+/// set's leading slice) and is segment-major: one job per probe segment
+/// clones the model once and walks the unperturbed forward block by
+/// block. At each block it swaps each of that block's layers, in turn,
+/// for its RTN weight and resumes the loss from the block's input
+/// ([`Model::loss_from`]). Blocks before the perturbed one see unchanged
+/// weights, so their outputs are taken from the unperturbed walk instead
+/// of being recomputed. Each layer's RTN solve runs once and is shared
+/// by every segment. Segments are spread across `threads` workers.
 ///
 /// # Determinism
 ///
@@ -206,10 +209,11 @@ impl SensitivityReport {
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::EmptyCalibration`] when no probe segment has at
-/// least two tokens (a shorter segment yields no next-token targets, so
-/// the loss signal would be vacuous), and [`QuantError::NonFiniteLoss`]
-/// when the unperturbed loss or a layer's perturbed loss is not finite.
+/// Returns [`QuantError::EmptyCalibration`] when none of the first 16
+/// segments has at least two tokens (a shorter segment yields no
+/// next-token targets, so the loss signal would be vacuous), and
+/// [`QuantError::NonFiniteLoss`] when the unperturbed loss or a layer's
+/// perturbed loss is not finite.
 pub fn empirical_sensitivity(
     model: &Model,
     probe: &[Vec<u32>],
@@ -217,14 +221,7 @@ pub fn empirical_sensitivity(
     cfg: &GridConfig,
     threads: usize,
 ) -> Result<SensitivityReport, QuantError> {
-    let segments: Vec<&[u32]> = probe
-        .iter()
-        .filter(|s| s.len() >= 2)
-        .map(Vec::as_slice)
-        .collect();
-    if segments.is_empty() {
-        return Err(QuantError::EmptyCalibration);
-    }
+    let segments = probe_segments(probe)?;
     let layers = model.layer_refs();
     let grid = QuantGrid::int(low_bits, cfg.asymmetric);
     let perturbed: Vec<Matrix> = run_indexed(layers.len(), threads, |i| {
@@ -256,6 +253,26 @@ pub fn empirical_sensitivity(
     Ok(SensitivityReport::sorted(entries))
 }
 
+/// The probe's segments: those of at least two tokens among the first
+/// [`PROBE_SEGMENTS`] of `probe` (a shorter one has no next-token
+/// target).
+///
+/// # Errors
+///
+/// [`QuantError::EmptyCalibration`] when there are none.
+pub(crate) fn probe_segments(probe: &[Vec<u32>]) -> Result<Vec<&[u32]>, QuantError> {
+    let segments: Vec<&[u32]> = probe
+        .iter()
+        .take(PROBE_SEGMENTS)
+        .filter(|s| s.len() >= 2)
+        .map(Vec::as_slice)
+        .collect();
+    if segments.is_empty() {
+        return Err(QuantError::EmptyCalibration);
+    }
+    Ok(segments)
+}
+
 /// Mean loss per predicted token over `segments` (each of at least two
 /// tokens), folding the segments' `losses` in segment order.
 fn token_mean(segments: &[&[u32]], losses: impl Iterator<Item = f32>) -> f32 {
@@ -277,26 +294,22 @@ struct SegmentLosses {
     per_layer: Vec<f32>,
 }
 
-/// Probes one segment: the unperturbed forward, branching at each block
-/// once per layer with `perturbed[i]` (indexed like
-/// [`Model::layer_refs`]) swapped into a clone of that block.
+/// Probes one segment: the unperturbed forward, resuming the loss at
+/// each block once per layer with `perturbed[i]` (indexed like
+/// [`Model::layer_refs`]) swapped into a clone of the model.
 fn segment_losses(model: &Model, seg: &[u32], perturbed: &[Matrix]) -> SegmentLosses {
-    let rope = model.rope();
+    let mut branch = model.clone();
     let mut per_layer = Vec::with_capacity(perturbed.len());
     let mut x = model.embed_tokens(seg);
-    for (b, block) in model.blocks().iter().enumerate() {
-        let h = block.attn_half(&x, rope);
+    for block in 0..model.blocks().len() {
         for (k, kind) in LayerKind::ALL.into_iter().enumerate() {
-            let mut branch = block.clone();
-            *branch.weight_mut(kind) = perturbed[b * LayerKind::ALL.len() + k].clone();
-            let y = if kind.is_attention() {
-                branch.ffn_half(&branch.attn_half(&x, rope))
-            } else {
-                branch.ffn_half(&h)
-            };
-            per_layer.push(model.loss_from(b + 1, y, seg));
+            let layer = LayerRef { block, kind };
+            let w = perturbed[block * LayerKind::ALL.len() + k].clone();
+            let clean = std::mem::replace(branch.layer_weight_mut(layer), w);
+            per_layer.push(branch.loss_from(block, x.clone(), seg));
+            *branch.layer_weight_mut(layer) = clean;
         }
-        x = block.ffn_half(&h);
+        model.forward_blocks(block..block + 1, &mut x, None);
     }
     SegmentLosses {
         base: model.loss_from(model.blocks().len(), x, seg),

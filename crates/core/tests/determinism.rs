@@ -1,5 +1,5 @@
-//! Determinism suite for the layer-job scheduler, the session caches
-//! and the two quantize-time passes.
+//! Determinism suite for the layer-job scheduler, the session's Hessian
+//! cache and the two quantize-time passes.
 //!
 //! Contract: the parallel OBQ scheduler and the parallel sensitivity
 //! probe are *bit-identical* to their sequential paths at any thread
@@ -9,12 +9,12 @@
 //! capture are checked bit for bit against oracles: the layer-major
 //! probe, and a sequential capture loop that runs one segment at a
 //! time, one `forward_blocks` call per block, each layer's accumulator
-//! updated straight from the capture. `ci/check.sh` additionally runs this suite under
-//! `APTQ_THREADS=1`, `2` and `4`: the capture window follows the
-//! thread count, so each is a distinct schedule.
+//! updated straight from the capture. `ci/check.sh` additionally runs
+//! this suite under `APTQ_THREADS=1`, `2` and `4`, in debug and release:
+//! the capture window follows the thread count, so each is a distinct
+//! schedule.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use aptq_core::attn;
 use aptq_core::grid::{GridConfig, QuantGrid};
@@ -22,7 +22,7 @@ use aptq_core::hessian::{HessianAccumulator, LayerHessian};
 use aptq_core::methods::apply_plan_obq;
 use aptq_core::mixed::{AllocationPolicy, MixedPrecisionAllocator};
 use aptq_core::trace::{empirical_sensitivity, LayerSensitivity, SensitivityReport};
-use aptq_core::{collect_hessians, HessianMode, QuantPlan, QuantSession};
+use aptq_core::{collect_hessians, HessianMode, QuantError, QuantPlan, QuantSession};
 use aptq_lm::{BlockCapture, CaptureSink, LayerKind, LayerRef, Model, ModelConfig};
 use aptq_obs::Recorder;
 use aptq_tensor::activation::log_sum_exp;
@@ -177,21 +177,44 @@ fn session_sensitivity_is_the_attention_aware_mean_trace() {
         aptq_tensor::parallel::thread_count()
     );
     assert_eq!(session.capture_passes(), 1, "one capture serves both");
-    assert_eq!(session.sensitivity_passes(), 0, "no probe runs");
 }
 
 #[test]
-fn session_sensitivity_matches_direct_probe() {
+fn empirical_probe_reads_the_first_16_segments() {
     let model = Model::new(&ModelConfig::test_tiny(16), 45);
     let cfg = GridConfig::default();
-    let mut session = QuantSession::new(calib());
-    let via_session = session.probe_sensitivity(&model, 2, &cfg).unwrap();
-    let probe_len = calib().len().clamp(1, 16);
-    let direct = empirical_sensitivity(&model, &calib()[..probe_len], 2, &cfg, 1).unwrap();
-    assert_eq!(*Arc::clone(&via_session), direct);
-    // Cache hit: no extra probe.
-    session.probe_sensitivity(&model, 2, &cfg).unwrap();
-    assert_eq!(session.sensitivity_passes(), 1);
+    let bits = |probe: &[Vec<u32>]| -> Vec<(LayerRef, u32)> {
+        empirical_sensitivity(&model, probe, 2, &cfg, 1)
+            .unwrap()
+            .entries()
+            .iter()
+            .map(|e| (e.layer, e.mean_trace.to_bits()))
+            .collect()
+    };
+    let calib = segments(&[12; 20], 16, 3);
+    assert_eq!(
+        bits(&calib),
+        bits(&calib[..16]),
+        "segments 17-20 must not count"
+    );
+    assert_ne!(
+        bits(&calib),
+        bits(&calib[4..]),
+        "the window is the leading 16"
+    );
+
+    // Only the window counts towards a usable probe: 16 one-token
+    // segments make the set empty, however long the 17th is.
+    let mut short = vec![vec![3u32]; 16];
+    short.push((0..12).collect());
+    assert!(matches!(
+        empirical_sensitivity(&model, &short, 2, &cfg, 1),
+        Err(QuantError::EmptyCalibration)
+    ));
+    assert!(matches!(
+        QuantSession::new(short).sensitivity(&model, 2, &cfg),
+        Err(QuantError::EmptyCalibration)
+    ));
 }
 
 // ---------------------------------------------------------------------

@@ -438,6 +438,7 @@ impl MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ModelConfig;
     use crate::decode::{LayerKv, Workspace};
     use aptq_tensor::activation::softmax_rows;
     use aptq_tensor::init;
@@ -466,7 +467,13 @@ mod tests {
         rope: &RopeTable,
     ) -> (Matrix, BlockCapture) {
         let (t, d_model) = x.shape();
-        let mut ws = Workspace::for_attn(t, d_model, attn.n_heads, t);
+        let cfg = ModelConfig {
+            d_model,
+            n_heads: attn.n_heads,
+            max_seq_len: t,
+            ..ModelConfig::test_tiny(16)
+        };
+        let mut ws = Workspace::for_rows(t, &cfg);
         ws.normed.as_mut_slice().copy_from_slice(x.as_slice());
         attn.wq.forward_into(x, &mut ws.q, None);
         attn.wk.forward_into(x, &mut ws.k, None);

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::attention::{AttentionGrads, MultiHeadAttention};
 use crate::capture::BlockCapture;
 use crate::config::ModelConfig;
-use crate::decode::{KvRows, LayerKv, Workspace};
+use crate::decode::{KvRows, Workspace};
 use crate::ffn::{SwiGlu, SwiGluGrads};
 use crate::linear::{Linear, LinearOp};
 use crate::model::LayerKind;
@@ -61,69 +61,6 @@ impl<L: LinearOp> TransformerBlock<L> {
             norm1,
             norm2,
         }
-    }
-
-    /// The attention half of the block, inference only:
-    /// `h = x + Attn(RMSNorm(x))`, as one chunk of `T` rows through the
-    /// decode core's attention half over a `T`-row cache for this block
-    /// alone. Row `i` sits at position `i`.
-    ///
-    /// Runs the float ops of the core's block loop up to its
-    /// post-attention residual, so `ffn_half(&attn_half(x))` equals this
-    /// block's [`ModelOf::forward_blocks`](crate::ModelOf::forward_blocks)
-    /// output bit for bit.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: the attention half's workspace buffers and one
-    /// key/value cache, sized by the rows, and the residual copy of `x`;
-    /// no feed-forward buffers, capture or `T × T` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `d_model` wide or has more rows than the
-    /// RoPE table.
-    ///
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn attn_half(&self, x: &Matrix, rope: &RopeTable) -> Matrix {
-        let (t, d_model) = x.shape();
-        let mut ws = Workspace::for_attn(t, d_model, self.attn.n_heads(), t);
-        // audit:allow(alloc): residual buffer, one per call, sized by the input
-        let mut h = x.clone();
-        let mut kv = LayerKv::empty(t, d_model);
-        self.attn_rows(0, &mut h, &mut ws, &mut kv, rope, None, None);
-        h
-    }
-
-    /// The feed-forward half of the block, inference only:
-    /// `y = h + FFN(RMSNorm(h))`, where `h` is the post-attention
-    /// residual [`attn_half`](TransformerBlock::attn_half) returns,
-    /// through the decode core's feed-forward half.
-    ///
-    /// # HotPath
-    ///
-    /// Allocation budget: the feed-forward half's workspace buffers,
-    /// sized by the rows, and the residual copy of `h`; no attention
-    /// buffers or capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not `d_model` wide.
-    ///
-    /// # Determinism
-    ///
-    /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
-    /// the deterministic threadpool ([`aptq_tensor::parallel`]).
-    pub fn ffn_half(&self, h: &Matrix) -> Matrix {
-        let (t, d_model) = h.shape();
-        let mut ws = Workspace::for_ffn(t, d_model, self.ffn.gate().d_out());
-        // audit:allow(alloc): residual buffer, one per call, sized by the input
-        let mut y = h.clone();
-        self.ffn_rows(&mut y, &mut ws, None);
-        y
     }
 
     /// The attention half over a workspace, in place:
@@ -232,9 +169,10 @@ impl TransformerBlock {
     /// wrote ([`ModelOf::forward_blocks`](crate::ModelOf::forward_blocks));
     /// returns `(dx, grads)`.
     ///
-    /// What the capture lacks is recomputed by the forward's own calls on
-    /// the same inputs, so it carries the forward's bits: the residual
-    /// `h = input + o_proj(concat)`, the norms' reciprocal RMS values, and
+    /// What the capture lacks is recomputed by the forward's own
+    /// arithmetic on the same inputs, so it carries the forward's bits:
+    /// the residual `h = input + o_proj(concat)`, the norms' reciprocal
+    /// RMS values (their backward caches, without a normed output), and
     /// (in [`SwiGlu::backward`]) the gate and up pre-activations.
     ///
     /// # Determinism
@@ -251,13 +189,13 @@ impl TransformerBlock {
         // y = h + ffn(norm2(h)), where h = input + attn(norm1(input))
         let mut h = input.clone();
         h.add_assign(&self.attn.wo().forward_op(&cap.concat, None));
-        let (_, c_norm2) = self.norm2.forward(&h);
+        let c_norm2 = self.norm2.cache(h);
         let (dnormed2, ffn_grads) = self.ffn.backward(cap, dy);
         let (dh_from_ffn, dnorm2) = self.norm2.backward(&c_norm2, &dnormed2);
         let mut dh = dy.clone();
         dh.add_assign(&dh_from_ffn);
 
-        let (_, c_norm1) = self.norm1.forward(input);
+        let c_norm1 = self.norm1.cache(input.clone());
         let (dnormed1, attn_grads) = self.attn.backward(cap, &dh, rope);
         let (dx_from_attn, dnorm1) = self.norm1.backward(&c_norm1, &dnormed1);
         let mut dx = dh;
@@ -279,7 +217,6 @@ impl TransformerBlock {
 mod tests {
     use super::*;
     use crate::capture::CaptureSink;
-    use crate::model::oracle;
     use crate::Model;
     use aptq_tensor::init;
 
@@ -396,37 +333,11 @@ mod tests {
         // The Hessian of `down_proj` reads `ffn_hidden` as that
         // projection's input: the block output is `h + down(ffn_hidden)`
         // exactly, with `h` the post-attention residual.
-        let (block, x, rope) = setup(6);
+        let (block, x, _) = setup(6);
         let (y, cap) = forward(&block, &x);
-        let mut want = block.attn_half(&x, &rope);
+        let mut want = x.clone();
+        want.add_assign(&block.attn.wo().forward_op(&cap.concat, None));
         want.add_assign(&block.ffn.down().forward_op(&cap.ffn_hidden, None));
         assert_eq!(y, want);
-    }
-
-    #[test]
-    fn oracle_halves_match_forward_on_checkpoint() {
-        // Every block of the committed TinyLlama-M checkpoint, fed its
-        // real input: the cache-free halves equal the training forward
-        // the core replaced, bit for bit.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../assets/ckpt-s800b12l44-v134-tinyllama_m.json"
-        );
-        let json = std::fs::read_to_string(path).expect("committed TinyLlama-M checkpoint");
-        let model = crate::Model::from_json(&json).expect("checkpoint parses");
-        let vocab = model.config().vocab_size as u32;
-        for t in [1usize, 17, 64] {
-            let tokens: Vec<u32> = (0..t as u32).map(|i| (i * 37 + 5) % vocab).collect();
-            let mut x = model.embed_tokens(&tokens);
-            for (b, block) in model.blocks().iter().enumerate() {
-                let (y, _) = oracle::block_forward(block, &x, model.rope());
-                let halves = block.ffn_half(&block.attn_half(&x, model.rope()));
-                assert_eq!(halves.shape(), y.shape());
-                for (i, (a, w)) in halves.as_slice().iter().zip(y.as_slice()).enumerate() {
-                    assert_eq!(a.to_bits(), w.to_bits(), "T={t} block {b} element {i}");
-                }
-                x = y;
-            }
-        }
     }
 }

@@ -17,9 +17,9 @@
 //!   ([`DecodeSession::feed_all`], of which [`DecodeSession::feed`] is
 //!   the one-row case);
 //! - a one-layer scratch cache reused by every layer: the full-sequence
-//!   forward ([`ModelOf::forward`], `Model::loss_from`, the block halves
-//!   and the calibration capture [`ModelOf::forward_blocks`]), whose
-//!   cache nobody reads afterwards.
+//!   forward ([`ModelOf::forward`], `Model::loss_from` and the
+//!   calibration capture [`ModelOf::forward_blocks`]), whose cache
+//!   nobody reads afterwards.
 //!
 //! Projections are row-independent under the [`LinearOp`] contract and
 //! each row's attention reads only its own cache positions `[0, pos]`, so a
@@ -202,9 +202,6 @@ fn kv_token_bytes(cfg: &ModelConfig) -> usize {
 /// sized by its rows: their norm and one `d_model`-wide projection
 /// output, shared by both halves; the attention half's q/k/v, concat and
 /// score scratch; the feed-forward half's gate and up activations.
-///
-/// A workspace for one half alone leaves the other half's buffers
-/// empty (zero columns, no allocation).
 #[derive(Debug)]
 pub(crate) struct Workspace {
     pub(crate) normed: Matrix,
@@ -219,41 +216,21 @@ pub(crate) struct Workspace {
 }
 
 impl Workspace {
-    /// Both halves' buffers for `rows` rows of a model shaped like `cfg`.
+    /// The buffers for `rows` rows of a model shaped like `cfg`.
     pub(crate) fn for_rows(rows: usize, cfg: &ModelConfig) -> Self {
+        let model_wide = || Matrix::zeros(rows, cfg.d_model);
         Workspace {
+            normed: model_wide(),
+            proj: model_wide(),
+            q: model_wide(),
+            k: model_wide(),
+            v: model_wide(),
+            concat: model_wide(),
+            // Per head: `max_seq_len` scores and one `1 / sum` (see
+            // `attend_row`).
+            scores: vec![0.0; cfg.n_heads * (cfg.max_seq_len + 1)],
             gate: Matrix::zeros(rows, cfg.d_ff),
             up: Matrix::zeros(rows, cfg.d_ff),
-            ..Workspace::for_attn(rows, cfg.d_model, cfg.n_heads, cfg.max_seq_len)
-        }
-    }
-
-    /// The attention half's buffers alone, for `rows` rows of `n_heads`
-    /// heads whose positions stay below `span`.
-    pub(crate) fn for_attn(rows: usize, d_model: usize, n_heads: usize, span: usize) -> Self {
-        Workspace {
-            q: Matrix::zeros(rows, d_model),
-            k: Matrix::zeros(rows, d_model),
-            v: Matrix::zeros(rows, d_model),
-            concat: Matrix::zeros(rows, d_model),
-            // Per head: `span` scores and one `1 / sum` (see `attend_row`).
-            scores: vec![0.0; n_heads * (span + 1)],
-            ..Workspace::for_ffn(rows, d_model, 0)
-        }
-    }
-
-    /// The feed-forward half's buffers alone, for `rows` rows.
-    pub(crate) fn for_ffn(rows: usize, d_model: usize, d_ff: usize) -> Self {
-        Workspace {
-            normed: Matrix::zeros(rows, d_model),
-            proj: Matrix::zeros(rows, d_model),
-            q: Matrix::zeros(rows, 0),
-            k: Matrix::zeros(rows, 0),
-            v: Matrix::zeros(rows, 0),
-            concat: Matrix::zeros(rows, 0),
-            scores: vec![],
-            gate: Matrix::zeros(rows, d_ff),
-            up: Matrix::zeros(rows, d_ff),
         }
     }
 

@@ -110,15 +110,32 @@ impl RmsNorm {
         }
     }
 
+    /// The backward cache [`RmsNorm::forward`] builds over `x`, which it
+    /// takes, without the normed output: the same reciprocal RMS values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != dim`.
+    pub(crate) fn cache(&self, x: Matrix) -> RmsNormCache {
+        assert_eq!(x.cols(), self.gain.len(), "RmsNorm: dimension mismatch");
+        let inv_rms = (0..x.rows()).map(|i| self.inv_rms(x.row(i))).collect();
+        RmsNormCache { x, inv_rms }
+    }
+
     /// Normalizes one row in place and returns its reciprocal RMS.
     fn normalize_row(&self, row: &mut [f32]) -> f32 {
-        let n = row.len() as f32;
-        let ms: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n;
-        let inv = 1.0 / (ms + self.eps).sqrt();
+        let inv = self.inv_rms(row);
         for (v, &g) in row.iter_mut().zip(self.gain.iter()) {
             *v = *v * inv * g;
         }
         inv
+    }
+
+    /// One row's reciprocal RMS, `1 / sqrt(mean(x²) + ε)`.
+    fn inv_rms(&self, row: &[f32]) -> f32 {
+        let n = row.len() as f32;
+        let ms: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n;
+        1.0 / (ms + self.eps).sqrt()
     }
 
     /// Backward pass.
@@ -240,6 +257,17 @@ mod tests {
         let mut out = Matrix::filled(4, 6, f32::NAN);
         norm.forward_into(&x, &mut out);
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn cache_matches_forward_bit_for_bit() {
+        let norm = RmsNorm::new(6, 1e-5);
+        let x = init::normal(4, 6, 2.0, &mut init::rng(4));
+        let (_, want) = norm.forward(&x);
+        let got = norm.cache(x);
+        assert_eq!(got.x, want.x);
+        let bits = |c: &RmsNormCache| c.inv_rms.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
